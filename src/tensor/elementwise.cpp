@@ -2,11 +2,19 @@
 //
 // Each kernel is a contiguous single-pass loop written for the
 // autovectorizer, in a value-returning and a buffer-reusing `_into` form.
-// Arithmetic per element is kept identical to the seed kernels (now under
-// ops::reference) so the rewrite is bit-transparent to the learner.
-// tanh_forward — the one transcendental-bound kernel — optionally fans out
-// over the kernel pool in contiguous chunks (elementwise, so chunking can
-// never change results).
+// Arithmetic per element is identical to the scalar loops under
+// ops::reference, so every kernel is bit-identical to its oracle.
+//
+// tanh is not libm's: tanh_rational() below is a fixed odd rational
+// approximation (Eigen's ptanh_float minimax fit, degree 13 over 6), at
+// most 6 ulp and 3.9e-7 absolute from the exact value. It uses only +, *,
+// / and compares, so its bits depend on IEEE single precision alone — not
+// on the libm version — as long as no step is fused or reassociated. This
+// file is therefore built with -ffp-contract=off (no FMA contraction, even
+// under -march=native or clang) and -fno-trapping-math (which lets GCC
+// if-convert the clamps and select and vectorize the loop; it changes no
+// value). tanh_forward optionally fans out over the kernel pool in
+// contiguous chunks (elementwise, so chunking can never change results).
 #include <algorithm>
 #include <cmath>
 
@@ -35,8 +43,35 @@ void count_eltwise(std::size_t n) {
   eltwise_elems().add(n);
 }
 
-// tanh costs ~100ns/element; below this the fork/join handshake dominates.
+// Vectorized tanh costs ~2.5 ns/element (SSE2); one kernel-pool fork/join
+// measured 13/19/22 us at 2/3/4 threads (4-vCPU Xeon VM, Release). A
+// 4-way split saves 0.75·n·2.5 ns, which first pays for the handshake at
+// ~12k elements; at 2^15 (~80 us serial) it saves ~60 us against ~22 us.
 constexpr std::size_t kTanhParallelMinElems = 1 << 15;
+
+// tanh(a) as a fixed odd rational function of the clamped input. Clamps
+// and the final select are ternaries, not std::min/max/fabs, so the loop
+// that calls this if-converts into straight-line SIMD code. NaN fails
+// every compare and propagates; ±inf clamps to ±7.905…, where the ratio
+// rounds to exactly ±1; |a| < 4e-4 returns a itself (exact, keeps -0).
+inline float tanh_rational(float a) {
+  constexpr float kClamp = 7.90531110763549805f;
+  const float x = a > kClamp ? kClamp : (a < -kClamp ? -kClamp : a);
+  const float x2 = x * x;
+  float p = -2.76076847742355e-16f;
+  p = p * x2 + 2.00018790482477e-13f;
+  p = p * x2 + -8.60467152213735e-11f;
+  p = p * x2 + 5.12229709037114e-08f;
+  p = p * x2 + 1.48572235717979e-05f;
+  p = p * x2 + 6.37261928875436e-04f;
+  p = p * x2 + 4.89352455891786e-03f;
+  p = p * x;
+  float q = 1.19825839466702e-06f;
+  q = q * x2 + 1.18534705686654e-04f;
+  q = q * x2 + 2.26843463243900e-03f;
+  q = q * x2 + 4.89352518554385e-03f;
+  return (a < 4e-4f && a > -4e-4f) ? a : p / q;
+}
 
 }  // namespace
 
@@ -83,10 +118,10 @@ void tanh_forward_into(Tensor& y, const Tensor& x) {
     const std::size_t chunks = (n + chunk - 1) / chunk;
     detail::kernel_pool(threads).parallel_for(chunks, [&](std::size_t c) {
       const std::size_t lo = c * chunk, hi = std::min(n, lo + chunk);
-      for (std::size_t i = lo; i < hi; ++i) py[i] = std::tanh(px[i]);
+      for (std::size_t i = lo; i < hi; ++i) py[i] = tanh_rational(px[i]);
     });
   } else {
-    for (std::size_t i = 0; i < n; ++i) py[i] = std::tanh(px[i]);
+    for (std::size_t i = 0; i < n; ++i) py[i] = tanh_rational(px[i]);
   }
 }
 
@@ -200,7 +235,7 @@ Tensor log_softmax_rows(const Tensor& logits) {
   return lp;
 }
 
-// -- reference elementwise kernels (seed versions, test oracle) --------------
+// -- reference elementwise kernels (scalar loops, test oracle) ----------------
 
 namespace reference {
 
@@ -215,9 +250,17 @@ Tensor sum_rows(const Tensor& x) {
   return out;
 }
 
+// Kept scalar on purpose: with the vectorizer off here, the bit-identity
+// tests compare the kernel's SIMD lanes against one-at-a-time evaluation.
+#if defined(__GNUC__) && !defined(__clang__)
+[[gnu::optimize("no-tree-vectorize")]]
+#endif
 Tensor tanh_forward(const Tensor& x) {
   Tensor y = x;
-  for (auto& v : y.vec()) v = std::tanh(v);
+#if defined(__clang__)
+#pragma clang loop vectorize(disable)
+#endif
+  for (auto& v : y.vec()) v = tanh_rational(v);
   return y;
 }
 

@@ -20,8 +20,13 @@
 // Results are therefore bit-identical to ops::reference, with threading on
 // or off, at any thread count.
 //
-// The seed kernels are retained verbatim under ops::reference (minus a
-// zero-skip branch that broke IEEE NaN/Inf propagation): they are the
+// tanh is an in-repo rational approximation, not libm's tanhf (≤ 6 ulp,
+// ≤ 3.9e-7 absolute). It is built without FMA contraction, so its bits
+// depend on neither the libm version nor -march; see elementwise.cpp.
+//
+// The naive seed loops are retained under ops::reference (minus a
+// zero-skip branch that broke IEEE NaN/Inf propagation; tanh is the same
+// formula as the kernel, evaluated one element at a time): they are the
 // bit-exactness oracle for the test suite and the "before" baseline for
 // the kernel-perf harness (bench/micro_substrates --json=...).
 #pragma once
@@ -105,9 +110,11 @@ void col2im_into(Tensor& out, const Tensor& cols, const Conv2dSpec& spec,
                  std::size_t batch);
 
 // -- reference kernels --------------------------------------------------------
-// The seed's naive loops, kept as the semantic oracle for the bit-exactness
+// Naive scalar loops, kept as the semantic oracle for the bit-exactness
 // suite and as the "before" side of the kernel-perf harness. Not used by
-// any production path.
+// any production path. reference::tanh_forward evaluates the kernel's
+// rational formula unvectorized; the tests check its accuracy against
+// double-precision std::tanh.
 namespace reference {
 
 Tensor matmul(const Tensor& a, const Tensor& b);

@@ -8,9 +8,13 @@
 // the seed's zero-skip branch used to violate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "tensor/kernel_config.hpp"
 #include "tensor/ops.hpp"
@@ -217,6 +221,103 @@ TEST(ElementwiseInto, TanhParallelBitIdentical) {
   ops::tanh_forward_into(parallel, x);
   ops::set_kernel_threads(1);
   expect_bit_identical(parallel, serial, "tanh threaded");
+}
+
+// -- tanh accuracy and pinned bits -------------------------------------------
+// tanh is a fixed rational formula, not libm: the reference kernel is its
+// bit oracle, double-precision std::tanh its accuracy oracle.
+
+std::uint32_t float_bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+// Position of f on the number line in ulps (monotone across zero).
+std::int64_t ulp_index(float f) {
+  const std::uint32_t u = float_bits(f);
+  const std::int64_t mag = u & 0x7fffffffu;
+  return (u >> 31) ? -mag : mag;
+}
+
+// Every 257th float bit pattern in (0, 20], each with its negation next to
+// it: ~4.3M inputs per sign.
+Tensor strided_tanh_inputs() {
+  std::vector<float> xs;
+  for (std::uint32_t u = 1; u <= float_bits(20.0f); u += 257) {
+    float f;
+    std::memcpy(&f, &u, sizeof f);
+    xs.push_back(f);
+    xs.push_back(-f);
+  }
+  const std::size_t n = xs.size();
+  return Tensor({n}, std::move(xs));
+}
+
+TEST(TanhRational, WithinSixUlpOfExactAndOdd) {
+  const Tensor x = strided_tanh_inputs();
+  Tensor y;
+  ops::tanh_forward_into(y, x);
+  std::int64_t worst_ulp = 0;
+  double worst_abs = 0.0;
+  for (std::size_t i = 0; i < x.numel(); i += 2) {
+    const double exact = std::tanh(static_cast<double>(x[i]));
+    const float rounded = static_cast<float>(exact);
+    worst_ulp = std::max(worst_ulp, std::abs(ulp_index(y[i]) -
+                                             ulp_index(rounded)));
+    worst_abs = std::max(worst_abs, std::abs(y[i] - exact));
+    ASSERT_LE(std::abs(y[i]), 1.0f) << x[i];
+    ASSERT_EQ(float_bits(y[i + 1]), float_bits(-y[i])) << "odd at " << x[i];
+  }
+  EXPECT_LE(worst_ulp, 6);
+  EXPECT_LE(worst_abs, 3.9e-7);
+}
+
+// Pinned outputs: any compiler, -march or FMA-contraction drift in the
+// formula's evaluation shows up here as a changed bit pattern.
+TEST(TanhRational, PinnedOutputs) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::pair<float, float>> pins = {
+      {0.0f, 0.0f},
+      {-0.0f, -0.0f},
+      {1e-4f, 1e-4f},  // below 4e-4: the input itself
+      {4e-4f, 0x1.a36e28p-12f},
+      {-4e-4f, -0x1.a36e28p-12f},
+      {0.5f, 0x1.d9353ep-2f},
+      {-1.0f, -0x1.85efacp-1f},
+      {3.0f, 0x1.fd77dp-1f},
+      {7.90531110763549805f, 1.0f},  // the clamp point
+      {8.0f, 1.0f},
+      {inf, 1.0f},
+      {-inf, -1.0f},
+  };
+  std::vector<float> in;
+  for (const auto& pin : pins) in.push_back(pin.first);
+  in.push_back(std::numeric_limits<float>::quiet_NaN());
+  const std::size_t n = in.size();
+  const Tensor x({n}, std::move(in));
+  Tensor y;
+  ops::tanh_forward_into(y, x);
+  for (std::size_t i = 0; i < pins.size(); ++i)
+    EXPECT_EQ(float_bits(y[i]), float_bits(pins[i].second))
+        << std::hexfloat << "tanh(" << pins[i].first << ") = " << y[i];
+  EXPECT_TRUE(std::isnan(y[n - 1]));
+  expect_bit_identical(y, ops::reference::tanh_forward(x), "pinned");
+}
+
+TEST(TanhRational, BackwardSlopeIsNonNegative) {
+  const Tensor x = strided_tanh_inputs();
+  Tensor y, dx;
+  ops::tanh_forward_into(y, x);
+  ops::tanh_backward_into(dx, y, Tensor::ones(y.shape()));
+  // |y| <= 1, so 1 - y² reaches zero where |y| = 1 and never goes below.
+  for (std::size_t i = 0; i < y.numel(); ++i) {
+    ASSERT_GE(dx[i], 0.0f) << x[i];
+    ASSERT_LE(dx[i], 1.0f) << x[i];
+    if (std::abs(y[i]) == 1.0f) {
+      ASSERT_EQ(dx[i], 0.0f) << x[i];
+    }
+  }
 }
 
 // -- scratch pool ------------------------------------------------------------
