@@ -230,17 +230,29 @@ std::vector<KernelResult> run_kernel_benches() {
   std::vector<KernelResult> out;
   Rng rng(42);
 
+  // Square and prime shapes time all three products. The learner's narrow
+  // shapes time only the product the learner issues there: the policy-head
+  // forward (nn, 512 rows × 3 actions), its dW (tn) and the first
+  // convolution's 8-channel dW (tn, k = 6144 im2col rows: an eighth of an
+  // arcade learner batch).
   struct GemmShape {
     std::size_t m, k, n;
+    bool nn = true, tn = true, nt = true;
   };
-  const GemmShape gemm_shapes[] = {{32, 32, 32}, {64, 64, 64},
-                                   {128, 128, 128}, {67, 43, 129}};
+  const GemmShape gemm_shapes[] = {
+      {32, 32, 32},
+      {64, 64, 64},
+      {128, 128, 128},
+      {67, 43, 129},
+      {.m = 512, .k = 32, .n = 3, .tn = false, .nt = false},
+      {.m = 32, .k = 512, .n = 3, .nn = false, .nt = false},
+      {.m = 75, .k = 6144, .n = 8, .nn = false, .nt = false}};
   for (const auto& s : gemm_shapes) {
     std::ostringstream shape;
     shape << s.m << "x" << s.k << "x" << s.n;
     const double flops = 2.0 * static_cast<double>(s.m) *
                          static_cast<double>(s.k) * static_cast<double>(s.n);
-    {
+    if (s.nn) {
       Tensor a = Tensor::randn({s.m, s.k}, rng);
       Tensor b = Tensor::randn({s.k, s.n}, rng);
       Tensor c;
@@ -249,7 +261,7 @@ std::vector<KernelResult> run_kernel_benches() {
            measure_rate(flops, [&] { ops::matmul_into(c, a, b); }),
            measure_rate(flops, [&] { ops::reference::matmul(a, b); })});
     }
-    {
+    if (s.tn) {
       Tensor a = Tensor::randn({s.k, s.m}, rng);
       Tensor b = Tensor::randn({s.k, s.n}, rng);
       Tensor c;
@@ -258,7 +270,7 @@ std::vector<KernelResult> run_kernel_benches() {
            measure_rate(flops, [&] { ops::matmul_tn_into(c, a, b); }),
            measure_rate(flops, [&] { ops::reference::matmul_tn(a, b); })});
     }
-    {
+    if (s.nt) {
       Tensor a = Tensor::randn({s.m, s.k}, rng);
       Tensor b = Tensor::randn({s.n, s.k}, rng);
       Tensor c;

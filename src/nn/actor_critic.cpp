@@ -95,7 +95,7 @@ const Tensor& ActorCritic::policy_forward(const Tensor& obs) {
 }
 
 void ActorCritic::policy_backward(const Tensor& dout) {
-  policy_net_.backward(dout);
+  policy_net_.backward_params(dout);
 }
 
 const Tensor& ActorCritic::value_forward(const Tensor& obs) {
@@ -108,7 +108,7 @@ void ActorCritic::value_backward(const Tensor& dvalues) {
   STELLARIS_CHECK_MSG(dvalues.rank() == 1, "value_backward expects (batch)");
   dvalues_2d_ = dvalues;
   dvalues_2d_.reshape({dvalues.dim(0), 1});
-  value_net_.backward(dvalues_2d_);
+  value_net_.backward_params(dvalues_2d_);
 }
 
 Tensor* ActorCritic::log_std() {

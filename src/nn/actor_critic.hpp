@@ -79,13 +79,15 @@ class ActorCritic {
   /// (batch, n_actions). The reference is owned by the policy net and stays
   /// valid until its next forward/backward call.
   const Tensor& policy_forward(const Tensor& obs);
-  /// Push dL/d(policy output) back through the policy net.
+  /// Push dL/d(policy output) back through the policy net, accumulating
+  /// its parameter gradients; the observation gradient is not computed.
   void policy_backward(const Tensor& dout);
 
   /// State values, shape (batch); reference valid until the next
   /// value_forward call.
   const Tensor& value_forward(const Tensor& obs);
-  /// Push dL/d(values), shape (batch).
+  /// Push dL/d(values), shape (batch); like policy_backward, parameter
+  /// gradients only.
   void value_backward(const Tensor& dvalues);
 
   /// Learned log-std vector (continuous only; nullptr for discrete).

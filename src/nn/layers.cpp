@@ -25,7 +25,7 @@ const Tensor& Linear::forward(const Tensor& x) {
   return out_;
 }
 
-const Tensor& Linear::backward(const Tensor& dy) {
+void Linear::backward_params(const Tensor& dy) {
   STELLARIS_CHECK_MSG(!cached_input_.empty(), "backward before forward");
   // Compute the step gradient into its own buffer, then fold it in with +=:
   // accumulating directly inside the GEMM would reorder the additions
@@ -34,6 +34,10 @@ const Tensor& Linear::backward(const Tensor& dy) {
   dw_ += dw_step_;
   ops::sum_rows_into(db_step_, dy);
   db_ += db_step_;
+}
+
+const Tensor& Linear::backward(const Tensor& dy) {
+  backward_params(dy);
   ops::matmul_nt_into(dx_, dy, w_);
   return dx_;
 }
@@ -72,7 +76,7 @@ const Tensor& Conv2d::forward(const Tensor& x) {
   return out_;
 }
 
-const Tensor& Conv2d::backward(const Tensor& dy) {
+void Conv2d::backward_params(const Tensor& dy) {
   STELLARIS_CHECK_MSG(!cached_cols_.empty(), "backward before forward");
   const std::size_t oh = spec_.out_h(), ow = spec_.out_w(),
                     oc = spec_.out_channels;
@@ -93,6 +97,10 @@ const Tensor& Conv2d::backward(const Tensor& dy) {
   dw_ += dw_step_;
   ops::sum_rows_into(db_step_, dys_);
   db_ += db_step_;
+}
+
+const Tensor& Conv2d::backward(const Tensor& dy) {
+  backward_params(dy);  // leaves dy reordered in dys_
   ops::matmul_nt_into(dcols_, dys_, w_);
   ops::col2im_into(dx_, dcols_, spec_, cached_batch_);
   return dx_;
@@ -145,6 +153,14 @@ const Tensor& Sequential::backward(const Tensor& dy) {
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
     cur = &(*it)->backward(*cur);
   return *cur;
+}
+
+void Sequential::backward_params(const Tensor& dy) {
+  if (layers_.empty()) return;
+  const Tensor* cur = &dy;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i)
+    cur = &layers_[i]->backward(*cur);
+  layers_.front()->backward_params(*cur);
 }
 
 std::vector<Tensor*> Sequential::parameters() {

@@ -2,9 +2,11 @@
 //
 // No tape autograd: every layer caches exactly what its backward pass needs
 // during forward, and backward(dy) both returns dx and accumulates parameter
-// gradients. This keeps the training loop deterministic and allocation
-// patterns obvious — important because learner functions serialize whole
-// gradient sets into the distributed cache every round.
+// gradients. backward_params(dy) accumulates the same parameter gradients,
+// bit for bit, without computing dx — for a network's first layer, whose
+// input gradient nobody reads. This keeps the training loop deterministic
+// and allocation patterns obvious — important because learner functions
+// serialize whole gradient sets into the distributed cache every round.
 //
 // forward/backward return references to buffers owned by the layer, written
 // through the ops::*_into kernels: once every buffer has grown to the
@@ -41,6 +43,10 @@ class Layer {
   /// until the next call on this layer.
   virtual const Tensor& backward(const Tensor& dy) = 0;
 
+  /// backward(dy) without dL/d(input): accumulates the same parameter
+  /// grads. Layers that can skip their input-gradient step override it.
+  virtual void backward_params(const Tensor& dy) { backward(dy); }
+
   /// Learnable parameter tensors (empty for activations).
   virtual std::vector<Tensor*> parameters() { return {}; }
   /// Gradient accumulators, parallel to parameters().
@@ -56,6 +62,7 @@ class Linear final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
   std::vector<Tensor*> gradients() override { return {&dw_, &db_}; }
   std::string name() const override { return "Linear"; }
@@ -78,6 +85,7 @@ class Conv2d final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
   std::vector<Tensor*> gradients() override { return {&dw_, &db_}; }
   std::string name() const override { return "Conv2d"; }
@@ -94,7 +102,7 @@ class Conv2d final : public Layer {
   Tensor cached_cols_;
   std::size_t cached_batch_ = 0;
   Tensor y_, out_;              // pre-/post-reorder forward buffers
-  Tensor dys_, dcols_, dx_;     // backward buffers
+  Tensor dys_, dcols_, dx_;     // backward buffers (dcols_, dx_: dx only)
   Tensor dw_step_, db_step_;
 };
 
@@ -129,6 +137,8 @@ class Sequential final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  /// backward() through layers N-1..1, backward_params() on layer 0.
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> parameters() override;
   std::vector<Tensor*> gradients() override;
   std::string name() const override { return "Sequential"; }

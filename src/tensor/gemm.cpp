@@ -15,11 +15,22 @@
 //     exactly one task in the same order, so any thread count produces the
 //     same bits. Gated by kernel_parallel_min_flops() and off by default
 //     (kernel_threads() == 1).
-//   * matmul_tn packs the A panel into a transposed scratch buffer first
-//     (pure data movement), then reuses the nn micro-kernel; matmul_nt does
-//     the same with B, since a dot-product micro-kernel cannot vectorize
-//     its k chain without reassociating float adds.
+//   * Outputs narrower than one 16-column sub-tile (the policy and value
+//     heads, the first convolution's 8 channels) would fall through to a
+//     scalar k chain per element. A second micro-kernel, micro_rowlane,
+//     runs its SIMD lanes over kRL output rows instead and broadcasts
+//     single B elements; it reads the left operand as Aᵀ (k × rows,
+//     contiguous in i). matmul_tn's A already has that layout, so every
+//     matmul_tn with m >= kRL reads it in place; matmul and matmul_nt with
+//     n < kRowLaneMaxN and m >= kRL pack each kRL-row block of A
+//     transposed into scratch (pure data movement). Products with fewer
+//     than kRL rows keep the column tiles; matmul_tn packs A transposed
+//     for them.
+//   * matmul_nt packs Bᵀ once and reuses the nn micro-kernels, since a
+//     dot-product micro-kernel cannot vectorize its k chain without
+//     reassociating float adds.
 #include <algorithm>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "tensor/kernel_config.hpp"
@@ -40,6 +51,34 @@ constexpr std::size_t kMR = 4;
 constexpr std::size_t kNR = 48;
 constexpr std::size_t kMC = 64;
 constexpr std::size_t kNC = 240;  // multiple of kNR: edge tiles only at the true edge
+
+// Row-lane tile (micro_rowlane): kRL output rows held as kRL / kVL vectors
+// of the target's SIMD width, times kNJ columns. kNJ is the widest column
+// group whose accumulators stay in registers: 4 × (4 SSE registers) in the
+// portable build, 8 zmm registers under AVX-512. Under AVX-512 8 beat 4 by
+// 13–33% on (75, 6144, 8) and wide matmul_tn; in the portable build 8 lost
+// 6–36% (4-vCPU Xeon VM, GCC 12, best of 5 interleaved runs). The AVX2
+// width is the portable kNJ, not tuned.
+constexpr std::size_t kRL = 16;
+#if defined(__AVX512F__)
+constexpr std::size_t kVL = 16;
+constexpr std::size_t kNJ = 8;
+#elif defined(__AVX__)
+constexpr std::size_t kVL = 8;
+constexpr std::size_t kNJ = 4;
+#else
+constexpr std::size_t kVL = 4;
+constexpr std::size_t kNJ = 4;
+#endif
+// matmul and matmul_nt take the row lanes when n < kRowLaneMaxN (below
+// the 16-wide column sub-tile) and m >= kRL. At n = 1 row lanes measured
+// level with the scalar chain at (512, 32, 1) and up to 25% faster at
+// (2048, 32, 1), so n = 1 takes them too. matmul_tn takes them at every n
+// once m >= kRL: at n >= 16 they measured level with or up to 2.5x faster
+// than the packed column tiles it used before, in both builds. Below kRL
+// rows a tile padded with zero lanes lost to the column tiles by 25% at
+// (11, 512, 64) and 10x at (1, 512, 64), so m < kRL keeps them.
+constexpr std::size_t kRowLaneMaxN = 16;
 
 obs::Counter& gemm_calls() {
   static obs::Counter& c =
@@ -110,22 +149,93 @@ inline void micro_nn_scalar(std::size_t mr, std::size_t nr, std::size_t k,
   }
 }
 
-// One i-panel [i0, i1) of C = A·B with A given row-major (stride lda).
-// Shared by nn (A as passed) and tn (packed A panel, i0 rebased to 0).
+// Row-lane tile: the SIMD lanes run over kRL consecutive output rows i and
+// single B elements are broadcast, so a product whose n is too narrow for
+// a column tile still vectorizes. `at` points at Aᵀ[0][i] (row stride lda;
+// each of the k rows holds the tile's kRL row values contiguously), b at
+// B[0][j] (row stride ldb), c at C[i][j] (row stride ldc). Each output
+// element is still one k-ascending chain from 0.0f. Tile rows below r0
+// are computed but not stored: a panel's edge tile is shifted back to end
+// at the panel's last row, and its overlap rows belong to the tile before.
+//
+// The lanes are GCC/Clang vector types of the target's SIMD width (kVL
+// floats, see above), kRL / kVL of them per column, not a float[kRL] loop:
+// with NJ > 1 GCC's SLP pass vectorizes such a loop across the columns
+// instead of the rows, shuffling every step, and a vector type wider than
+// the target's registers is lowered through the stack. Vector arithmetic
+// is lane-wise IEEE multiply then add, exactly the scalar code's.
+using Lanes = float __attribute__((vector_size(kVL * sizeof(float))));
+constexpr std::size_t kRV = kRL / kVL;
+
+template <std::size_t NJ>
+inline void micro_rowlane(std::size_t k, const float* at, std::size_t lda,
+                          const float* b, std::size_t ldb, float* c,
+                          std::size_t ldc, std::size_t r0) {
+  Lanes acc[NJ][kRV] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* arow = at + kk * lda;
+    const float* brow = b + kk * ldb;
+    for (std::size_t v = 0; v < kRV; ++v) {
+      Lanes a{};
+      std::memcpy(&a, arow + v * kVL, sizeof a);
+      for (std::size_t cc = 0; cc < NJ; ++cc) acc[cc][v] += a * brow[cc];
+    }
+  }
+  for (std::size_t r = r0; r < kRL; ++r)
+    for (std::size_t cc = 0; cc < NJ; ++cc)
+      c[r * ldc + cc] = acc[cc][r / kVL][r % kVL];
+}
+
+// One kRL-row tile across all n columns: kNJ-wide column groups, then the
+// remainder dispatched to a compile-time width (cases >= kNJ never occur).
+void rowlane_tile(std::size_t n, std::size_t k, const float* at,
+                  std::size_t lda, const float* b, std::size_t ldb, float* c,
+                  std::size_t ldc, std::size_t r0) {
+  std::size_t j = 0;
+  for (; j + kNJ <= n; j += kNJ)
+    micro_rowlane<kNJ>(k, at, lda, b + j, ldb, c + j, ldc, r0);
+  const float* bj = b + j;
+  float* cj = c + j;
+  switch (n - j) {
+    case 7: micro_rowlane<7>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 6: micro_rowlane<6>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 5: micro_rowlane<5>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 4: micro_rowlane<4>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 3: micro_rowlane<3>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 2: micro_rowlane<2>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 1: micro_rowlane<1>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    default: break;
+  }
+}
+
+// Walk the row-lane tiles of the i-panel [i0, i1) of a product with at
+// least kRL rows, so every panel ends at or after row kRL. `tile(s, r0)`
+// computes rows [s, s + kRL) and stores tile rows [r0, kRL); the last tile
+// is shifted back to end at i1.
+template <typename TileFn>
+void for_rowlane_tiles(std::size_t i0, std::size_t i1, const TileFn& tile) {
+  for (std::size_t i = i0; i < i1; i += kRL) {
+    const std::size_t s = std::min(i, i1 - kRL);
+    tile(s, i - s);
+  }
+}
+
+// One i-panel [i0, i1) of C = A·B through the column tiles, A row-major
+// (stride k), B (k, n) row-major.
 void gemm_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
-                   std::size_t k, const float* pa, std::size_t lda,
-                   const float* pb, float* pc) {
+                   std::size_t k, const float* pa, const float* pb,
+                   float* pc) {
   for (std::size_t j0 = 0; j0 < n; j0 += kNC) {
     const std::size_t j1 = std::min(n, j0 + kNC);
     for (std::size_t i = i0; i < i1; i += kMR) {
       const std::size_t mr = std::min(kMR, i1 - i);
-      const float* arow = pa + i * lda;
+      const float* arow = pa + i * k;
       float* crow = pc + i * n;
       std::size_t j = j0;
       for (; j + kNR <= j1; j += kNR)
-        micro_nn_rows<kNR>(mr, k, arow, lda, pb + j, n, crow + j, n);
+        micro_nn_rows<kNR>(mr, k, arow, k, pb + j, n, crow + j, n);
       if (j + 32 <= j1) {
-        micro_nn_rows<32>(mr, k, arow, lda, pb + j, n, crow + j, n);
+        micro_nn_rows<32>(mr, k, arow, k, pb + j, n, crow + j, n);
         j += 32;
       }
       if (j + 16 <= j1) {
@@ -134,12 +244,12 @@ void gemm_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
         // Row grouping is irrelevant to exactness — each output element
         // still runs its own ascending k sweep.
         for (std::size_t r = 0; r < mr; ++r)
-          micro_nn<1, 16>(k, arow + r * lda, lda, pb + j, n,
+          micro_nn<1, 16>(k, arow + r * k, k, pb + j, n,
                           crow + r * n + j, n);
         j += 16;
       }
       if (j < j1)
-        micro_nn_scalar(mr, j1 - j, k, arow, lda, pb + j, n, crow + j, n);
+        micro_nn_scalar(mr, j1 - j, k, arow, k, pb + j, n, crow + j, n);
     }
   }
 }
@@ -160,6 +270,37 @@ void dispatch_row_panels(std::size_t m, std::uint64_t flops,
   } else if (m > 0) {
     panel(0, m);
   }
+}
+
+// One i-panel [i0, i1) of C = A·B through row-lane tiles, A row-major
+// (stride k), B (k, n) row-major. Each tile's kRL rows of A are first
+// packed transposed into a (k, kRL) scratch — pure data movement.
+void rowlane_packed_panel(std::size_t i0, std::size_t i1, std::size_t n,
+                          std::size_t k, const float* pa, const float* pb,
+                          float* pc) {
+  auto pack = ScratchPool::local().take({k, kRL});
+  float* pp = pack->data().data();
+  for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
+    for (std::size_t r = 0; r < kRL; ++r) {
+      const float* arow = pa + (s + r) * k;
+      for (std::size_t kk = 0; kk < k; ++kk) pp[kk * kRL + r] = arow[kk];
+    }
+    rowlane_tile(n, k, pp, kRL, pb, n, pc + s * n, n, r0);
+  });
+}
+
+// C = A·B for A row-major (stride k) and B (k, n) row-major: row-lane
+// tiles for narrow outputs, column tiles otherwise. Shared by nn and nt
+// (packed Bᵀ).
+void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* pa,
+             const float* pb, float* pc, std::uint64_t flops) {
+  const bool rowlane = m >= kRL && n < kRowLaneMaxN;
+  dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
+    if (rowlane)
+      rowlane_packed_panel(i0, i1, n, k, pa, pb, pc);
+    else
+      gemm_nn_panel(i0, i1, n, k, pa, pb, pc);
+  });
 }
 
 void check_not_aliased(const Tensor& c, const Tensor& a, const Tensor& b,
@@ -187,9 +328,7 @@ void matmul_into(Tensor& c, const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
-  dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-    gemm_nn_panel(i0, i1, n, k, pa, k, pb, pc);
-  });
+  gemm_nn(m, n, k, pa, pb, pc, flops);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -213,18 +352,22 @@ void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
-  dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-    // Pack Aᵀ[i0..i1) into a contiguous (i1-i0, k) panel — pure data
-    // movement, so the k-accumulation order below is untouched — then run
-    // the nn panel on it. Per-thread scratch: workers pack independently.
-    auto pack = ScratchPool::local().take({i1 - i0, k});
+  if (m < kRL) {
+    // Too few rows for a tile: pack Aᵀ into a contiguous (m, k) scratch —
+    // pure data movement — and run the column tiles on it (m < kMC, so
+    // one panel).
+    auto pack = ScratchPool::local().take({m, k});
     float* pp = pack->data().data();
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* arow = pa + kk * m;
-      for (std::size_t i = i0; i < i1; ++i)
-        pp[(i - i0) * k + kk] = arow[i];
-    }
-    gemm_nn_panel(0, i1 - i0, n, k, pp, k, pb, pc + i0 * n);
+    for (std::size_t kk = 0; kk < k; ++kk)
+      for (std::size_t i = 0; i < m; ++i) pp[i * k + kk] = pa[kk * m + i];
+    gemm_nn_panel(0, m, n, k, pp, pb, pc);
+    return;
+  }
+  // Aᵀ is A's own layout: the tiles read it in place.
+  dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
+    for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
+      rowlane_tile(n, k, pa + s, m, pb, n, pc + s * n, n, r0);
+    });
   });
 }
 
@@ -260,9 +403,7 @@ void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b) {
     const float* brow = pb + j * k;
     for (std::size_t kk = 0; kk < k; ++kk) pp[kk * n + j] = brow[kk];
   }
-  dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-    gemm_nn_panel(i0, i1, n, k, pa, k, pp, pc);
-  });
+  gemm_nn(m, n, k, pa, pp, pc, flops);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {

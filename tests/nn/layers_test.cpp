@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "util/rng.hpp"
 
@@ -222,6 +224,113 @@ TEST(Sequential, GradientsAccumulateAcrossBackwardCalls) {
   (void)lin.forward(x);
   (void)lin.backward(Tensor::ones({1, 2}));
   EXPECT_NEAR((*lin.gradients()[0])[0], 2 * g1, 1e-6f);
+}
+
+// backward_params() must leave every parameter gradient bit-identical to
+// backward(), on a layer that already holds gradients (the += fold), and
+// must allocate fewer buffers on a first pass: it never sizes the dx
+// buffers. Two layers built from the same seed run side by side; a third
+// warms the thread-local ScratchPool so that only member buffers count.
+void expect_backward_params_matches(
+    const std::function<std::unique_ptr<Layer>(Rng&)>& make,
+    const Tensor& x) {
+  auto build = [&] {
+    Rng rng(99);
+    return make(rng);
+  };
+  auto warm = build(), full = build(), params_only = build();
+  const Tensor dy = Tensor::ones(warm->forward(x).shape());
+  (void)warm->backward(dy);
+
+  (void)full->forward(x);
+  std::uint64_t before = tensor_buffer_allocs();
+  (void)full->backward(dy);
+  const std::uint64_t full_allocs = tensor_buffer_allocs() - before;
+  (void)params_only->forward(x);
+  before = tensor_buffer_allocs();
+  params_only->backward_params(dy);
+  const std::uint64_t params_allocs = tensor_buffer_allocs() - before;
+  EXPECT_LT(params_allocs, full_allocs);
+
+  // A second step folds into the first step's gradients.
+  (void)full->forward(x);
+  (void)full->backward(dy);
+  (void)params_only->forward(x);
+  params_only->backward_params(dy);
+  const auto g_full = full->gradients();
+  const auto g_params = params_only->gradients();
+  ASSERT_EQ(g_full.size(), g_params.size());
+  for (std::size_t i = 0; i < g_full.size(); ++i) {
+    ASSERT_EQ(g_full[i]->shape(), g_params[i]->shape());
+    EXPECT_EQ(std::memcmp(g_full[i]->data().data(), g_params[i]->data().data(),
+                          g_full[i]->numel() * sizeof(float)),
+              0)
+        << "gradient " << i;
+  }
+}
+
+ops::Conv2dSpec conv_spec(std::size_t c, std::size_t hw, std::size_t out,
+                          std::size_t kernel, std::size_t stride) {
+  ops::Conv2dSpec spec;
+  spec.in_channels = c;
+  spec.out_channels = out;
+  spec.in_h = hw;
+  spec.in_w = hw;
+  spec.kernel = kernel;
+  spec.stride = stride;
+  return spec;
+}
+
+TEST(Linear, BackwardParamsMatchesBackward) {
+  Rng rng(15);
+  // 40 rows reach the row-lane matmul_tn; 5 rows the packed column path.
+  for (std::size_t rows : {40u, 5u})
+    expect_backward_params_matches(
+        [](Rng& r) { return std::make_unique<Linear>(11, 3, r); },
+        Tensor::randn({rows, 11}, rng));
+}
+
+TEST(Conv2d, BackwardParamsMatchesBackward) {
+  Rng rng(16);
+  expect_backward_params_matches(
+      [](Rng& r) { return std::make_unique<Conv2d>(conv_spec(3, 9, 8, 3, 2), r); },
+      Tensor::randn({4, 3 * 9 * 9}, rng));
+}
+
+// The two ActorCritic torsos (nn/actor_critic.cpp build_torso), at the
+// layer sizes of NetworkSpec::mujoco() on an 11-dim observation and of
+// NetworkSpec::atari() on 3×20×20 frames; ActorCritic's policy_backward and
+// value_backward call Sequential::backward_params on them.
+TEST(Sequential, BackwardParamsMatchesBackwardOnMlpTorso) {
+  Rng rng(17);
+  expect_backward_params_matches(
+      [](Rng& r) {
+        auto seq = std::make_unique<Sequential>();
+        seq->add(std::make_unique<Linear>(11, 64, r));
+        seq->add(std::make_unique<Tanh>());
+        seq->add(std::make_unique<Linear>(64, 64, r));
+        seq->add(std::make_unique<Tanh>());
+        seq->add(std::make_unique<Linear>(64, 3, r));
+        return seq;
+      },
+      Tensor::randn({48, 11}, rng));
+}
+
+TEST(Sequential, BackwardParamsMatchesBackwardOnCnnTorso) {
+  Rng rng(18);
+  expect_backward_params_matches(
+      [](Rng& r) {
+        auto seq = std::make_unique<Sequential>();
+        seq->add(std::make_unique<Conv2d>(conv_spec(3, 20, 8, 5, 2), r));
+        seq->add(std::make_unique<Relu>());
+        seq->add(std::make_unique<Conv2d>(conv_spec(8, 8, 16, 3, 2), r));
+        seq->add(std::make_unique<Relu>());
+        seq->add(std::make_unique<Linear>(16 * 3 * 3, 128, r));
+        seq->add(std::make_unique<Relu>());
+        seq->add(std::make_unique<Linear>(128, 6, r));
+        return seq;
+      },
+      Tensor::randn({3, 3 * 20 * 20}, rng));
 }
 
 }  // namespace

@@ -69,6 +69,12 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmDims{128, 32, 128},       // 48+48+32 column split
                       GemmDims{5, 3, 17},           // scalar-tail columns
                       GemmDims{130, 7, 250},        // multiple row panels
+                      GemmDims{512, 32, 3},         // policy head: row lanes
+                      GemmDims{512, 32, 1},         // value head, n = 1
+                      GemmDims{37, 29, 5},          // row-lane edge tile
+                      GemmDims{16, 300, 15},        // one tile, column remainder
+                      GemmDims{75, 700, 8},         // conv1 dW shape, edge
+                      GemmDims{1, 32, 3},           // m < 16: column path
                       GemmDims{0, 4, 5},            // zero rows
                       GemmDims{4, 0, 5},            // zero inner dim
                       GemmDims{4, 5, 0}));          // zero columns
@@ -81,29 +87,33 @@ TEST(BlockedGemm, ZeroInnerDimYieldsZeros) {
 }
 
 TEST(BlockedGemm, ThreadedBitIdenticalToSerial) {
-  Rng rng(7);
-  const Tensor a = Tensor::randn({190, 67}, rng);
-  const Tensor b = Tensor::randn({67, 143}, rng);
-  const Tensor a_t = Tensor::randn({67, 190}, rng);
-  const Tensor b_t = Tensor::randn({143, 67}, rng);
+  // n = 143 takes the column tiles; n = 5 the row-lane tiles, whose last
+  // tile in the 190 - 128 = 62-row panel is shifted back.
+  for (const std::size_t n : {143u, 5u}) {
+    Rng rng(7);
+    const Tensor a = Tensor::randn({190, 67}, rng);
+    const Tensor b = Tensor::randn({67, n}, rng);
+    const Tensor a_t = Tensor::randn({67, 190}, rng);
+    const Tensor b_t = Tensor::randn({n, 67}, rng);
 
-  ops::set_kernel_threads(1);
-  const Tensor serial_nn = ops::matmul(a, b);
-  const Tensor serial_tn = ops::matmul_tn(a_t, b);
-  const Tensor serial_nt = ops::matmul_nt(a, b_t);
+    ops::set_kernel_threads(1);
+    const Tensor serial_nn = ops::matmul(a, b);
+    const Tensor serial_tn = ops::matmul_tn(a_t, b);
+    const Tensor serial_nt = ops::matmul_nt(a, b_t);
 
-  ops::set_kernel_threads(4);
-  const std::uint64_t saved_min = ops::kernel_parallel_min_flops();
-  ops::set_kernel_parallel_min_flops(0);  // force the parallel path
-  const Tensor par_nn = ops::matmul(a, b);
-  const Tensor par_tn = ops::matmul_tn(a_t, b);
-  const Tensor par_nt = ops::matmul_nt(a, b_t);
-  ops::set_kernel_parallel_min_flops(saved_min);
-  ops::set_kernel_threads(1);
+    ops::set_kernel_threads(4);
+    const std::uint64_t saved_min = ops::kernel_parallel_min_flops();
+    ops::set_kernel_parallel_min_flops(0);  // force the parallel path
+    const Tensor par_nn = ops::matmul(a, b);
+    const Tensor par_tn = ops::matmul_tn(a_t, b);
+    const Tensor par_nt = ops::matmul_nt(a, b_t);
+    ops::set_kernel_parallel_min_flops(saved_min);
+    ops::set_kernel_threads(1);
 
-  expect_bit_identical(par_nn, serial_nn, "nn threaded");
-  expect_bit_identical(par_tn, serial_tn, "tn threaded");
-  expect_bit_identical(par_nt, serial_nt, "nt threaded");
+    expect_bit_identical(par_nn, serial_nn, "nn threaded");
+    expect_bit_identical(par_tn, serial_tn, "tn threaded");
+    expect_bit_identical(par_nt, serial_nt, "nt threaded");
+  }
 }
 
 TEST(BlockedGemm, IntoVariantsMatchValueVariants) {
@@ -363,15 +373,24 @@ TEST(ScratchPool, PrefersSmallestSufficientBuffer) {
 }
 
 TEST(ScratchPool, KernelsReachSteadyStateWithoutAllocating) {
+  // Both products pack A: matmul at n < 16 into row-lane tiles, matmul_tn
+  // at m < 16 for the column tiles.
   Rng rng(23);
   const Tensor a = Tensor::randn({40, 30}, rng);
-  const Tensor b = Tensor::randn({40, 50}, rng);
-  Tensor c;
-  ops::matmul_tn_into(c, a, b);  // warm-up populates the thread-local pool
+  const Tensor b = Tensor::randn({30, 5}, rng);
+  const Tensor a_t = Tensor::randn({40, 9}, rng);
+  const Tensor b_t = Tensor::randn({40, 50}, rng);
+  Tensor c, c_t;
+  // Warm-up populates the thread-local pool.
+  ops::matmul_into(c, a, b);
+  ops::matmul_tn_into(c_t, a_t, b_t);
   const std::uint64_t before = tensor_buffer_allocs();
-  for (int i = 0; i < 5; ++i) ops::matmul_tn_into(c, a, b);
+  for (int i = 0; i < 5; ++i) {
+    ops::matmul_into(c, a, b);
+    ops::matmul_tn_into(c_t, a_t, b_t);
+  }
   EXPECT_EQ(tensor_buffer_allocs(), before)
-      << "steady-state matmul_tn must reuse its pack scratch";
+      << "steady-state matmul and matmul_tn must reuse their pack scratch";
 }
 
 // -- kernel config ------------------------------------------------------------
