@@ -20,9 +20,9 @@
 //
 // A fourth personality, the actor-rollout harness (--actor-json=<path>,
 // --actor-compare=<path>, --actor), times VecActor's batched rollout
-// (one (K, obs_dim)×W forward per step) at K ∈ {1, 2, 4, 8} against the
-// scalar single-row Actor — the DESIGN.md §17 throughput claim. Results are
-// Msteps/s; it shares --max-regress with the other harnesses.
+// (one (K, obs_dim)×W forward per step) at K ∈ {1, 2, 4, 8} against K=1,
+// the one-env actor of the paper — the DESIGN.md §17 throughput claim.
+// Results are Msteps/s; it shares --max-regress with the other harnesses.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -43,7 +43,6 @@
 #include "envs/env.hpp"
 #include "nn/distributions.hpp"
 #include "envs/vec_env.hpp"
-#include "rl/actor.hpp"
 #include "rl/gae.hpp"
 #include "rl/vec_actor.hpp"
 #include "rl/ppo.hpp"
@@ -100,12 +99,19 @@ void BM_CachePutGet(benchmark::State& state) {
 }
 BENCHMARK(BM_CachePutGet)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 
+/// A `horizon`-step Hopper trajectory from a one-env VecActor (seed 1)
+/// under a fresh mujoco(32) policy (seed 1).
+rl::SampleBatch hopper_batch(std::size_t horizon) {
+  const auto spec = envs::env_spec("Hopper");
+  nn::ActorCritic policy(spec.obs, spec.action_kind, spec.act_dim,
+                         nn::NetworkSpec::mujoco(32), 1);
+  rl::VecActor actor(std::make_unique<envs::VecEnv>("Hopper", 1, 1), 1);
+  rl::VecActorScratch scratch;
+  return actor.sample(policy, scratch, horizon, 0);
+}
+
 void BM_BatchSerialize(benchmark::State& state) {
-  auto env = envs::make_env("Hopper");
-  nn::ActorCritic policy(env->spec().obs, env->spec().action_kind,
-                         env->spec().act_dim, nn::NetworkSpec::mujoco(32), 1);
-  rl::Actor actor(envs::make_env("Hopper"), 1);
-  auto batch = actor.sample(policy, 128, 0);
+  auto batch = hopper_batch(128);
   for (auto _ : state) {
     auto bytes = batch.serialize();
     benchmark::DoNotOptimize(rl::SampleBatch::deserialize(bytes));
@@ -139,9 +145,7 @@ void BM_PpoGradient(benchmark::State& state) {
   auto env_spec = envs::env_spec("Hopper");
   nn::ActorCritic model(env_spec.obs, env_spec.action_kind, env_spec.act_dim,
                         nn::NetworkSpec::mujoco(32), 1);
-  rl::Actor actor(envs::make_env("Hopper"), 1);
-  auto batch =
-      actor.sample(model, static_cast<std::size_t>(state.range(0)), 0);
+  auto batch = hopper_batch(static_cast<std::size_t>(state.range(0)));
   rl::PpoConfig cfg;
   rl::compute_gae(batch, cfg.gamma, cfg.gae_lambda);
   rl::normalize_advantages(batch);
@@ -398,11 +402,7 @@ std::vector<KernelResult> run_cache_benches() {
   }
 
   {
-    rl::Actor actor(envs::make_env("Hopper"), 1);
-    auto env_spec = envs::env_spec("Hopper");
-    nn::ActorCritic policy(env_spec.obs, env_spec.action_kind,
-                           env_spec.act_dim, nn::NetworkSpec::mujoco(32), 1);
-    auto batch = actor.sample(policy, 128, 0);
+    auto batch = hopper_batch(128);
     const auto bytes = batch.serialize();
     STELLARIS_CHECK_MSG(legacy_serialize_batch(batch) == bytes,
                         "legacy encoder diverged from the frozen wire format");
@@ -463,10 +463,11 @@ std::vector<KernelResult> run_cache_benches() {
 // ---------------------------------------------------------------------------
 //
 // "value" is VecActor's batched rollout rate at K envs per invocation;
-// "reference" is the scalar single-row Actor on the same policy network, so
-// speedup_vs_reference is the DESIGN.md §17 batched-inference gain. Rates
-// are Msteps/s (environment steps, not timesteps × envs). Activated by
-// --actor-json / --actor-compare / --actor; shares --max-regress.
+// "reference" is its K=1 rate (one single-row forward per step) on the same
+// policy network, so speedup_vs_reference is the DESIGN.md §17
+// batched-inference gain. Rates are Msteps/s (environment steps, not
+// timesteps × envs). Activated by --actor-json / --actor-compare / --actor;
+// shares --max-regress.
 
 std::vector<KernelResult> run_actor_benches() {
   std::vector<KernelResult> out;
@@ -480,24 +481,18 @@ std::vector<KernelResult> run_actor_benches() {
   // Steps × 1000 as "work" lands the %.3f-printed JSON values in Msteps/s.
   const double step_scale = 1000.0;
 
-  rl::Actor scalar(envs::make_env("Hopper"), 1);
-  const double scalar_rate =
-      measure_rate(static_cast<double>(horizon) * step_scale, [&] {
-        benchmark::DoNotOptimize(scalar.sample(policy, horizon, 0));
-      });
-
+  double k1_rate = 0.0;
   for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
     rl::VecActor actor(std::make_unique<envs::VecEnv>("Hopper", k, 1), 1);
     rl::VecActorScratch scratch;
     const double work = static_cast<double>(k * horizon) * step_scale;
+    const double rate = measure_rate(work, [&] {
+      benchmark::DoNotOptimize(actor.sample(policy, scratch, horizon, 0));
+    });
+    if (k == 1) k1_rate = rate;
     out.push_back({"actor_rollout", "K" + std::to_string(k), "msteps", work,
-                   measure_rate(work,
-                                [&] {
-                                  benchmark::DoNotOptimize(actor.sample(
-                                      policy, scratch, horizon, 0));
-                                }),
-                   scalar_rate});
+                   rate, k1_rate});
   }
   return out;
 }

@@ -2,20 +2,25 @@
 //
 // Implements a small continuous-control task (a 2-D point chasing a moving
 // goal) against the envs::Env interface, then trains it directly with the
-// library's Actor + PPO + optimizer primitives — no Stellaris orchestration,
-// just the RL core. This is the template for adopting the library on your
-// own simulator.
+// library's VecActor + PPO + optimizer primitives — no Stellaris
+// orchestration, just the RL core. The actor drives one env copy, as each
+// serverless actor function does in the paper; pass more copies to the
+// VecEnv to batch inference across them. This is the template for adopting
+// the library on your own simulator.
 //
 //   ./build/examples/custom_environment [updates]
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "nn/optimizer.hpp"
 #include "rl/actor.hpp"
 #include "rl/gae.hpp"
 #include "rl/ppo.hpp"
+#include "rl/vec_actor.hpp"
 #include "util/csv.hpp"
 
 namespace {
@@ -89,7 +94,10 @@ int main(int argc, char** argv) {
   const auto& spec = env_spec_probe.spec();
   nn::ActorCritic model(spec.obs, spec.action_kind, spec.act_dim,
                         nn::NetworkSpec::mujoco(32), 7);
-  rl::Actor actor(std::make_unique<PointChaseEnv>(), 123);
+  std::vector<std::unique_ptr<envs::Env>> envs;
+  envs.push_back(std::make_unique<PointChaseEnv>());
+  rl::VecActor actor(std::make_unique<envs::VecEnv>(std::move(envs)), 123);
+  rl::VecActorScratch scratch;
   PointChaseEnv eval_env;
 
   rl::PpoConfig ppo;
@@ -100,7 +108,8 @@ int main(int argc, char** argv) {
   Table curve({"update", "avg_episode_reward"});
   for (int u = 0; u <= updates; ++u) {
     model.set_flat_params(params);
-    auto batch = actor.sample(model, 400, static_cast<std::uint64_t>(u));
+    auto batch =
+        actor.sample(model, scratch, 400, static_cast<std::uint64_t>(u));
     rl::compute_gae(batch, ppo.gamma, ppo.gae_lambda);
     rl::normalize_advantages(batch);
     for (int e = 0; e < 4; ++e) {

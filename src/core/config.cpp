@@ -26,6 +26,8 @@ void TrainConfig::validate() const {
   if (rounds == 0) throw ConfigError("rounds must be >= 1");
   if (horizon == 0) throw ConfigError("horizon must be >= 1");
   if (envs_per_actor == 0) throw ConfigError("envs_per_actor must be >= 1");
+  if (eval_episodes == 0) throw ConfigError("eval_episodes must be >= 1");
+  if (eval_interval == 0) throw ConfigError("eval_interval must be >= 1");
   if (decay_d < 0.0 || decay_d > 1.0)
     throw ConfigError("decay_d must lie in [0, 1]");
   if (smooth_v <= 0.0) throw ConfigError("smooth_v must be positive");

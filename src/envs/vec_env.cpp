@@ -3,128 +3,39 @@
 #include "util/error.hpp"
 
 namespace stellaris::envs {
+namespace {
 
-VecEnv::VecEnv(const std::string& name, std::size_t n, std::uint64_t seed,
-               std::size_t threads)
-    : rng_(seed) {
-  STELLARIS_CHECK_MSG(n > 0, "VecEnv needs at least one environment");
-  envs_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) envs_.push_back(make_env(name));
+std::vector<std::unique_ptr<Env>> make_envs(const std::string& name,
+                                            std::size_t n) {
+  std::vector<std::unique_ptr<Env>> envs;
+  envs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) envs.push_back(make_env(name));
+  return envs;
+}
+
+}  // namespace
+
+VecEnv::VecEnv(std::vector<std::unique_ptr<Env>> envs)
+    : envs_(std::move(envs)) {
+  STELLARIS_CHECK_MSG(!envs_.empty(), "VecEnv needs at least one environment");
   spec_ = envs_.front()->spec();
-  env_seeds_.resize(n);
-  running_returns_.assign(n, 0.0);
-  if (threads > 0) pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-Tensor VecEnv::reset_all() { return reset_all(rng_); }
-
-Tensor VecEnv::reset_all(Rng& rng) {
-  Tensor obs;
-  reset_all_into(rng, obs);
-  return obs;
-}
-
-void VecEnv::reset_all_into(Rng& rng, Tensor& obs) {
-  obs.ensure_shape({envs_.size(), spec_.obs.flat_dim});
-  for (std::size_t i = 0; i < envs_.size(); ++i) {
-    env_seeds_[i] = rng.next();
-    envs_[i]->reset_into(env_seeds_[i], obs.row(i));
-    running_returns_[i] = 0.0;
+  for (std::size_t i = 1; i < envs_.size(); ++i) {
+    const EnvSpec& s = envs_[i]->spec();
+    STELLARIS_CHECK_MSG(s.obs.flat_dim == spec_.obs.flat_dim &&
+                            s.action_kind == spec_.action_kind &&
+                            s.act_dim == spec_.act_dim,
+                        "VecEnv slot " << i << " (" << s.name
+                                       << ") spec differs from slot 0 ("
+                                       << spec_.name << ")");
   }
 }
 
-template <typename StepFn>
-void VecEnv::step_impl(const StepFn& fn, Rng& rng, StepBatch& out) {
-  const std::size_t n = envs_.size();
-  out.obs.ensure_shape({n, spec_.obs.flat_dim});
-  out.rewards.resize(n);
-  out.dones.assign(n, false);
-  out.episode_returns.clear();
-  step_scratch_.resize(n);
-  reset_seed_scratch_.resize(n);
-
-  // Auto-reset seeds must come from one stream, so draw them up-front
-  // (deterministically, in index order) before any parallel work.
-  for (std::size_t i = 0; i < n; ++i) reset_seed_scratch_[i] = rng.next();
-
-  // Workers touch only disjoint state: their env, their obs row, and their
-  // StepOut scratch slot. All shared bookkeeping happens in the serial
-  // finalize loop below, which is why serial and threaded streams are
-  // identical for the same seeds.
-  auto step_one = [&](std::size_t i) {
-    const std::span<float> row = out.obs.row(i);
-    step_scratch_[i] = fn(i, row);
-    if (step_scratch_[i].done)
-      envs_[i]->reset_into(reset_seed_scratch_[i], row);
-  };
-  if (pool_) {
-    pool_->parallel_for(n, step_one);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) step_one(i);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    out.rewards[i] = step_scratch_[i].reward;
-    out.dones[i] = step_scratch_[i].done;
-    running_returns_[i] += step_scratch_[i].reward;
-    if (step_scratch_[i].done) {
-      out.episode_returns.push_back(running_returns_[i]);
-      running_returns_[i] = 0.0;
-      env_seeds_[i] = reset_seed_scratch_[i];
-    }
-  }
-  total_steps_ += n;
-}
-
-VecEnv::StepBatch VecEnv::step(const Tensor& actions) {
-  return step(actions, rng_);
-}
-
-VecEnv::StepBatch VecEnv::step(const Tensor& actions, Rng& rng) {
-  StepBatch out;
-  step_into(actions, rng, out);
-  return out;
-}
-
-void VecEnv::step_into(const Tensor& actions, Rng& rng, StepBatch& out) {
-  STELLARIS_CHECK_MSG(actions.rank() == 2 && actions.dim(0) == envs_.size() &&
-                          actions.dim(1) == spec_.act_dim,
-                      "VecEnv::step action shape "
-                          << shape_str(actions.shape()));
-  step_impl(
-      [&](std::size_t i, std::span<float> obs) {
-        return envs_[i]->step_into(actions.row(i), obs);
-      },
-      rng, out);
-}
-
-VecEnv::StepBatch VecEnv::step_discrete(
-    const std::vector<std::size_t>& actions) {
-  return step_discrete(actions, rng_);
-}
-
-VecEnv::StepBatch VecEnv::step_discrete(
-    const std::vector<std::size_t>& actions, Rng& rng) {
-  StepBatch out;
-  step_discrete_into(actions, rng, out);
-  return out;
-}
-
-void VecEnv::step_discrete_into(const std::vector<std::size_t>& actions,
-                                Rng& rng, StepBatch& out) {
-  STELLARIS_CHECK_MSG(actions.size() == envs_.size(),
-                      "VecEnv::step_discrete action count mismatch");
-  step_impl(
-      [&](std::size_t i, std::span<float> obs) {
-        return envs_[i]->step_discrete_into(actions[i], obs);
-      },
-      rng, out);
-}
+VecEnv::VecEnv(const std::string& name, std::size_t n, std::uint64_t)
+    : VecEnv(make_envs(name, n)) {}
 
 void VecEnv::reset_env_into(std::size_t i, std::uint64_t seed,
                             std::span<float> obs) {
   STELLARIS_DCHECK(i < envs_.size());
-  env_seeds_[i] = seed;
   envs_[i]->reset_into(seed, obs);
 }
 

@@ -1,100 +1,51 @@
-// Vectorized environment driver: N environment copies stepped as a batch,
-// optionally across real threads.
+// Vectorized environment container: K environment slots stepped one at a
+// time by rl::VecActor (DESIGN.md §17), which batches policy inference
+// across them. Episode bookkeeping (lazy resets, running returns) is the
+// actor's; this class only forwards to slot `i` and counts steps.
 //
-// The paper's actors each own one environment; this wrapper is the
-// substrate for *serverful* multi-core actors (one process driving many
-// envs, as RLlib's rollout workers do) and for the vectorized VecActor
-// (DESIGN.md §17) that batches policy inference across envs. Stepping is
-// deterministic in serial mode; the threaded mode partitions envs
-// statically across the pool so results are identical to serial for the
-// same seeds.
-//
-// RNG discipline: every method that draws auto-reset seeds exists in two
-// forms — a legacy form drawing from the member stream (constructor seed),
-// and an overload taking a caller-supplied `Rng&`. Driver bodies MUST use
-// the caller-`Rng` overloads with the per-invocation keyed stream: the
-// member stream is cross-invocation state, and drawing it inside a body
-// breaks replay identity (enforced by the driver-purity analyzer, which
-// flags member-`rng_` draws in this class).
+// RNG discipline: VecEnv owns no random stream. Every reset seed arrives
+// from the caller — VecActor draws it from the per-invocation keyed stream
+// (or its own stream in the sync baseline) — so a driver body can never
+// reach cross-invocation RNG state through this class. The driver-purity
+// analyzer flags any member-`rng_` draw in these files.
 #pragma once
 
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "envs/env.hpp"
-#include "tensor/tensor.hpp"
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stellaris::envs {
 
 class VecEnv {
  public:
-  /// Construct `n` copies of `name`. `threads` > 0 enables a thread pool
-  /// (each env is still stepped by exactly one thread per call).
-  VecEnv(const std::string& name, std::size_t n, std::uint64_t seed,
-         std::size_t threads = 0);
+  /// Take ownership of `envs` as the slots. Throws Error when `envs` is
+  /// empty or a slot's spec (obs flat_dim, action_kind, act_dim) differs
+  /// from slot 0's.
+  explicit VecEnv(std::vector<std::unique_ptr<Env>> envs);
+  /// Construct `n` copies of the registry env `name`.
+  // The third parameter is unused; the benchmark harness still passes it.
+  VecEnv(const std::string& name, std::size_t n, std::uint64_t /*seed*/);
 
   std::size_t size() const { return envs_.size(); }
   const EnvSpec& spec() const { return spec_; }
 
-  /// Reset every environment; returns stacked observations (n, obs_dim).
-  /// Reset seeds are drawn from `rng` (one per env, in index order); the
-  /// no-argument form draws from the member stream.
-  Tensor reset_all();
-  Tensor reset_all(Rng& rng);
-  /// Allocation-free form: `obs` is reshaped to (n, obs_dim) reusing its
-  /// capacity.
-  void reset_all_into(Rng& rng, Tensor& obs);
-
-  /// Step every environment with the given batch of actions. Continuous:
-  /// `actions` is (n, act_dim). Environments that finish are auto-reset;
-  /// their `done` flag is reported and the returned observation is the
-  /// first of the new episode (the standard Gym vector-env contract).
-  struct StepBatch {
-    Tensor obs;                    ///< (n, obs_dim)
-    std::vector<double> rewards;   ///< (n)
-    std::vector<bool> dones;       ///< (n)
-    std::vector<double> episode_returns;  ///< completed this step
-  };
-  StepBatch step(const Tensor& actions);
-  StepBatch step(const Tensor& actions, Rng& rng);
-  StepBatch step_discrete(const std::vector<std::size_t>& actions);
-  StepBatch step_discrete(const std::vector<std::size_t>& actions, Rng& rng);
-  /// Allocation-free forms: `out` buffers are reshaped in place; steady
-  /// state performs zero heap allocations.
-  void step_into(const Tensor& actions, Rng& rng, StepBatch& out);
-  void step_discrete_into(const std::vector<std::size_t>& actions, Rng& rng,
-                          StepBatch& out);
-
-  // -- single-env forwards ---------------------------------------------------
-  // Thin pass-throughs to env `i` for callers that manage episode
-  // bookkeeping themselves (VecActor's lazy-reset semantics). They do NOT
-  // auto-reset and do NOT touch the batch API's running-return state; only
-  // total_steps() advances on steps.
+  // Pass-throughs to env `i`: no auto-reset; only total_steps() advances
+  // on steps.
   void reset_env_into(std::size_t i, std::uint64_t seed, std::span<float> obs);
   StepOut step_env_into(std::size_t i, std::span<const float> action,
                         std::span<float> obs);
   StepOut step_env_discrete_into(std::size_t i, std::size_t action,
                                  std::span<float> obs);
 
-  /// Total environment steps taken across all copies.
+  /// Total environment steps taken across all slots.
   std::uint64_t total_steps() const { return total_steps_; }
 
  private:
-  template <typename StepFn>
-  void step_impl(const StepFn& fn, Rng& rng, StepBatch& out);
-
   EnvSpec spec_;
   std::vector<std::unique_ptr<Env>> envs_;
-  std::vector<std::uint64_t> env_seeds_;
-  std::vector<double> running_returns_;
-  // Worker-written scratch for the batch step: plain structs per env (NOT
-  // vector<bool>, whose packed bits would race across threads).
-  std::vector<StepOut> step_scratch_;
-  std::vector<std::uint64_t> reset_seed_scratch_;
-  std::unique_ptr<ThreadPool> pool_;
-  Rng rng_;
   std::uint64_t total_steps_ = 0;
 };
 

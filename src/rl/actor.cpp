@@ -1,134 +1,16 @@
 #include "rl/actor.hpp"
 
+#include <vector>
+
 #include "nn/distributions.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace stellaris::rl {
 
-Actor::Actor(std::unique_ptr<envs::Env> env, std::uint64_t seed)
-    : env_(std::move(env)), rng_(seed) {}
-
-void Actor::ensure_episode(Rng& rng) {
-  if (!episode_active_) {
-    current_obs_.resize(env_->spec().obs.flat_dim);
-    env_->reset_into(rng.next(), current_obs_);
-    episode_active_ = true;
-    episode_return_ = 0.0;
-    ++episode_counter_;
-  }
-}
-
-SampleBatch Actor::sample(nn::ActorCritic& policy, std::size_t horizon,
-                          std::uint64_t policy_version) {
-  return sample(policy, horizon, policy_version, rng_);
-}
-
-SampleBatch Actor::sample(nn::ActorCritic& policy, std::size_t horizon,
-                          std::uint64_t policy_version, Rng& rng) {
-  STELLARIS_CHECK_MSG(horizon > 0, "sample horizon must be positive");
-  const auto& spec = env_->spec();
-  const std::size_t obs_dim = spec.obs.flat_dim;
-  const bool continuous = spec.action_kind == nn::ActionKind::kContinuous;
-
-  SampleBatch batch;
-  batch.action_kind = spec.action_kind;
-  batch.policy_version = policy_version;
-  batch.obs = Tensor({horizon, obs_dim});
-  if (continuous) batch.actions_cont = Tensor({horizon, spec.act_dim});
-  batch.rewards = Tensor({horizon});
-  batch.dones = Tensor({horizon});
-  batch.behaviour_log_probs = Tensor({horizon});
-  batch.values = Tensor({horizon});
-
-  for (std::size_t t = 0; t < horizon; ++t) {
-    ensure_episode(rng);
-    // Single-row forward; learner-side batching happens over whole batches.
-    // All per-step buffers are persistent members, so the warmed-up loop
-    // performs zero tensor allocations.
-    obs_row_.ensure_shape({1, obs_dim});
-    std::copy(current_obs_.begin(), current_obs_.end(),
-              obs_row_.row(0).begin());
-    const Tensor& pol_out = policy.policy_forward(obs_row_);
-    const Tensor& value = policy.value_forward(obs_row_);
-
-    std::copy(current_obs_.begin(), current_obs_.end(),
-              batch.obs.row(t).begin());
-    batch.values[t] = value[0];
-
-    envs::StepOut result;
-    if (continuous) {
-      nn::gaussian_sample_into(action_scratch_, pol_out, *policy.log_std(),
-                               rng);
-      nn::gaussian_log_prob_into(logp_scratch_, pol_out, *policy.log_std(),
-                                 action_scratch_);
-      batch.behaviour_log_probs[t] = logp_scratch_[0];
-      std::copy(action_scratch_.vec().begin(), action_scratch_.vec().end(),
-                batch.actions_cont.row(t).begin());
-      result = env_->step_into(action_scratch_.row(0), current_obs_);
-    } else {
-      nn::categorical_sample_into(disc_actions_scratch_, probs_scratch_,
-                                  pol_out, rng);
-      nn::categorical_log_prob_into(logp_scratch_, probs_scratch_, pol_out,
-                                    disc_actions_scratch_);
-      batch.behaviour_log_probs[t] = logp_scratch_[0];
-      batch.actions_disc.push_back(disc_actions_scratch_[0]);
-      result = env_->step_discrete_into(disc_actions_scratch_[0],
-                                        current_obs_);
-    }
-
-    batch.rewards[t] = static_cast<float>(result.reward);
-    episode_return_ += result.reward;
-    batch.dones[t] = result.done ? 1.0f : 0.0f;
-    if (result.done) {
-      // Lazy reset: current_obs_ holds the terminal observation until the
-      // next ensure_episode overwrites it.
-      batch.episode_returns.push_back(episode_return_);
-      episode_active_ = false;
-    }
-  }
-
-  // Bootstrap value for a truncated final transition.
-  if (batch.dones[horizon - 1] < 0.5f) {
-    obs_row_.ensure_shape({1, obs_dim});
-    std::copy(current_obs_.begin(), current_obs_.end(),
-              obs_row_.row(0).begin());
-    batch.bootstrap_value = policy.value_forward(obs_row_)[0];
-  }
-  return batch;
-}
-
-double Actor::evaluate_episode(nn::ActorCritic& policy, std::uint64_t seed) {
-  const auto& spec = env_->spec();
-  const bool continuous = spec.action_kind == nn::ActionKind::kContinuous;
-  current_obs_.resize(spec.obs.flat_dim);
-  env_->reset_into(seed, current_obs_);
-  Rng eval_rng(seed ^ 0xeba1eba1eba1ULL);
-  double total = 0.0;
-  for (;;) {
-    obs_row_.ensure_shape({1, spec.obs.flat_dim});
-    std::copy(current_obs_.begin(), current_obs_.end(),
-              obs_row_.row(0).begin());
-    const Tensor& pol_out = policy.policy_forward(obs_row_);
-    envs::StepOut result;
-    if (continuous) {
-      nn::gaussian_sample_into(action_scratch_, pol_out, *policy.log_std(),
-                               eval_rng);
-      result = env_->step_into(action_scratch_.row(0), current_obs_);
-    } else {
-      nn::categorical_sample_into(disc_actions_scratch_, probs_scratch_,
-                                  pol_out, eval_rng);
-      result = env_->step_discrete_into(disc_actions_scratch_[0],
-                                        current_obs_);
-    }
-    total += result.reward;
-    if (result.done) break;
-  }
-  // Evaluation interrupts any in-flight sampling episode.
-  episode_active_ = false;
-  return total;
-}
-
 double evaluate_policy(envs::Env& env, nn::ActorCritic& policy,
                        std::size_t episodes, std::uint64_t seed) {
+  STELLARIS_CHECK_MSG(episodes > 0, "evaluate_policy needs episodes > 0");
   const auto& spec = env.spec();
   const bool continuous = spec.action_kind == nn::ActionKind::kContinuous;
   Rng eval_rng(seed);

@@ -1,69 +1,22 @@
-// The actor: interacts with one environment copy under a policy and emits
-// trajectory SampleBatches — Step ① of the paper's workflow (§IV).
+// Policy evaluation: the episodic reward curves of the paper's figures.
+// Rollouts for training go through rl::VecActor (vec_actor.hpp); this
+// header keeps only evaluate_policy.
 //
-// An Actor persists its environment across sample() calls, so episodes span
-// training rounds instead of being truncated at every round boundary, and
-// records completed-episode returns for the reward curves.
+// evaluate_policy would sit in its own rl/evaluate unit, but the e2e
+// benchmark harness (bench/e2e/layers.cpp) includes this header for it, so
+// it stays here until that harness can be changed.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "envs/env.hpp"
 #include "nn/actor_critic.hpp"
-#include "rl/sample_batch.hpp"
-#include "util/rng.hpp"
 
 namespace stellaris::rl {
 
-class Actor {
- public:
-  Actor(std::unique_ptr<envs::Env> env, std::uint64_t seed);
-
-  /// Roll the environment `horizon` steps under `policy` (stochastic
-  /// actions), continuing across episode boundaries. `policy_version` is
-  /// recorded for the staleness bookkeeping. Draws from the actor's own
-  /// stream (seeded at construction).
-  SampleBatch sample(nn::ActorCritic& policy, std::size_t horizon,
-                     std::uint64_t policy_version);
-
-  /// As above, but every draw (episode reset seeds, action sampling) comes
-  /// from `rng` — the caller's per-invocation keyed stream (sim::
-  /// invocation_stream). Used by the execution drivers so a trajectory is a
-  /// pure function of (policy, env state, invocation key), independent of
-  /// which thread runs the body or how invocations interleave.
-  SampleBatch sample(nn::ActorCritic& policy, std::size_t horizon,
-                     std::uint64_t policy_version, Rng& rng);
-
-  /// Run one full episode under the policy and return the episode reward
-  /// (used by evaluation; stochastic actions as in the paper's episodic
-  /// reward curves).
-  double evaluate_episode(nn::ActorCritic& policy, std::uint64_t seed);
-
-  const envs::EnvSpec& env_spec() const { return env_->spec(); }
-
- private:
-  /// Act in the current state; fills per-step records.
-  void ensure_episode(Rng& rng);
-
-  std::unique_ptr<envs::Env> env_;
-  Rng rng_;
-  std::vector<float> current_obs_;
-  bool episode_active_ = false;
-  double episode_return_ = 0.0;
-  std::uint64_t episode_counter_ = 0;
-  // Persistent per-step scratch (single-row forward input, sampled action,
-  // log-prob, categorical softmax): after the first step at a given shape,
-  // the hot loop performs zero tensor allocations (pinned by the
-  // tensor_buffer_allocs tests).
-  Tensor obs_row_;
-  Tensor action_scratch_;
-  Tensor logp_scratch_;
-  Tensor probs_scratch_;
-  std::vector<std::size_t> disc_actions_scratch_;
-};
-
-/// Average episode reward of `policy` over `episodes` rollouts.
+/// Average episode reward of `policy` over `episodes` (> 0) full episodes
+/// with stochastic actions. Reset seeds and action noise come from one
+/// stream seeded with `seed`.
 double evaluate_policy(envs::Env& env, nn::ActorCritic& policy,
                        std::size_t episodes, std::uint64_t seed);
 

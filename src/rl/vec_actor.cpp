@@ -14,14 +14,12 @@ VecActor::VecActor(std::unique_ptr<envs::VecEnv> env, std::uint64_t seed)
 
 void VecActor::ensure_episodes(Rng& rng) {
   // Lazy reset in env index order: one seed draw per dead env, from the
-  // same stream the action noise uses — at K=1 this is exactly
-  // Actor::ensure_episode's draw.
+  // same stream the action noise uses.
   for (std::size_t e = 0; e < env_->size(); ++e) {
     if (active_[e]) continue;
     env_->reset_env_into(e, rng.next(), current_obs_.row(e));
     active_[e] = 1;
     episode_return_[e] = 0.0;
-    ++episode_counter_;
   }
 }
 
@@ -67,8 +65,7 @@ SampleBatch VecActor::sample(nn::ActorCritic& policy, VecActorScratch& scratch,
     }
 
     if (continuous) {
-      // Row-major draws: at K=1 the noise sequence matches the scalar
-      // actor's per-step gaussian_sample exactly.
+      // Row-major draws: env e's noise follows env e-1's within a step.
       nn::gaussian_sample_into(scratch.actions, pol_out, *policy.log_std(),
                                rng);
       nn::gaussian_log_prob_into(scratch.logp, pol_out, *policy.log_std(),
@@ -113,9 +110,8 @@ SampleBatch VecActor::sample(nn::ActorCritic& policy, VecActorScratch& scratch,
   }
 
   // Bootstrap values for truncated final transitions: one batched value
-  // forward covers every env. K=1 keeps the scalar actor's implicit-segment
-  // layout (and skips the forward when the batch ends on done) so the
-  // serialized bytes match rl::Actor exactly; K>1 emits one explicit
+  // forward covers every env. K=1 keeps the implicit-segment layout (and
+  // skips the forward when the batch ends on done); K>1 emits one explicit
   // segment per env.
   bool any_truncated = false;
   for (std::size_t e = 0; e < k; ++e)

@@ -1,18 +1,21 @@
-// Vectorized actor: drives K environment copies per invocation with ONE
-// batched policy forward (K, obs_dim)×W per step instead of K single-row
-// matvecs — the shape the blocked GEMM kernels are tiled for. See
-// DESIGN.md §17 for the full contract.
+// Vectorized actor: interacts with K environment copies under a policy
+// and emits trajectory SampleBatches — Step ① of the paper's workflow
+// (§IV). Each step runs ONE batched policy forward (K, obs_dim)×W instead
+// of K single-row matvecs — the shape the blocked GEMM kernels are tiled
+// for. K=1 is the paper's one-env actor function. See DESIGN.md §17 for
+// the full contract.
 //
-// Semantics are the scalar Actor's, replicated per env slot:
+// Per env slot:
+//  - episodes persist across sample() calls, so they span training rounds
+//    instead of being truncated at every round boundary;
 //  - lazy reset: an env that finishes a step stays terminal until the next
 //    step's ensure-episode pass draws its reset seed (in env index order)
-//    from the SAME stream as action noise, so at K=1 the draw sequence is
-//    bit-identical to rl::Actor and the emitted SampleBatch byte-identical;
+//    from the SAME stream as action noise;
 //  - env-major batch layout: env e owns rows [e·H, (e+1)·H) of the
 //    (K·H)-row batch, one SampleBatch::Segment per env, so GAE / V-trace
-//    never bootstrap across env seams;
-//  - per-env episode bookkeeping (episode_returns, bootstrap values) exactly
-//    as the scalar actor records them.
+//    never bootstrap across env seams. K=1 keeps the implicit single
+//    segment (SampleBatch::bootstrap_value);
+//  - completed-episode returns are recorded for the reward curves.
 //
 // Buffer ownership: cross-invocation state (current observations, episode
 // flags/returns, member RNG) lives in the VecActor, serialized by the
@@ -48,10 +51,10 @@ class VecActor {
 
   /// Roll every env `horizon` steps under `policy` with one batched forward
   /// per step, continuing across episode boundaries. Emits a (K·horizon)-row
-  /// env-major SampleBatch with one segment per env (K=1: the scalar
-  /// actor's implicit-segment layout, byte-identical to rl::Actor). All
-  /// draws (reset seeds, action noise) come from `rng` — the caller's
-  /// per-invocation keyed stream.
+  /// env-major SampleBatch with one segment per env (K=1: one implicit
+  /// segment). All draws (reset seeds, action noise) come from `rng` — the
+  /// caller's per-invocation keyed stream — so a trajectory is a pure
+  /// function of (policy, env state, invocation key).
   SampleBatch sample(nn::ActorCritic& policy, VecActorScratch& scratch,
                      std::size_t horizon, std::uint64_t policy_version,
                      Rng& rng);
@@ -71,12 +74,10 @@ class VecActor {
 
   std::unique_ptr<envs::VecEnv> env_;
   Rng rng_;
-  // Cross-invocation per-env state (the vector form of Actor's
-  // current_obs_ / episode_active_ / episode_return_).
+  // Cross-invocation per-env state.
   Tensor current_obs_;                 ///< (K, obs_dim)
   std::vector<std::uint8_t> active_;   ///< per-env episode-live flag
   std::vector<double> episode_return_;
-  std::uint64_t episode_counter_ = 0;
 };
 
 }  // namespace stellaris::rl

@@ -171,6 +171,12 @@ TEST(Trainer, InvalidConfigThrows) {
   cfg = tiny_config();
   cfg.env_name = "NoSuchEnv";
   EXPECT_THROW(run_training(cfg), ConfigError);
+  cfg = tiny_config();
+  cfg.eval_interval = 0;
+  EXPECT_THROW(run_training(cfg), ConfigError);
+  cfg = tiny_config();
+  cfg.eval_episodes = 0;
+  EXPECT_THROW(run_training(cfg), ConfigError);
 }
 
 // The Fig. 11(a) ablation switch: every aggregation mode must run to

@@ -2,149 +2,45 @@
 
 #include <gtest/gtest.h>
 
-#include "util/rng.hpp"
+#include "rl/vec_actor.hpp"
 
 namespace stellaris::envs {
 namespace {
 
-TEST(VecEnv, ResetStacksObservations) {
-  VecEnv vec("Hopper", 4, 1);
-  Tensor obs = vec.reset_all();
-  EXPECT_EQ(obs.shape(), (Shape{4, vec.spec().obs.flat_dim}));
-  EXPECT_TRUE(obs.all_finite());
-}
-
-TEST(VecEnv, StepBatchShapes) {
-  VecEnv vec("Hopper", 3, 2);
-  vec.reset_all();
-  Tensor actions({3, vec.spec().act_dim});
-  auto batch = vec.step(actions);
-  EXPECT_EQ(batch.obs.dim(0), 3u);
-  EXPECT_EQ(batch.rewards.size(), 3u);
-  EXPECT_EQ(batch.dones.size(), 3u);
-  EXPECT_EQ(vec.total_steps(), 3u);
-}
-
-TEST(VecEnv, DiscreteBatchStep) {
-  VecEnv vec("Qbert", 2, 3);
-  vec.reset_all();
-  auto batch = vec.step_discrete({2, 3});
-  EXPECT_EQ(batch.obs.dim(0), 2u);
-}
-
-TEST(VecEnv, AutoResetOnDone) {
-  VecEnv vec("Hopper", 2, 4);
-  vec.reset_all();
-  Tensor push = Tensor::full({2, vec.spec().act_dim}, 1.0f);
-  std::size_t episodes = 0;
-  for (int i = 0; i < 600 && episodes == 0; ++i) {
-    auto batch = vec.step(push);
-    episodes += batch.episode_returns.size();
-    // Even after done, the returned obs must be a valid fresh observation.
-    EXPECT_TRUE(batch.obs.all_finite());
+/// Out-of-registry env: obs = (step, seed parity, ...), reward = first
+/// action component, episodes last `length` steps. Implements only the allocating
+/// API, so VecEnv reaches it through Env's default `_into` forwards.
+class CountingEnv final : public Env {
+ public:
+  explicit CountingEnv(std::size_t length, std::size_t obs_dim = 2,
+                       std::size_t act_dim = 1) {
+    spec_.name = "Counting";
+    spec_.obs = nn::ObsSpec::vector(obs_dim);
+    spec_.action_kind = nn::ActionKind::kContinuous;
+    spec_.act_dim = act_dim;
+    spec_.max_steps = length;
   }
-  EXPECT_GE(episodes, 1u);
-}
-
-TEST(VecEnv, EpisodeReturnsAccumulateRewards) {
-  VecEnv vec("Hopper", 1, 5);
-  vec.reset_all();
-  Tensor zero({1, vec.spec().act_dim});
-  double manual = 0.0;
-  for (;;) {
-    auto batch = vec.step(zero);
-    manual += batch.rewards[0];
-    if (!batch.episode_returns.empty()) {
-      EXPECT_NEAR(batch.episode_returns[0], manual, 1e-9);
-      break;
-    }
+  const EnvSpec& spec() const override { return spec_; }
+  std::vector<float> reset(std::uint64_t seed) override {
+    step_ = 0;
+    parity_ = static_cast<float>(seed % 2);
+    return observe();
   }
-}
-
-TEST(VecEnv, ThreadedMatchesSerial) {
-  VecEnv serial("Walker2d", 4, 9, /*threads=*/0);
-  VecEnv threaded("Walker2d", 4, 9, /*threads=*/3);
-  serial.reset_all();
-  threaded.reset_all();
-  Rng rng(7);
-  for (int step = 0; step < 40; ++step) {
-    Tensor actions({4, serial.spec().act_dim});
-    for (auto& v : actions.vec())
-      v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    auto a = serial.step(actions);
-    auto b = threaded.step(actions);
-    EXPECT_EQ(a.obs.vec(), b.obs.vec());
-    EXPECT_EQ(a.rewards, b.rewards);
-    EXPECT_EQ(a.dones, b.dones);
+  StepResult step(std::span<const float> action) override {
+    ++step_;
+    return {observe(), action[0], step_ >= spec_.max_steps};
   }
-}
 
-TEST(VecEnv, ThreadedMatchesSerialIntoApi) {
-  // The allocation-free caller-Rng path must be bit-identical across
-  // thread counts: reset seeds are drawn up front in env index order, so
-  // the pool partitioning can never reorder draws.
-  for (std::size_t threads : {2ul, 4ul}) {
-    VecEnv serial("Walker2d", 5, 13, /*threads=*/0);
-    VecEnv threaded("Walker2d", 5, 13, threads);
-    Rng ra(99), rb(99);
-    Tensor obs_a, obs_b;
-    serial.reset_all_into(ra, obs_a);
-    threaded.reset_all_into(rb, obs_b);
-    ASSERT_EQ(obs_a.vec(), obs_b.vec()) << threads << " threads";
-    VecEnv::StepBatch a, b;
-    Rng actions_rng(7);
-    for (int step = 0; step < 60; ++step) {
-      Tensor actions({5, serial.spec().act_dim});
-      for (auto& v : actions.vec())
-        v = static_cast<float>(actions_rng.uniform(-1.0, 1.0));
-      serial.step_into(actions, ra, a);
-      threaded.step_into(actions, rb, b);
-      ASSERT_EQ(a.obs.vec(), b.obs.vec()) << threads << " threads";
-      ASSERT_EQ(a.rewards, b.rewards);
-      ASSERT_EQ(a.dones, b.dones);
-      ASSERT_EQ(a.episode_returns, b.episode_returns);
-    }
-    EXPECT_EQ(serial.total_steps(), threaded.total_steps());
+ private:
+  std::vector<float> observe() const {
+    std::vector<float> obs(spec_.obs.flat_dim, parity_);
+    obs[0] = static_cast<float>(step_);
+    return obs;
   }
-}
-
-TEST(VecEnv, ThreadedMatchesSerialDiscreteIntoApi) {
-  for (std::size_t threads : {2ul, 4ul}) {
-    VecEnv serial("Qbert", 3, 17, /*threads=*/0);
-    VecEnv threaded("Qbert", 3, 17, threads);
-    Rng ra(5), rb(5);
-    Tensor obs_a, obs_b;
-    serial.reset_all_into(ra, obs_a);
-    threaded.reset_all_into(rb, obs_b);
-    ASSERT_EQ(obs_a.vec(), obs_b.vec());
-    VecEnv::StepBatch a, b;
-    Rng act_rng(3);
-    const std::size_t n_act = serial.spec().act_dim;
-    for (int step = 0; step < 120; ++step) {
-      std::vector<std::size_t> actions(3);
-      for (auto& v : actions) v = act_rng.next() % n_act;
-      serial.step_discrete_into(actions, ra, a);
-      threaded.step_discrete_into(actions, rb, b);
-      ASSERT_EQ(a.obs.vec(), b.obs.vec()) << threads << " threads";
-      ASSERT_EQ(a.rewards, b.rewards);
-      ASSERT_EQ(a.dones, b.dones);
-    }
-  }
-}
-
-TEST(VecEnv, StepIntoIsAllocationFreeWhenWarm) {
-  VecEnv vec("Hopper", 4, 1);
-  Rng rng(2);
-  Tensor obs;
-  vec.reset_all_into(rng, obs);
-  VecEnv::StepBatch out;
-  Tensor actions = Tensor::full({4, vec.spec().act_dim}, 0.1f);
-  vec.step_into(actions, rng, out);  // warm: out buffers take shape
-  const std::uint64_t before = tensor_buffer_allocs();
-  for (int step = 0; step < 50; ++step) vec.step_into(actions, rng, out);
-  EXPECT_EQ(tensor_buffer_allocs(), before)
-      << "steady-state step_into must not allocate tensor buffers";
-}
+  EnvSpec spec_;
+  std::size_t step_ = 0;
+  float parity_ = 0.0f;
+};
 
 TEST(VecEnv, SingleEnvForwardsMatchScalarEnv) {
   // reset_env_into / step_env_into are pass-throughs: same seed, same
@@ -167,14 +63,63 @@ TEST(VecEnv, SingleEnvForwardsMatchScalarEnv) {
   }
 }
 
-TEST(VecEnv, WrongActionShapeThrows) {
-  VecEnv vec("Hopper", 2, 1);
-  vec.reset_all();
-  EXPECT_THROW(vec.step(Tensor({3, vec.spec().act_dim})), Error);
-  EXPECT_THROW(vec.step_discrete({0}), Error);
+TEST(VecEnv, ZeroEnvsThrows) { EXPECT_THROW(VecEnv("Hopper", 0, 1), Error); }
+
+TEST(VecEnv, EmptyEnvVectorThrows) {
+  EXPECT_THROW(VecEnv(std::vector<std::unique_ptr<Env>>{}), Error);
 }
 
-TEST(VecEnv, ZeroEnvsThrows) { EXPECT_THROW(VecEnv("Hopper", 0, 1), Error); }
+TEST(VecEnv, MismatchedSpecsThrow) {
+  const auto pair = [](std::unique_ptr<Env> a, std::unique_ptr<Env> b) {
+    std::vector<std::unique_ptr<Env>> envs;
+    envs.push_back(std::move(a));
+    envs.push_back(std::move(b));
+    return envs;
+  };
+  // Observation size, action kind, action size.
+  EXPECT_THROW(VecEnv(pair(std::make_unique<CountingEnv>(5),
+                           std::make_unique<CountingEnv>(5, 3))),
+               Error);
+  EXPECT_THROW(VecEnv(pair(make_env("Hopper"), make_env("Qbert"))), Error);
+  EXPECT_THROW(VecEnv(pair(std::make_unique<CountingEnv>(5),
+                           std::make_unique<CountingEnv>(5, 2, 2))),
+               Error);
+  // Episode length is not part of the contract.
+  EXPECT_NO_THROW(VecEnv(pair(std::make_unique<CountingEnv>(5),
+                              std::make_unique<CountingEnv>(7))));
+}
+
+TEST(VecEnv, CustomEnvStepsThroughVecActor) {
+  const std::size_t h = 8;
+  std::vector<std::unique_ptr<Env>> envs;
+  envs.push_back(std::make_unique<CountingEnv>(5));
+  envs.push_back(std::make_unique<CountingEnv>(3));
+  rl::VecActor actor(std::make_unique<VecEnv>(std::move(envs)), 7);
+  const EnvSpec& spec = actor.env_spec();
+  nn::ActorCritic policy(spec.obs, spec.action_kind, spec.act_dim,
+                         nn::NetworkSpec::mujoco(8), 1);
+  rl::VecActorScratch scratch;
+  const auto batch = actor.sample(policy, scratch, h, 0);
+  ASSERT_EQ(batch.size(), 2 * h);
+  ASSERT_EQ(batch.segments.size(), 2u);
+  EXPECT_EQ(actor.total_env_steps(), 2 * h);
+  // Env-major rows; each env's step counter restarts after its episode
+  // length (lazy reset), and the reward is the sampled action.
+  const std::size_t lengths[] = {5, 3};
+  std::size_t dones = 0;
+  for (std::size_t e = 0; e < 2; ++e) {
+    for (std::size_t t = 0; t < h; ++t) {
+      const std::size_t row = e * h + t;
+      EXPECT_EQ(batch.obs.row(row)[0],
+                static_cast<float>(t % lengths[e]));
+      EXPECT_EQ(batch.rewards[row], batch.actions_cont.row(row)[0]);
+      const bool done = (t + 1) % lengths[e] == 0;
+      EXPECT_EQ(batch.dones[row] > 0.5f, done) << "env " << e << " t " << t;
+      dones += done;
+    }
+  }
+  EXPECT_EQ(batch.episode_returns.size(), dones);
+}
 
 }  // namespace
 }  // namespace stellaris::envs
