@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "tensor/kernel_isa.hpp"
 #include "util/mini_json.hpp"
 
 using namespace stellaris;
@@ -128,6 +129,7 @@ void write_json(const std::string& path, const std::vector<Entry>& entries) {
   std::ofstream os(path);
   os << "{\n  \"schema\": \"stellaris-driver-bench-v1\",\n"
      << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
+     << "  \"kernel_isa\": \"" << ops::kernel_isa() << "\",\n"
      << "  \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& e = entries[i];

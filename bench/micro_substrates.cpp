@@ -23,6 +23,9 @@
 // (one (K, obs_dim)×W forward per step) at K ∈ {1, 2, 4, 8} against K=1,
 // the one-env actor of the paper — the DESIGN.md §17 throughput claim.
 // Results are Msteps/s; it shares --max-regress with the other harnesses.
+//
+// --tiers prints the learner's and actor's hot products timed once per
+// kernel ISA tier the host can run (tensor/kernel_isa.hpp), side by side.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -47,6 +50,7 @@
 #include "rl/vec_actor.hpp"
 #include "rl/ppo.hpp"
 #include "tensor/kernel_config.hpp"
+#include "tensor/kernel_isa.hpp"
 #include "tensor/ops.hpp"
 #include "util/mini_json.hpp"
 #include "util/rng.hpp"
@@ -311,6 +315,67 @@ std::vector<KernelResult> run_kernel_benches() {
 }
 
 // ---------------------------------------------------------------------------
+// Per-tier kernel table (--tiers)
+// ---------------------------------------------------------------------------
+// Times the hot products of the learner and the actor once per ISA tier
+// this host can run, calling each tier's kernels through the tier list
+// (tensor/kernel_isa.hpp), so one run shows what every tier buys on the
+// same machine. Prints a table; writes no file.
+
+int run_tier_table() {
+  struct Product {
+    const char* kernel;
+    std::size_t m, k, n;  // for tanh_forward: an m × n tensor
+  };
+  const Product products[] = {
+      {"matmul", 512, 32, 32},     // learner hidden-layer forward
+      {"matmul_tn", 32, 512, 32},  // its weight gradient
+      {"matmul", 1, 32, 32},       // actor single-row forward
+      {"matmul", 512, 32, 3},      // policy head: row lanes
+      {"matmul_tn", 32, 512, 3},   // policy-head dW: row lanes
+      {"matmul_tn", 75, 6144, 8},  // first conv dW: row lanes
+      {"tanh_forward", 512, 0, 32},
+  };
+  const auto tiers = ops::detail::host_kernel_tiers();
+
+  std::printf("active tier: %s\n%-14s %-12s", ops::kernel_isa(), "kernel",
+              "shape");
+  for (const auto& t : tiers) std::printf(" %12s", t.name);
+  std::printf("\n");
+  Rng rng(42);
+  for (const Product& p : products) {
+    const bool gemm = p.k != 0;
+    std::ostringstream shape;
+    shape << p.m << "x";
+    if (gemm) shape << p.k << "x";
+    shape << p.n;
+    std::printf("%-14s %-12s", p.kernel, shape.str().c_str());
+    const std::string kernel = p.kernel;
+    const Tensor a = kernel == "matmul_tn" ? Tensor::randn({p.k, p.m}, rng)
+                     : gemm                ? Tensor::randn({p.m, p.k}, rng)
+                                           : Tensor::randn({p.m, p.n}, rng);
+    const Tensor b = Tensor::randn({gemm ? p.k : 1, p.n}, rng);
+    const double work = gemm ? 2.0 * static_cast<double>(p.m * p.k * p.n)
+                             : static_cast<double>(p.m * p.n);
+    for (const auto& t : tiers) {
+      const ops::detail::KernelTable& kt = t.kernels();
+      Tensor c;
+      const double rate = measure_rate(work, [&] {
+        if (kernel == "matmul")
+          ops::detail::matmul_into(kt, c, a, b);
+        else if (kernel == "matmul_tn")
+          ops::detail::matmul_tn_into(kt, c, a, b);
+        else
+          ops::detail::tanh_forward_into(kt, c, a);
+      });
+      std::printf(" %9.2f %s", rate, gemm ? "GF" : "Ge");
+    }
+    std::printf("\n");
+  }
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
 // Cache / serialization substrate harness
 // ---------------------------------------------------------------------------
 //
@@ -503,6 +568,7 @@ void write_kernel_json(const std::string& path, const std::string& schema,
   os << "{\n  \"schema\": \"" << schema << "\",\n"
      << "  \"kernel_threads\": " << ops::kernel_threads() << ",\n"
      << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
+     << "  \"kernel_isa\": \"" << ops::kernel_isa() << "\",\n"
      << "  \"entries\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
@@ -616,6 +682,8 @@ int main(int argc, char** argv) {
       cache_mode = true;
     } else if (arg == "--actor") {
       actor_mode = true;
+    } else if (arg == "--tiers") {
+      return stellaris::run_tier_table();
     }
   }
   if (kernel_mode || cache_mode || actor_mode) {

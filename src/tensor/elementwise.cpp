@@ -5,22 +5,28 @@
 // Arithmetic per element is identical to the scalar loops under
 // ops::reference, so every kernel is bit-identical to its oracle.
 //
-// tanh is not libm's: tanh_rational() below is a fixed odd rational
-// approximation (Eigen's ptanh_float minimax fit, degree 13 over 6), at
-// most 6 ulp and 3.9e-7 absolute from the exact value. It uses only +, *,
-// / and compares, so its bits depend on IEEE single precision alone — not
-// on the libm version — as long as no step is fused or reassociated. This
-// file is therefore built with -ffp-contract=off (no FMA contraction, even
-// under -march=native or clang) and -fno-trapping-math (which lets GCC
-// if-convert the clamps and select and vectorize the loop; it changes no
-// value). tanh_forward optionally fans out over the kernel pool in
-// contiguous chunks (elementwise, so chunking can never change results).
+// The tanh, relu, bias-add and row-sum loops are in kernel_tier.cpp, built
+// once per ISA tier and reached through the active tier's KernelTable
+// (kernel_isa.hpp); this file checks shapes, counts elements and splits
+// tanh over the kernel pool. The softmax family and the reference oracles
+// stay here, built for the baseline ISA.
+//
+// tanh is not libm's: tanh_rational() (tanh_rational.hpp) is a fixed odd
+// rational approximation whose bits depend on IEEE single precision alone
+// as long as no step is fused or reassociated. This file and the tiers are
+// therefore built with -ffp-contract=off (no FMA contraction, even under
+// -march=native or clang) and -fno-trapping-math (which lets GCC if-convert
+// the clamps and select and vectorize the loop; it changes no value).
+// tanh_forward optionally fans out over the kernel pool in contiguous
+// chunks (elementwise, so chunking can never change results).
 #include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.hpp"
 #include "tensor/kernel_config.hpp"
+#include "tensor/kernel_isa.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/tanh_rational.hpp"
 #include "util/thread_pool.hpp"
 
 namespace stellaris::ops {
@@ -49,64 +55,27 @@ void count_eltwise(std::size_t n) {
 // ~12k elements; at 2^15 (~80 us serial) it saves ~60 us against ~22 us.
 constexpr std::size_t kTanhParallelMinElems = 1 << 15;
 
-// tanh(a) as a fixed odd rational function of the clamped input. Clamps
-// and the final select are ternaries, not std::min/max/fabs, so the loop
-// that calls this if-converts into straight-line SIMD code. NaN fails
-// every compare and propagates; ±inf clamps to ±7.905…, where the ratio
-// rounds to exactly ±1; |a| < 4e-4 returns a itself (exact, keeps -0).
-inline float tanh_rational(float a) {
-  constexpr float kClamp = 7.90531110763549805f;
-  const float x = a > kClamp ? kClamp : (a < -kClamp ? -kClamp : a);
-  const float x2 = x * x;
-  float p = -2.76076847742355e-16f;
-  p = p * x2 + 2.00018790482477e-13f;
-  p = p * x2 + -8.60467152213735e-11f;
-  p = p * x2 + 5.12229709037114e-08f;
-  p = p * x2 + 1.48572235717979e-05f;
-  p = p * x2 + 6.37261928875436e-04f;
-  p = p * x2 + 4.89352455891786e-03f;
-  p = p * x;
-  float q = 1.19825839466702e-06f;
-  q = q * x2 + 1.18534705686654e-04f;
-  q = q * x2 + 2.26843463243900e-03f;
-  q = q * x2 + 4.89352518554385e-03f;
-  return (a < 4e-4f && a > -4e-4f) ? a : p / q;
-}
-
 }  // namespace
 
-void add_bias_rows(Tensor& x, const Tensor& bias) {
+namespace detail {
+
+void add_bias_rows(const KernelTable& kt, Tensor& x, const Tensor& bias) {
   STELLARIS_CHECK_MSG(x.rank() == 2 && bias.rank() == 1 &&
                           bias.dim(0) == x.dim(1),
                       "bias shape mismatch");
   count_eltwise(x.numel());
-  const std::size_t m = x.dim(0), n = x.dim(1);
-  float* px = x.data().data();
-  const float* pb = bias.data().data();
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) px[i * n + j] += pb[j];
+  kt.add_bias_rows(x.data().data(), bias.data().data(), x.dim(0), x.dim(1));
 }
 
-void sum_rows_into(Tensor& out, const Tensor& x) {
+void sum_rows_into(const KernelTable& kt, Tensor& out, const Tensor& x) {
   STELLARIS_CHECK_MSG(x.rank() == 2, "sum_rows needs a 2-D tensor");
   STELLARIS_CHECK_MSG(&out != &x, "sum_rows_into: output aliases input");
   count_eltwise(x.numel());
-  const std::size_t m = x.dim(0), n = x.dim(1);
-  out.ensure_shape({n});
-  float* po = out.data().data();
-  std::fill(po, po + n, 0.0f);
-  const float* px = x.data().data();
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) po[j] += px[i * n + j];
+  out.ensure_shape({x.dim(1)});
+  kt.sum_rows(x.data().data(), out.data().data(), x.dim(0), x.dim(1));
 }
 
-Tensor sum_rows(const Tensor& x) {
-  Tensor out;
-  sum_rows_into(out, x);
-  return out;
-}
-
-void tanh_forward_into(Tensor& y, const Tensor& x) {
+void tanh_forward_into(const KernelTable& kt, Tensor& y, const Tensor& x) {
   count_eltwise(x.numel());
   y.ensure_shape(x.shape());
   const float* px = x.data().data();
@@ -116,13 +85,59 @@ void tanh_forward_into(Tensor& y, const Tensor& x) {
   if (threads > 1 && n >= kTanhParallelMinElems) {
     const std::size_t chunk = (n + threads - 1) / threads;
     const std::size_t chunks = (n + chunk - 1) / chunk;
-    detail::kernel_pool(threads).parallel_for(chunks, [&](std::size_t c) {
+    kernel_pool(threads).parallel_for(chunks, [&](std::size_t c) {
       const std::size_t lo = c * chunk, hi = std::min(n, lo + chunk);
-      for (std::size_t i = lo; i < hi; ++i) py[i] = tanh_rational(px[i]);
+      kt.tanh_forward(px + lo, py + lo, hi - lo);
     });
   } else {
-    for (std::size_t i = 0; i < n; ++i) py[i] = tanh_rational(px[i]);
+    kt.tanh_forward(px, py, n);
   }
+}
+
+void tanh_backward_into(const KernelTable& kt, Tensor& dx, const Tensor& y,
+                        const Tensor& dy) {
+  STELLARIS_CHECK_MSG(y.same_shape(dy), "tanh_backward shape mismatch");
+  count_eltwise(y.numel());
+  dx.ensure_shape(y.shape());
+  kt.tanh_backward(y.data().data(), dy.data().data(), dx.data().data(),
+                   y.numel());
+}
+
+void relu_forward_into(const KernelTable& kt, Tensor& y, const Tensor& x) {
+  count_eltwise(x.numel());
+  y.ensure_shape(x.shape());
+  kt.relu_forward(x.data().data(), y.data().data(), x.numel());
+}
+
+void relu_backward_into(const KernelTable& kt, Tensor& dx, const Tensor& x,
+                        const Tensor& dy) {
+  STELLARIS_CHECK_MSG(x.same_shape(dy), "relu_backward shape mismatch");
+  count_eltwise(x.numel());
+  dx.ensure_shape(x.shape());
+  kt.relu_backward(x.data().data(), dy.data().data(), dx.data().data(),
+                   x.numel());
+}
+
+}  // namespace detail
+
+// -- public entry points: the active tier ------------------------------------
+
+void add_bias_rows(Tensor& x, const Tensor& bias) {
+  detail::add_bias_rows(detail::active_kernels(), x, bias);
+}
+
+void sum_rows_into(Tensor& out, const Tensor& x) {
+  detail::sum_rows_into(detail::active_kernels(), out, x);
+}
+
+Tensor sum_rows(const Tensor& x) {
+  Tensor out;
+  sum_rows_into(out, x);
+  return out;
+}
+
+void tanh_forward_into(Tensor& y, const Tensor& x) {
+  detail::tanh_forward_into(detail::active_kernels(), y, x);
 }
 
 Tensor tanh_forward(const Tensor& x) {
@@ -132,14 +147,7 @@ Tensor tanh_forward(const Tensor& x) {
 }
 
 void tanh_backward_into(Tensor& dx, const Tensor& y, const Tensor& dy) {
-  STELLARIS_CHECK_MSG(y.same_shape(dy), "tanh_backward shape mismatch");
-  count_eltwise(y.numel());
-  dx.ensure_shape(y.shape());
-  const float* py = y.data().data();
-  const float* pd = dy.data().data();
-  float* px = dx.data().data();
-  const std::size_t n = y.numel();
-  for (std::size_t i = 0; i < n; ++i) px[i] = pd[i] * (1.0f - py[i] * py[i]);
+  detail::tanh_backward_into(detail::active_kernels(), dx, y, dy);
 }
 
 Tensor tanh_backward(const Tensor& y, const Tensor& dy) {
@@ -149,12 +157,7 @@ Tensor tanh_backward(const Tensor& y, const Tensor& dy) {
 }
 
 void relu_forward_into(Tensor& y, const Tensor& x) {
-  count_eltwise(x.numel());
-  y.ensure_shape(x.shape());
-  const float* px = x.data().data();
-  float* py = y.data().data();
-  const std::size_t n = x.numel();
-  for (std::size_t i = 0; i < n; ++i) py[i] = std::max(px[i], 0.0f);
+  detail::relu_forward_into(detail::active_kernels(), y, x);
 }
 
 Tensor relu_forward(const Tensor& x) {
@@ -164,14 +167,7 @@ Tensor relu_forward(const Tensor& x) {
 }
 
 void relu_backward_into(Tensor& dx, const Tensor& x, const Tensor& dy) {
-  STELLARIS_CHECK_MSG(x.same_shape(dy), "relu_backward shape mismatch");
-  count_eltwise(x.numel());
-  dx.ensure_shape(x.shape());
-  const float* px = x.data().data();
-  const float* pd = dy.data().data();
-  float* po = dx.data().data();
-  const std::size_t n = x.numel();
-  for (std::size_t i = 0; i < n; ++i) po[i] = px[i] <= 0.0f ? 0.0f : pd[i];
+  detail::relu_backward_into(detail::active_kernels(), dx, x, dy);
 }
 
 Tensor relu_backward(const Tensor& x, const Tensor& dy) {
@@ -260,7 +256,7 @@ Tensor tanh_forward(const Tensor& x) {
 #if defined(__clang__)
 #pragma clang loop vectorize(disable)
 #endif
-  for (auto& v : y.vec()) v = tanh_rational(v);
+  for (auto& v : y.vec()) v = detail::tanh_rational(v);
   return y;
 }
 

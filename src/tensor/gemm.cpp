@@ -1,4 +1,10 @@
-// Cache-blocked, register-tiled GEMM kernels.
+// Cache-blocked, register-tiled GEMM kernels: the Tensor-level entry points.
+//
+// This file is built once, for the baseline ISA. It checks shapes, counts
+// FLOPs, leases pack scratch and splits the rows over the kernel pool; the
+// tile loops it calls are in kernel_tier.cpp, built once per ISA tier and
+// reached through the active tier's KernelTable (kernel_isa.hpp). Every
+// tier gives the same bits.
 //
 // Scheme (see DESIGN.md "Compute kernels"):
 //   * The output C is tiled over i (rows, panels of kMC) and j (columns,
@@ -30,10 +36,10 @@
 //     dot-product micro-kernel cannot vectorize its k chain without
 //     reassociating float adds.
 #include <algorithm>
-#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "tensor/kernel_config.hpp"
+#include "tensor/kernel_isa.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/scratch.hpp"
 #include "util/thread_pool.hpp"
@@ -41,35 +47,10 @@
 namespace stellaris::ops {
 namespace {
 
-// Register tile and cache panels. 4×48 accumulators measured fastest for
-// the -march=native AVX-512 build (three 16-lane accumulator columns per
-// row keep both FMA ports busy) while staying ahead of the reference ikj
-// kernel in the portable build; kMC is also the threading grain. Column
-// edges are handled by compile-time sub-tiles (32, then 16, then a scalar
-// tail) because a runtime-bound tile defeats the vectorizer.
-constexpr std::size_t kMR = 4;
-constexpr std::size_t kNR = 48;
+// kMC is the threading grain: the row panels dispatch_row_panels hands
+// to the kernel pool.
 constexpr std::size_t kMC = 64;
-constexpr std::size_t kNC = 240;  // multiple of kNR: edge tiles only at the true edge
-
-// Row-lane tile (micro_rowlane): kRL output rows held as kRL / kVL vectors
-// of the target's SIMD width, times kNJ columns. kNJ is the widest column
-// group whose accumulators stay in registers: 4 × (4 SSE registers) in the
-// portable build, 8 zmm registers under AVX-512. Under AVX-512 8 beat 4 by
-// 13–33% on (75, 6144, 8) and wide matmul_tn; in the portable build 8 lost
-// 6–36% (4-vCPU Xeon VM, GCC 12, best of 5 interleaved runs). The AVX2
-// width is the portable kNJ, not tuned.
-constexpr std::size_t kRL = 16;
-#if defined(__AVX512F__)
-constexpr std::size_t kVL = 16;
-constexpr std::size_t kNJ = 8;
-#elif defined(__AVX__)
-constexpr std::size_t kVL = 8;
-constexpr std::size_t kNJ = 4;
-#else
-constexpr std::size_t kVL = 4;
-constexpr std::size_t kNJ = 4;
-#endif
+constexpr std::size_t kRL = detail::kRowLaneRows;
 // matmul and matmul_nt take the row lanes when n < kRowLaneMaxN (below
 // the 16-wide column sub-tile) and m >= kRL. At n = 1 row lanes measured
 // level with the scalar chain at (512, 32, 1) and up to 25% faster at
@@ -98,162 +79,6 @@ obs::Counter& gemm_parallel_calls() {
   return c;
 }
 
-// -- micro-kernels -----------------------------------------------------------
-// a points at A[i][0] (row stride lda), b at B[0][j] (row stride ldb), c at
-// C[i][j] (row stride ldc). Accumulation runs the full k range in registers
-// and stores once.
-
-template <std::size_t MR, std::size_t NR>
-inline void micro_nn(std::size_t k, const float* a, std::size_t lda,
-                     const float* b, std::size_t ldb, float* c,
-                     std::size_t ldc) {
-  float acc[MR][NR] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * ldb;
-    for (std::size_t r = 0; r < MR; ++r) {
-      const float ar = a[r * lda + kk];
-      for (std::size_t cc = 0; cc < NR; ++cc) acc[r][cc] += ar * brow[cc];
-    }
-  }
-  for (std::size_t r = 0; r < MR; ++r)
-    for (std::size_t cc = 0; cc < NR; ++cc) c[r * ldc + cc] = acc[r][cc];
-}
-
-// Bottom-edge rows: dispatch the runtime row count to a compile-time MR so
-// the column loop always vectorizes over a known NR.
-template <std::size_t NR>
-inline void micro_nn_rows(std::size_t mr, std::size_t k, const float* a,
-                          std::size_t lda, const float* b, std::size_t ldb,
-                          float* c, std::size_t ldc) {
-  switch (mr) {
-    case 4: micro_nn<4, NR>(k, a, lda, b, ldb, c, ldc); break;
-    case 3: micro_nn<3, NR>(k, a, lda, b, ldb, c, ldc); break;
-    case 2: micro_nn<2, NR>(k, a, lda, b, ldb, c, ldc); break;
-    case 1: micro_nn<1, NR>(k, a, lda, b, ldb, c, ldc); break;
-    default: break;
-  }
-}
-
-// Right-edge columns past the last 16-wide sub-tile: one register
-// accumulator per element, k ascending — same order as everything else.
-inline void micro_nn_scalar(std::size_t mr, std::size_t nr, std::size_t k,
-                            const float* a, std::size_t lda, const float* b,
-                            std::size_t ldb, float* c, std::size_t ldc) {
-  for (std::size_t r = 0; r < mr; ++r) {
-    for (std::size_t cc = 0; cc < nr; ++cc) {
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk)
-        acc += a[r * lda + kk] * b[kk * ldb + cc];
-      c[r * ldc + cc] = acc;
-    }
-  }
-}
-
-// Row-lane tile: the SIMD lanes run over kRL consecutive output rows i and
-// single B elements are broadcast, so a product whose n is too narrow for
-// a column tile still vectorizes. `at` points at Aᵀ[0][i] (row stride lda;
-// each of the k rows holds the tile's kRL row values contiguously), b at
-// B[0][j] (row stride ldb), c at C[i][j] (row stride ldc). Each output
-// element is still one k-ascending chain from 0.0f. Tile rows below r0
-// are computed but not stored: a panel's edge tile is shifted back to end
-// at the panel's last row, and its overlap rows belong to the tile before.
-//
-// The lanes are GCC/Clang vector types of the target's SIMD width (kVL
-// floats, see above), kRL / kVL of them per column, not a float[kRL] loop:
-// with NJ > 1 GCC's SLP pass vectorizes such a loop across the columns
-// instead of the rows, shuffling every step, and a vector type wider than
-// the target's registers is lowered through the stack. Vector arithmetic
-// is lane-wise IEEE multiply then add, exactly the scalar code's.
-using Lanes = float __attribute__((vector_size(kVL * sizeof(float))));
-constexpr std::size_t kRV = kRL / kVL;
-
-template <std::size_t NJ>
-inline void micro_rowlane(std::size_t k, const float* at, std::size_t lda,
-                          const float* b, std::size_t ldb, float* c,
-                          std::size_t ldc, std::size_t r0) {
-  Lanes acc[NJ][kRV] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = at + kk * lda;
-    const float* brow = b + kk * ldb;
-    for (std::size_t v = 0; v < kRV; ++v) {
-      Lanes a{};
-      std::memcpy(&a, arow + v * kVL, sizeof a);
-      for (std::size_t cc = 0; cc < NJ; ++cc) acc[cc][v] += a * brow[cc];
-    }
-  }
-  for (std::size_t r = r0; r < kRL; ++r)
-    for (std::size_t cc = 0; cc < NJ; ++cc)
-      c[r * ldc + cc] = acc[cc][r / kVL][r % kVL];
-}
-
-// One kRL-row tile across all n columns: kNJ-wide column groups, then the
-// remainder dispatched to a compile-time width (cases >= kNJ never occur).
-void rowlane_tile(std::size_t n, std::size_t k, const float* at,
-                  std::size_t lda, const float* b, std::size_t ldb, float* c,
-                  std::size_t ldc, std::size_t r0) {
-  std::size_t j = 0;
-  for (; j + kNJ <= n; j += kNJ)
-    micro_rowlane<kNJ>(k, at, lda, b + j, ldb, c + j, ldc, r0);
-  const float* bj = b + j;
-  float* cj = c + j;
-  switch (n - j) {
-    case 7: micro_rowlane<7>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 6: micro_rowlane<6>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 5: micro_rowlane<5>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 4: micro_rowlane<4>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 3: micro_rowlane<3>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 2: micro_rowlane<2>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 1: micro_rowlane<1>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    default: break;
-  }
-}
-
-// Walk the row-lane tiles of the i-panel [i0, i1) of a product with at
-// least kRL rows, so every panel ends at or after row kRL. `tile(s, r0)`
-// computes rows [s, s + kRL) and stores tile rows [r0, kRL); the last tile
-// is shifted back to end at i1.
-template <typename TileFn>
-void for_rowlane_tiles(std::size_t i0, std::size_t i1, const TileFn& tile) {
-  for (std::size_t i = i0; i < i1; i += kRL) {
-    const std::size_t s = std::min(i, i1 - kRL);
-    tile(s, i - s);
-  }
-}
-
-// One i-panel [i0, i1) of C = A·B through the column tiles, A row-major
-// (stride k), B (k, n) row-major.
-void gemm_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
-                   std::size_t k, const float* pa, const float* pb,
-                   float* pc) {
-  for (std::size_t j0 = 0; j0 < n; j0 += kNC) {
-    const std::size_t j1 = std::min(n, j0 + kNC);
-    for (std::size_t i = i0; i < i1; i += kMR) {
-      const std::size_t mr = std::min(kMR, i1 - i);
-      const float* arow = pa + i * k;
-      float* crow = pc + i * n;
-      std::size_t j = j0;
-      for (; j + kNR <= j1; j += kNR)
-        micro_nn_rows<kNR>(mr, k, arow, k, pb + j, n, crow + j, n);
-      if (j + 32 <= j1) {
-        micro_nn_rows<32>(mr, k, arow, k, pb + j, n, crow + j, n);
-        j += 32;
-      }
-      if (j + 16 <= j1) {
-        // One row at a time: a multi-row 16-wide accumulator tile spills
-        // the portable register file (measured ~4x slower than 1×16).
-        // Row grouping is irrelevant to exactness — each output element
-        // still runs its own ascending k sweep.
-        for (std::size_t r = 0; r < mr; ++r)
-          micro_nn<1, 16>(k, arow + r * k, k, pb + j, n,
-                          crow + r * n + j, n);
-        j += 16;
-      }
-      if (j < j1)
-        micro_nn_scalar(mr, j1 - j, k, arow, k, pb + j, n, crow + j, n);
-    }
-  }
-}
-
 // Run `panel(i0, i1)` over [0, m), in kMC panels across the kernel pool
 // when the product is big enough and threading is enabled, serially
 // otherwise. Either way each C row is written by exactly one invocation.
@@ -272,34 +97,21 @@ void dispatch_row_panels(std::size_t m, std::uint64_t flops,
   }
 }
 
-// One i-panel [i0, i1) of C = A·B through row-lane tiles, A row-major
-// (stride k), B (k, n) row-major. Each tile's kRL rows of A are first
-// packed transposed into a (k, kRL) scratch — pure data movement.
-void rowlane_packed_panel(std::size_t i0, std::size_t i1, std::size_t n,
-                          std::size_t k, const float* pa, const float* pb,
-                          float* pc) {
-  auto pack = ScratchPool::local().take({k, kRL});
-  float* pp = pack->data().data();
-  for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
-    for (std::size_t r = 0; r < kRL; ++r) {
-      const float* arow = pa + (s + r) * k;
-      for (std::size_t kk = 0; kk < k; ++kk) pp[kk * kRL + r] = arow[kk];
-    }
-    rowlane_tile(n, k, pp, kRL, pb, n, pc + s * n, n, r0);
-  });
-}
-
 // C = A·B for A row-major (stride k) and B (k, n) row-major: row-lane
 // tiles for narrow outputs, column tiles otherwise. Shared by nn and nt
-// (packed Bᵀ).
-void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* pa,
-             const float* pb, float* pc, std::uint64_t flops) {
+// (packed Bᵀ). The row lanes pack each tile's rows of A transposed into a
+// (k, kRL) scratch per panel — pure data movement.
+void gemm_nn(const detail::KernelTable& kt, std::size_t m, std::size_t n,
+             std::size_t k, const float* pa, const float* pb, float* pc,
+             std::uint64_t flops) {
   const bool rowlane = m >= kRL && n < kRowLaneMaxN;
   dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-    if (rowlane)
-      rowlane_packed_panel(i0, i1, n, k, pa, pb, pc);
-    else
-      gemm_nn_panel(i0, i1, n, k, pa, pb, pc);
+    if (rowlane) {
+      auto pack = ScratchPool::local().take({k, kRL});
+      kt.rowlane_nn_panel(i0, i1, n, k, pa, pb, pc, pack->data().data());
+    } else {
+      kt.gemm_nn_panel(i0, i1, n, k, pa, pb, pc);
+    }
   });
 }
 
@@ -311,9 +123,12 @@ void check_not_aliased(const Tensor& c, const Tensor& a, const Tensor& b,
 
 }  // namespace
 
+namespace detail {
+
 // -- matmul (nn) -------------------------------------------------------------
 
-void matmul_into(Tensor& c, const Tensor& a, const Tensor& b) {
+void matmul_into(const KernelTable& kt, Tensor& c, const Tensor& a,
+                 const Tensor& b) {
   STELLARIS_CHECK_MSG(a.rank() == 2 && b.rank() == 2,
                       "matmul needs 2-D operands");
   check_not_aliased(c, a, b, "matmul_into");
@@ -328,18 +143,13 @@ void matmul_into(Tensor& c, const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
-  gemm_nn(m, n, k, pa, pb, pc, flops);
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  matmul_into(c, a, b);
-  return c;
+  gemm_nn(kt, m, n, k, pa, pb, pc, flops);
 }
 
 // -- matmul_tn ---------------------------------------------------------------
 
-void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b) {
+void matmul_tn_into(const KernelTable& kt, Tensor& c, const Tensor& a,
+                    const Tensor& b) {
   STELLARIS_CHECK_MSG(a.rank() == 2 && b.rank() == 2,
                       "matmul_tn needs 2-D operands");
   check_not_aliased(c, a, b, "matmul_tn_into");
@@ -360,26 +170,19 @@ void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b) {
     float* pp = pack->data().data();
     for (std::size_t kk = 0; kk < k; ++kk)
       for (std::size_t i = 0; i < m; ++i) pp[i * k + kk] = pa[kk * m + i];
-    gemm_nn_panel(0, m, n, k, pp, pb, pc);
+    kt.gemm_nn_panel(0, m, n, k, pp, pb, pc);
     return;
   }
   // Aᵀ is A's own layout: the tiles read it in place.
   dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-    for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
-      rowlane_tile(n, k, pa + s, m, pb, n, pc + s * n, n, r0);
-    });
+    kt.rowlane_tn_panel(i0, i1, m, n, k, pa, pb, pc);
   });
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  matmul_tn_into(c, a, b);
-  return c;
 }
 
 // -- matmul_nt ---------------------------------------------------------------
 
-void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b) {
+void matmul_nt_into(const KernelTable& kt, Tensor& c, const Tensor& a,
+                    const Tensor& b) {
   STELLARIS_CHECK_MSG(a.rank() == 2 && b.rank() == 2,
                       "matmul_nt needs 2-D operands");
   check_not_aliased(c, a, b, "matmul_nt_into");
@@ -403,7 +206,35 @@ void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b) {
     const float* brow = pb + j * k;
     for (std::size_t kk = 0; kk < k; ++kk) pp[kk * n + j] = brow[kk];
   }
-  gemm_nn(m, n, k, pa, pp, pc, flops);
+  gemm_nn(kt, m, n, k, pa, pp, pc, flops);
+}
+
+}  // namespace detail
+
+// -- public entry points: the active tier ------------------------------------
+
+void matmul_into(Tensor& c, const Tensor& a, const Tensor& b) {
+  detail::matmul_into(detail::active_kernels(), c, a, b);
+}
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  Tensor c;
+  matmul_into(c, a, b);
+  return c;
+}
+
+void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b) {
+  detail::matmul_tn_into(detail::active_kernels(), c, a, b);
+}
+
+Tensor matmul_tn(const Tensor& a, const Tensor& b) {
+  Tensor c;
+  matmul_tn_into(c, a, b);
+  return c;
+}
+
+void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b) {
+  detail::matmul_nt_into(detail::active_kernels(), c, a, b);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <thread>
 
 #include "util/annotated_mutex.hpp"
@@ -15,15 +15,8 @@ namespace stellaris::ops {
 namespace {
 
 std::size_t threads_from_env() {
-  const char* env = std::getenv("STELLARIS_KERNEL_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  const std::string s(env);
-  if (s == "auto") {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-  }
-  const long n = std::strtol(s.c_str(), nullptr, 10);
-  return n < 1 ? 1 : static_cast<std::size_t>(n);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return parse_kernel_threads(std::getenv("STELLARIS_KERNEL_THREADS"), hw);
 }
 
 std::atomic<std::size_t>& thread_count() {
@@ -38,6 +31,29 @@ std::atomic<std::uint64_t>& min_flops() {
 }
 
 }  // namespace
+
+std::size_t parse_kernel_threads(const char* value, unsigned hardware) {
+  if (value == nullptr || *value == '\0') return 1;
+  const std::size_t hw = hardware == 0 ? 1 : hardware;
+  const std::string_view s(value);
+  if (s == "auto") return hw;
+  // A whole-string decimal in [1, 4·hardware]: no sign, space or suffix,
+  // and no count a ThreadPool could not sensibly start.
+  const std::size_t max = 4 * hw;
+  std::size_t n = 0;
+  bool ok = true;
+  for (const char ch : s) {
+    if (ch < '0' || ch > '9' || n > max) {  // n > max also stops overflow
+      ok = false;
+      break;
+    }
+    n = n * 10 + static_cast<std::size_t>(ch - '0');
+  }
+  if (ok && n >= 1 && n <= max) return n;
+  LOG_WARN << "STELLARIS_KERNEL_THREADS=\"" << s << "\" is not \"auto\" or an "
+           << "integer in [1, " << max << "]; kernels run serially";
+  return 1;
+}
 
 std::size_t kernel_threads() {
   return thread_count().load(std::memory_order_relaxed);

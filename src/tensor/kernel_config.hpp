@@ -7,10 +7,11 @@
 // deterministic virtual-time sim path is unaffected by turning it on.
 //
 // Defaults: serial. The STELLARIS_KERNEL_THREADS environment variable
-// (read once, at first query) can preset a count — a number, or "auto"
-// for hardware_concurrency. set_kernel_threads() overrides at runtime and
-// is intended for startup/bench configuration, not for racing against
-// in-flight kernels.
+// (read once, at first query) can preset a count — an integer in
+// [1, 4·hardware threads], or "auto" for hardware_concurrency; anything
+// else is warned about and means serial. set_kernel_threads() overrides at
+// runtime and is intended for startup/bench configuration, not for racing
+// against in-flight kernels.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +22,13 @@ namespace stellaris {
 class ThreadPool;
 
 namespace ops {
+
+/// The kernel thread count a STELLARIS_KERNEL_THREADS value asks for on a
+/// host with `hardware` threads (0 = unknown, taken as 1): 1 when unset or
+/// empty, `hardware` for "auto", n for a whole-string decimal n in
+/// [1, 4·hardware]. Anything else ("4x", "abc", "0", "-2", " 4", a huge
+/// count) logs one warning and returns 1.
+std::size_t parse_kernel_threads(const char* value, unsigned hardware);
 
 /// Worker count the kernels may use; 0 and 1 both mean serial.
 std::size_t kernel_threads();

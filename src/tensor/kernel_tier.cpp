@@ -1,0 +1,299 @@
+// The pointer-and-size kernel loops of the tensor library, compiled once
+// per ISA tier (see kernel_table.hpp and DESIGN.md §9 "ISA tiers").
+//
+// src/tensor/CMakeLists.txt builds this file as one object per tier, with
+// that tier's -march, -ffp-contract=off and -fno-trapping-math, and
+// STELLARIS_KERNEL_TIER naming the tier's namespace. The tile constants
+// below follow the tier's SIMD width through the predefined __AVX512F__ /
+// __AVX__ macros. Everything here has internal linkage except the tier's
+// kernels() entry point, and nothing from a library header is called: the
+// Tensor checks, metrics counters, scratch leases and thread-pool dispatch
+// stay in the baseline gemm.cpp and elementwise.cpp.
+//
+// GEMM scheme (gemm.cpp's header has the whole picture):
+//   * Column tiles: the output C is walked by an MR×NR register
+//     micro-kernel that keeps a block of C in accumulator registers for the
+//     entire k sweep — one store per output element, and every B-row load
+//     is shared by MR output rows. Columns are split into kNC panels.
+//   * k is deliberately NOT tiled. Each output element accumulates its k
+//     products in ascending order starting from 0.0f, exactly the order of
+//     the naive reference kernel, so every tier is bit-identical to
+//     ops::reference.
+//   * Row-lane tiles (micro_rowlane) run the SIMD lanes over kRL output
+//     rows instead and broadcast single B elements, for outputs narrower
+//     than one 16-column sub-tile. They read the left operand as Aᵀ (k ×
+//     rows, contiguous in i): matmul_tn's A in place, or each kRL-row block
+//     of A packed transposed (pure data movement).
+//
+// -ffp-contract=off keeps every multiply-add two rounded operations under
+// FMA-capable -march; -fno-trapping-math lets GCC if-convert tanh's clamps
+// and select and vectorize the loop (it changes no value).
+#include <cstring>
+
+#include "tensor/kernel_table.hpp"
+#include "tensor/tanh_rational.hpp"
+
+#ifndef STELLARIS_KERNEL_TIER
+#error "build kernel_tier.cpp through src/tensor/CMakeLists.txt, which names the tier"
+#endif
+
+namespace stellaris::ops::detail::STELLARIS_KERNEL_TIER {
+namespace {
+
+// Register tile and cache panels. 4×48 accumulators measured fastest for
+// the AVX-512 build (three 16-lane accumulator columns per row keep both
+// FMA ports busy) while staying ahead of the reference ikj kernel in the
+// baseline build. Column edges are handled by compile-time sub-tiles (32,
+// then 16, then a scalar tail) because a runtime-bound tile defeats the
+// vectorizer.
+constexpr std::size_t kMR = 4;
+constexpr std::size_t kNR = 48;
+constexpr std::size_t kNC = 240;  // multiple of kNR: edge tiles only at the true edge
+
+// Row-lane tile (micro_rowlane): kRL output rows held as kRL / kVL vectors
+// of the tier's SIMD width, times kNJ columns. kNJ is the widest column
+// group whose accumulators stay in registers: 4 × (4 SSE registers) in the
+// baseline tier, 4 × (2 ymm) under AVX2, 8 zmm registers under AVX-512.
+// Under AVX-512 8 beat 4 by 13–33% on (75, 6144, 8) and wide matmul_tn; in
+// the baseline tier 8 lost 6–36% (4-vCPU Xeon VM, GCC 12, best of 5
+// interleaved runs). In the AVX2 tier 8 (16 ymm accumulators, the whole
+// register file) did not win: over 7 interleaved `micro_substrates --tiers`
+// runs on the same VM, median (best) GFLOP/s for kNJ = 4 vs 8 were 29.9
+// (34.0) vs 30.5 (32.3) on (75, 6144, 8) matmul_tn and 41.8 (47.7) vs 41.0
+// (43.1) on (32, 512, 32); the n = 3 products run the same 3-wide tail
+// either way (11.2 vs 11.8 on (512, 32, 3) matmul, 45.5 vs 42.0 on
+// (32, 512, 3) matmul_tn: noise). So AVX2 keeps 4.
+constexpr std::size_t kRL = kRowLaneRows;
+#if defined(__AVX512F__)
+constexpr std::size_t kVL = 16;
+constexpr std::size_t kNJ = 8;
+#elif defined(__AVX__)
+constexpr std::size_t kVL = 8;
+constexpr std::size_t kNJ = 4;
+#else
+constexpr std::size_t kVL = 4;
+constexpr std::size_t kNJ = 4;
+#endif
+
+std::size_t min_size(std::size_t a, std::size_t b) { return b < a ? b : a; }
+
+// -- column-tile micro-kernels ------------------------------------------------
+// a points at A[i][0] (row stride lda), b at B[0][j] (row stride ldb), c at
+// C[i][j] (row stride ldc). Accumulation runs the full k range in registers
+// and stores once.
+
+template <std::size_t MR, std::size_t NR>
+inline void micro_nn(std::size_t k, const float* a, std::size_t lda,
+                     const float* b, std::size_t ldb, float* c,
+                     std::size_t ldc) {
+  float acc[MR][NR] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* brow = b + kk * ldb;
+    for (std::size_t r = 0; r < MR; ++r) {
+      const float ar = a[r * lda + kk];
+      for (std::size_t cc = 0; cc < NR; ++cc) acc[r][cc] += ar * brow[cc];
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r)
+    for (std::size_t cc = 0; cc < NR; ++cc) c[r * ldc + cc] = acc[r][cc];
+}
+
+// Bottom-edge rows: dispatch the runtime row count to a compile-time MR so
+// the column loop always vectorizes over a known NR.
+template <std::size_t NR>
+inline void micro_nn_rows(std::size_t mr, std::size_t k, const float* a,
+                          std::size_t lda, const float* b, std::size_t ldb,
+                          float* c, std::size_t ldc) {
+  switch (mr) {
+    case 4: micro_nn<4, NR>(k, a, lda, b, ldb, c, ldc); break;
+    case 3: micro_nn<3, NR>(k, a, lda, b, ldb, c, ldc); break;
+    case 2: micro_nn<2, NR>(k, a, lda, b, ldb, c, ldc); break;
+    case 1: micro_nn<1, NR>(k, a, lda, b, ldb, c, ldc); break;
+    default: break;
+  }
+}
+
+// Right-edge columns past the last 16-wide sub-tile: one register
+// accumulator per element, k ascending — same order as everything else.
+inline void micro_nn_scalar(std::size_t mr, std::size_t nr, std::size_t k,
+                            const float* a, std::size_t lda, const float* b,
+                            std::size_t ldb, float* c, std::size_t ldc) {
+  for (std::size_t r = 0; r < mr; ++r) {
+    for (std::size_t cc = 0; cc < nr; ++cc) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk)
+        acc += a[r * lda + kk] * b[kk * ldb + cc];
+      c[r * ldc + cc] = acc;
+    }
+  }
+}
+
+// -- row-lane micro-kernel -----------------------------------------------------
+// The SIMD lanes run over kRL consecutive output rows i and single B
+// elements are broadcast, so a product whose n is too narrow for a column
+// tile still vectorizes. `at` points at Aᵀ[0][i] (row stride lda; each of
+// the k rows holds the tile's kRL row values contiguously), b at B[0][j]
+// (row stride ldb), c at C[i][j] (row stride ldc). Each output element is
+// still one k-ascending chain from 0.0f. Tile rows below r0 are computed
+// but not stored: a panel's edge tile is shifted back to end at the
+// panel's last row, and its overlap rows belong to the tile before.
+//
+// The lanes are GCC/Clang vector types of the tier's SIMD width (kVL
+// floats, see above), kRL / kVL of them per column, not a float[kRL] loop:
+// with NJ > 1 GCC's SLP pass vectorizes such a loop across the columns
+// instead of the rows, shuffling every step, and a vector type wider than
+// the target's registers is lowered through the stack. Vector arithmetic
+// is lane-wise IEEE multiply then add, exactly the scalar code's.
+using Lanes = float __attribute__((vector_size(kVL * sizeof(float))));
+constexpr std::size_t kRV = kRL / kVL;
+
+template <std::size_t NJ>
+inline void micro_rowlane(std::size_t k, const float* at, std::size_t lda,
+                          const float* b, std::size_t ldb, float* c,
+                          std::size_t ldc, std::size_t r0) {
+  Lanes acc[NJ][kRV] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* arow = at + kk * lda;
+    const float* brow = b + kk * ldb;
+    for (std::size_t v = 0; v < kRV; ++v) {
+      Lanes a{};
+      std::memcpy(&a, arow + v * kVL, sizeof a);
+      for (std::size_t cc = 0; cc < NJ; ++cc) acc[cc][v] += a * brow[cc];
+    }
+  }
+  for (std::size_t r = r0; r < kRL; ++r)
+    for (std::size_t cc = 0; cc < NJ; ++cc)
+      c[r * ldc + cc] = acc[cc][r / kVL][r % kVL];
+}
+
+// One kRL-row tile across all n columns: kNJ-wide column groups, then the
+// remainder dispatched to a compile-time width (cases >= kNJ never occur).
+void rowlane_tile(std::size_t n, std::size_t k, const float* at,
+                  std::size_t lda, const float* b, std::size_t ldb, float* c,
+                  std::size_t ldc, std::size_t r0) {
+  std::size_t j = 0;
+  for (; j + kNJ <= n; j += kNJ)
+    micro_rowlane<kNJ>(k, at, lda, b + j, ldb, c + j, ldc, r0);
+  const float* bj = b + j;
+  float* cj = c + j;
+  switch (n - j) {
+    case 7: micro_rowlane<7>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 6: micro_rowlane<6>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 5: micro_rowlane<5>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 4: micro_rowlane<4>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 3: micro_rowlane<3>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 2: micro_rowlane<2>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 1: micro_rowlane<1>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    default: break;
+  }
+}
+
+// Walk the row-lane tiles of the i-panel [i0, i1), i1 >= kRL. `tile(s,
+// r0)` computes rows [s, s + kRL) and stores tile rows [r0, kRL); the last
+// tile is shifted back to end at i1.
+template <typename TileFn>
+void for_rowlane_tiles(std::size_t i0, std::size_t i1, const TileFn& tile) {
+  for (std::size_t i = i0; i < i1; i += kRL) {
+    const std::size_t s = min_size(i, i1 - kRL);
+    tile(s, i - s);
+  }
+}
+
+// -- KernelTable entries ---------------------------------------------------------
+
+void gemm_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
+                   std::size_t k, const float* pa, const float* pb,
+                   float* pc) {
+  for (std::size_t j0 = 0; j0 < n; j0 += kNC) {
+    const std::size_t j1 = min_size(n, j0 + kNC);
+    for (std::size_t i = i0; i < i1; i += kMR) {
+      const std::size_t mr = min_size(kMR, i1 - i);
+      const float* arow = pa + i * k;
+      float* crow = pc + i * n;
+      std::size_t j = j0;
+      for (; j + kNR <= j1; j += kNR)
+        micro_nn_rows<kNR>(mr, k, arow, k, pb + j, n, crow + j, n);
+      if (j + 32 <= j1) {
+        micro_nn_rows<32>(mr, k, arow, k, pb + j, n, crow + j, n);
+        j += 32;
+      }
+      if (j + 16 <= j1) {
+        // One row at a time: a multi-row 16-wide accumulator tile spills
+        // the baseline register file (measured ~4x slower than 1×16).
+        // Row grouping is irrelevant to exactness — each output element
+        // still runs its own ascending k sweep.
+        for (std::size_t r = 0; r < mr; ++r)
+          micro_nn<1, 16>(k, arow + r * k, k, pb + j, n,
+                          crow + r * n + j, n);
+        j += 16;
+      }
+      if (j < j1)
+        micro_nn_scalar(mr, j1 - j, k, arow, k, pb + j, n, crow + j, n);
+    }
+  }
+}
+
+void rowlane_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
+                      std::size_t k, const float* pa, const float* pb,
+                      float* pc, float* pack) {
+  for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
+    for (std::size_t r = 0; r < kRL; ++r) {
+      const float* arow = pa + (s + r) * k;
+      for (std::size_t kk = 0; kk < k; ++kk) pack[kk * kRL + r] = arow[kk];
+    }
+    rowlane_tile(n, k, pack, kRL, pb, n, pc + s * n, n, r0);
+  });
+}
+
+void rowlane_tn_panel(std::size_t i0, std::size_t i1, std::size_t m,
+                      std::size_t n, std::size_t k, const float* pa,
+                      const float* pb, float* pc) {
+  for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
+    rowlane_tile(n, k, pa + s, m, pb, n, pc + s * n, n, r0);
+  });
+}
+
+void tanh_forward(const float* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = tanh_rational(x[i]);
+}
+
+void tanh_backward(const float* y, const float* dy, float* dx,
+                   std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
+}
+
+// std::max(x, 0.0f)'s exact semantics: x unless x < 0, so NaN and -0 pass
+// through.
+void relu_forward(const float* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] < 0.0f ? 0.0f : x[i];
+}
+
+void relu_backward(const float* x, const float* dy, float* dx,
+                   std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dx[i] = x[i] <= 0.0f ? 0.0f : dy[i];
+}
+
+void add_bias_rows(float* x, const float* bias, std::size_t m,
+                   std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) x[i * n + j] += bias[j];
+}
+
+void sum_rows(const float* x, float* out, std::size_t m, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) out[j] = 0.0f;
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) out[j] += x[i * n + j];
+}
+
+}  // namespace
+
+const KernelTable& kernels() {
+  static constexpr KernelTable kTable{
+      gemm_nn_panel, rowlane_nn_panel, rowlane_tn_panel,
+      tanh_forward,  tanh_backward,    relu_forward,
+      relu_backward, add_bias_rows,    sum_rows,
+  };
+  return kTable;
+}
+
+}  // namespace stellaris::ops::detail::STELLARIS_KERNEL_TIER

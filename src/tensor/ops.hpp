@@ -5,6 +5,9 @@
 //   gemm.cpp        — cache-blocked, register-tiled, optionally threaded
 //                     GEMM variants
 //   elementwise.cpp — activations, softmax family, bias/row reductions
+//   kernel_tier.cpp — the pointer-and-size loops behind both, built once
+//                     per ISA tier (kernel_table.hpp)
+//   kernel_isa.*    — picks the tier for this CPU at first use
 //   ops.cpp         — convolution lowering (im2col / col2im)
 //   kernel_config.* — threading knobs shared by the kernels
 //   scratch.*       — reusable scratch-tensor pool
@@ -22,7 +25,8 @@
 //
 // tanh is an in-repo rational approximation, not libm's tanhf (≤ 6 ulp,
 // ≤ 3.9e-7 absolute). It is built without FMA contraction, so its bits
-// depend on neither the libm version nor -march; see elementwise.cpp.
+// depend on neither the libm version nor -march; see tanh_rational.hpp.
+// The same holds for the GEMMs: every ISA tier gives the same bits.
 //
 // The naive seed loops are retained under ops::reference (minus a
 // zero-skip branch that broke IEEE NaN/Inf propagation; tanh is the same

@@ -6,6 +6,12 @@
 // These tests pin that contract across tile-interior, tile-edge, prime,
 // and degenerate shapes, plus the IEEE semantics (NaN propagation) that
 // the seed's zero-skip branch used to violate.
+//
+// The kernel loops are built once per ISA tier (kernel_isa.hpp) and the
+// process runs the highest one the host supports. The bit-identity tests
+// therefore run every tier the host can execute, through the tier list,
+// and compare each against the reference and against the other tiers,
+// on inputs that include NaN, ±Inf and −0.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,10 +19,12 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "tensor/kernel_config.hpp"
+#include "tensor/kernel_isa.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/scratch.hpp"
 #include "tensor/tensor.hpp"
@@ -34,6 +42,46 @@ void expect_bit_identical(const Tensor& a, const Tensor& b,
                         a.numel() * sizeof(float)),
             0)
       << what;
+}
+
+using ops::detail::KernelTable;
+using ops::detail::KernelTier;
+
+
+// The NaN that invalid operations produce on this target (0·∞). Using it
+// as the input NaN too keeps every NaN in a result the same bit pattern,
+// whichever operand a tier's instruction happens to propagate.
+float default_nan() {
+  volatile float zero = 0.0f;
+  return zero * std::numeric_limits<float>::infinity();
+}
+
+// `t` with NaN, +Inf, −Inf and −0 spread over its elements.
+Tensor with_specials(Tensor t) {
+  const std::size_t n = t.numel();
+  if (n < 4) return t;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {default_nan(), inf, -inf, -0.0f};
+  for (std::size_t s = 0; s < 4; ++s) t[(2 * s + 1) * n / 8] = specials[s];
+  return t;
+}
+
+// Runs `fn(kernels)` for every host tier and checks each result bitwise
+// against `expected` (when given) and against the first tier's result.
+template <typename Fn>
+void expect_tiers_agree(const Fn& fn, const Tensor* expected,
+                        const char* what) {
+  const auto tiers = ops::detail::host_kernel_tiers();
+  Tensor first;
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    SCOPED_TRACE(tiers[i].name);
+    const Tensor out = fn(tiers[i].kernels());
+    if (expected != nullptr) expect_bit_identical(out, *expected, what);
+    if (i == 0)
+      first = out;
+    else
+      expect_bit_identical(out, first, what);
+  }
 }
 
 struct GemmDims {
@@ -57,6 +105,39 @@ TEST_P(BlockedVsReference, AllVariantsBitIdentical) {
   const Tensor b_nt = Tensor::randn({n, k}, rng);
   expect_bit_identical(ops::matmul_nt(a_nn, b_nt),
                        ops::reference::matmul_nt(a_nn, b_nt), "matmul_nt");
+
+  // Every tier, on the same operands and on operands with special values.
+  for (const bool specials : {false, true}) {
+    SCOPED_TRACE(specials ? "with NaN/Inf/-0" : "finite");
+    const Tensor a = specials ? with_specials(a_nn) : a_nn;
+    const Tensor b = specials ? with_specials(b_nn) : b_nn;
+    const Tensor at = specials ? with_specials(a_tn) : a_tn;
+    const Tensor bt = specials ? with_specials(b_nt) : b_nt;
+    const Tensor ref_nn = ops::reference::matmul(a, b);
+    const Tensor ref_tn = ops::reference::matmul_tn(at, b);
+    const Tensor ref_nt = ops::reference::matmul_nt(a, bt);
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor c;
+          ops::detail::matmul_into(kt, c, a, b);
+          return c;
+        },
+        &ref_nn, "matmul");
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor c;
+          ops::detail::matmul_tn_into(kt, c, at, b);
+          return c;
+        },
+        &ref_tn, "matmul_tn");
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor c;
+          ops::detail::matmul_nt_into(kt, c, a, bt);
+          return c;
+        },
+        &ref_nt, "matmul_nt");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -84,35 +165,70 @@ TEST(BlockedGemm, ZeroInnerDimYieldsZeros) {
   const Tensor c = ops::matmul(Tensor({3, 0}), Tensor({0, 2}));
   ASSERT_EQ(c.shape(), (Shape{3, 2}));
   for (std::size_t i = 0; i < c.numel(); ++i) EXPECT_EQ(c[i], 0.0f);
+
+  // Every tier overwrites a dirty output with exact zeros, in all three
+  // variants (m = 20 takes the row lanes at n = 2).
+  const Tensor zeros({20, 2});
+  const auto dirty = [] { return Tensor::ones({20, 2}); };
+  expect_tiers_agree(
+      [&](const KernelTable& kt) {
+        Tensor out = dirty();
+        ops::detail::matmul_into(kt, out, Tensor({20, 0}), Tensor({0, 2}));
+        return out;
+      },
+      &zeros, "matmul k = 0");
+  expect_tiers_agree(
+      [&](const KernelTable& kt) {
+        Tensor out = dirty();
+        ops::detail::matmul_tn_into(kt, out, Tensor({0, 20}),
+                                    Tensor({0, 2}));
+        return out;
+      },
+      &zeros, "matmul_tn k = 0");
+  expect_tiers_agree(
+      [&](const KernelTable& kt) {
+        Tensor out = dirty();
+        ops::detail::matmul_nt_into(kt, out, Tensor({20, 0}),
+                                    Tensor({2, 0}));
+        return out;
+      },
+      &zeros, "matmul_nt k = 0");
 }
 
 TEST(BlockedGemm, ThreadedBitIdenticalToSerial) {
   // n = 143 takes the column tiles; n = 5 the row-lane tiles, whose last
   // tile in the 190 - 128 = 62-row panel is shifted back.
-  for (const std::size_t n : {143u, 5u}) {
-    Rng rng(7);
-    const Tensor a = Tensor::randn({190, 67}, rng);
-    const Tensor b = Tensor::randn({67, n}, rng);
-    const Tensor a_t = Tensor::randn({67, 190}, rng);
-    const Tensor b_t = Tensor::randn({n, 67}, rng);
+  for (const KernelTier& tier : ops::detail::host_kernel_tiers()) {
+    SCOPED_TRACE(tier.name);
+    const KernelTable& kt = tier.kernels();
+    for (const std::size_t n : {143u, 5u}) {
+      Rng rng(7);
+      const Tensor a = Tensor::randn({190, 67}, rng);
+      const Tensor b = Tensor::randn({67, n}, rng);
+      const Tensor a_t = Tensor::randn({67, 190}, rng);
+      const Tensor b_t = Tensor::randn({n, 67}, rng);
 
-    ops::set_kernel_threads(1);
-    const Tensor serial_nn = ops::matmul(a, b);
-    const Tensor serial_tn = ops::matmul_tn(a_t, b);
-    const Tensor serial_nt = ops::matmul_nt(a, b_t);
+      Tensor serial_nn, serial_tn, serial_nt;
+      ops::set_kernel_threads(1);
+      ops::detail::matmul_into(kt, serial_nn, a, b);
+      ops::detail::matmul_tn_into(kt, serial_tn, a_t, b);
+      ops::detail::matmul_nt_into(kt, serial_nt, a, b_t);
 
-    ops::set_kernel_threads(4);
-    const std::uint64_t saved_min = ops::kernel_parallel_min_flops();
-    ops::set_kernel_parallel_min_flops(0);  // force the parallel path
-    const Tensor par_nn = ops::matmul(a, b);
-    const Tensor par_tn = ops::matmul_tn(a_t, b);
-    const Tensor par_nt = ops::matmul_nt(a, b_t);
-    ops::set_kernel_parallel_min_flops(saved_min);
-    ops::set_kernel_threads(1);
+      Tensor par_nn, par_tn, par_nt;
+      ops::set_kernel_threads(4);
+      const std::uint64_t saved_min = ops::kernel_parallel_min_flops();
+      ops::set_kernel_parallel_min_flops(0);  // force the parallel path
+      ops::detail::matmul_into(kt, par_nn, a, b);
+      ops::detail::matmul_tn_into(kt, par_tn, a_t, b);
+      ops::detail::matmul_nt_into(kt, par_nt, a, b_t);
+      ops::set_kernel_parallel_min_flops(saved_min);
+      ops::set_kernel_threads(1);
 
-    expect_bit_identical(par_nn, serial_nn, "nn threaded");
-    expect_bit_identical(par_tn, serial_tn, "tn threaded");
-    expect_bit_identical(par_nt, serial_nt, "nt threaded");
+      expect_bit_identical(par_nn, serial_nn, "nn threaded");
+      expect_bit_identical(par_tn, serial_tn, "tn threaded");
+      expect_bit_identical(par_nt, serial_nt, "nt threaded");
+      expect_bit_identical(serial_nn, ops::reference::matmul(a, b), "nn");
+    }
   }
 }
 
@@ -128,6 +244,18 @@ TEST(BlockedGemm, IntoVariantsMatchValueVariants) {
   const Tensor a2 = Tensor::randn({4, 21}, rng);
   ops::matmul_into(c, a2, b);
   expect_bit_identical(c, ops::matmul(a2, b), "matmul_into reuse");
+
+  // The same in every tier: one buffer, reshaped then reused.
+  const Tensor ref = ops::reference::matmul(a, b);
+  const Tensor ref2 = ops::reference::matmul(a2, b);
+  for (const KernelTier& tier : ops::detail::host_kernel_tiers()) {
+    SCOPED_TRACE(tier.name);
+    Tensor out({5});
+    ops::detail::matmul_into(tier.kernels(), out, a, b);
+    expect_bit_identical(out, ref, "matmul_into");
+    ops::detail::matmul_into(tier.kernels(), out, a2, b);
+    expect_bit_identical(out, ref2, "matmul_into reuse");
+  }
 }
 
 TEST(BlockedGemm, IntoRejectsAliasedOutput) {
@@ -137,6 +265,13 @@ TEST(BlockedGemm, IntoRejectsAliasedOutput) {
   EXPECT_THROW(ops::matmul_into(b, a, b), Error);
   EXPECT_THROW(ops::matmul_tn_into(a, a, b), Error);
   EXPECT_THROW(ops::matmul_nt_into(b, a, b), Error);
+  for (const KernelTier& tier : ops::detail::host_kernel_tiers()) {
+    SCOPED_TRACE(tier.name);
+    const KernelTable& kt = tier.kernels();
+    EXPECT_THROW(ops::detail::matmul_into(kt, a, a, b), Error);
+    EXPECT_THROW(ops::detail::matmul_tn_into(kt, a, a, b), Error);
+    EXPECT_THROW(ops::detail::matmul_nt_into(kt, b, a, b), Error);
+  }
 }
 
 // The seed kernels skipped k terms where A's element was exactly 0.0f. IEEE
@@ -197,6 +332,60 @@ TEST(ElementwiseInto, MatchesReference) {
                        "log_softmax");
   ops::sum_rows_into(out, x);
   expect_bit_identical(out, ops::reference::sum_rows(x), "sum_rows");
+
+  // Every tier, on x and on x with special values. The backward kernels
+  // and the bias add have no reference form: the tiers must agree.
+  const Tensor dy = Tensor::randn({37, 53}, rng);
+  const Tensor bias = with_specials(Tensor::randn({53}, rng));
+  for (const bool specials : {false, true}) {
+    SCOPED_TRACE(specials ? "with NaN/Inf/-0" : "finite");
+    const Tensor in = specials ? with_specials(x) : x;
+    const Tensor ref_tanh = ops::reference::tanh_forward(in);
+    const Tensor ref_relu = ops::reference::relu_forward(in);
+    const Tensor ref_sum = ops::reference::sum_rows(in);
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor y;
+          ops::detail::tanh_forward_into(kt, y, in);
+          return y;
+        },
+        &ref_tanh, "tanh");
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor y;
+          ops::detail::relu_forward_into(kt, y, in);
+          return y;
+        },
+        &ref_relu, "relu");
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor y;
+          ops::detail::sum_rows_into(kt, y, in);
+          return y;
+        },
+        &ref_sum, "sum_rows");
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor dx;
+          ops::detail::tanh_backward_into(kt, dx, in, dy);
+          return dx;
+        },
+        nullptr, "tanh_backward");
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor dx;
+          ops::detail::relu_backward_into(kt, dx, in, dy);
+          return dx;
+        },
+        nullptr, "relu_backward");
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor y = in;
+          ops::detail::add_bias_rows(kt, y, bias);
+          return y;
+        },
+        nullptr, "add_bias_rows");
+  }
 }
 
 TEST(ElementwiseInto, OutputMayAliasInput) {
@@ -208,8 +397,19 @@ TEST(ElementwiseInto, OutputMayAliasInput) {
 
   Tensor y = Tensor::randn({40}, rng);
   const Tensor expected_tanh = ops::reference::tanh_forward(y);
+  const Tensor y0 = y;
   ops::tanh_forward_into(y, y);
   expect_bit_identical(y, expected_tanh, "tanh in place");
+  const Tensor expected_relu = ops::reference::relu_forward(y0);
+  for (const KernelTier& tier : ops::detail::host_kernel_tiers()) {
+    SCOPED_TRACE(tier.name);
+    Tensor t = y0;
+    ops::detail::tanh_forward_into(tier.kernels(), t, t);
+    expect_bit_identical(t, expected_tanh, "tanh in place");
+    Tensor r = y0;
+    ops::detail::relu_forward_into(tier.kernels(), r, r);
+    expect_bit_identical(r, expected_relu, "relu in place");
+  }
 }
 
 TEST(ElementwiseInto, SoftmaxHandlesZeroColumns) {
@@ -231,6 +431,17 @@ TEST(ElementwiseInto, TanhParallelBitIdentical) {
   ops::tanh_forward_into(parallel, x);
   ops::set_kernel_threads(1);
   expect_bit_identical(parallel, serial, "tanh threaded");
+
+  // Every tier's chunks give the serial bits.
+  expect_tiers_agree(
+      [&](const KernelTable& kt) {
+        ops::set_kernel_threads(3);
+        Tensor y;
+        ops::detail::tanh_forward_into(kt, y, x);
+        ops::set_kernel_threads(1);
+        return y;
+      },
+      &serial, "tanh threaded");
 }
 
 // -- tanh accuracy and pinned bits -------------------------------------------
@@ -313,6 +524,30 @@ TEST(TanhRational, PinnedOutputs) {
         << std::hexfloat << "tanh(" << pins[i].first << ") = " << y[i];
   EXPECT_TRUE(std::isnan(y[n - 1]));
   expect_bit_identical(y, ops::reference::tanh_forward(x), "pinned");
+
+  // Every tier gives the pinned bits. Padded to 67 elements so each tier's
+  // vector body, not only its scalar tail, sees every pin.
+  std::vector<float> padded = x.vec();
+  while (padded.size() < 67) padded.push_back(x[padded.size() % n]);
+  const std::size_t np = padded.size();
+  const Tensor xp({np}, std::move(padded));
+  const Tensor ref = ops::reference::tanh_forward(xp);
+  expect_tiers_agree(
+      [&](const KernelTable& kt) {
+        Tensor out;
+        ops::detail::tanh_forward_into(kt, out, xp);
+        return out;
+      },
+      &ref, "pinned");
+  for (const KernelTier& tier : ops::detail::host_kernel_tiers()) {
+    SCOPED_TRACE(tier.name);
+    Tensor out;
+    ops::detail::tanh_forward_into(tier.kernels(), out, x);
+    for (std::size_t i = 0; i < pins.size(); ++i)
+      EXPECT_EQ(float_bits(out[i]), float_bits(pins[i].second))
+          << std::hexfloat << "tanh(" << pins[i].first << ") = " << out[i];
+    EXPECT_TRUE(std::isnan(out[n - 1]));
+  }
 }
 
 TEST(TanhRational, BackwardSlopeIsNonNegative) {
@@ -402,6 +637,128 @@ TEST(KernelConfig, ThreadSettingRoundTrips) {
   ops::set_kernel_threads(0);  // 0 clamps to 1 (serial)
   EXPECT_EQ(ops::kernel_threads(), 1u);
   ops::set_kernel_threads(saved == 0 ? 1 : saved);
+}
+
+// parse_kernel_threads: `auto` or a whole-string integer in [1, 4·hw];
+// anything else warns once and means serial.
+std::size_t parse_quietly(const char* value, unsigned hardware,
+                          std::string* log) {
+  ::testing::internal::CaptureStderr();
+  const std::size_t n = ops::parse_kernel_threads(value, hardware);
+  *log = ::testing::internal::GetCapturedStderr();
+  return n;
+}
+
+std::size_t count_warnings(const std::string& log) {
+  std::size_t n = 0;
+  for (std::size_t at = log.find("[WARN]"); at != std::string::npos;
+       at = log.find("[WARN]", at + 1))
+    ++n;
+  return n;
+}
+
+TEST(KernelConfig, ParseAcceptsAutoAndWholeIntegers) {
+  std::string log;
+  EXPECT_EQ(parse_quietly(nullptr, 4, &log), 1u);
+  EXPECT_EQ(parse_quietly("", 4, &log), 1u);
+  EXPECT_EQ(parse_quietly("auto", 4, &log), 4u);
+  EXPECT_EQ(parse_quietly("auto", 0, &log), 1u);  // unknown hardware
+  EXPECT_EQ(parse_quietly("1", 4, &log), 1u);
+  EXPECT_EQ(parse_quietly("3", 4, &log), 3u);
+  EXPECT_EQ(parse_quietly("16", 4, &log), 16u);  // 4·hardware is allowed
+  EXPECT_EQ(parse_quietly("04", 4, &log), 4u);
+  EXPECT_EQ(log, "") << "accepted values must not warn";
+}
+
+TEST(KernelConfig, ParseRejectsTrailingGarbage) {
+  for (const char* v : {"4x", "4 ", "2.5", "auto2", "4\n"}) {
+    std::string log;
+    EXPECT_EQ(parse_quietly(v, 4, &log), 1u) << v;
+    EXPECT_EQ(count_warnings(log), 1u) << v << ": " << log;
+  }
+}
+
+TEST(KernelConfig, ParseRejectsNonNumeric) {
+  for (const char* v : {"abc", "AUTO", "x4", " 4", "+4", "-2", "-"}) {
+    std::string log;
+    EXPECT_EQ(parse_quietly(v, 4, &log), 1u) << v;
+    EXPECT_EQ(count_warnings(log), 1u) << v << ": " << log;
+  }
+}
+
+TEST(KernelConfig, ParseRejectsOutOfRange) {
+  for (const char* v : {"0", "17", "99999999999", "18446744073709551617",
+                        "000000000000000000000000000000000000000017"}) {
+    std::string log;
+    EXPECT_EQ(parse_quietly(v, 4, &log), 1u) << v;
+    EXPECT_EQ(count_warnings(log), 1u) << v << ": " << log;
+  }
+  std::string log;
+  EXPECT_EQ(parse_quietly("5", 0, &log), 1u) << "unknown hardware caps at 4";
+  EXPECT_EQ(count_warnings(log), 1u);
+}
+
+// -- ISA tiers ----------------------------------------------------------------
+// select_kernel_tier is pure: fake feature masks stand in for CPUs.
+
+// The x86-64 tier list as kernel_isa.cpp builds it, without the kernels.
+constexpr KernelTier kFakeX86Tiers[] = {
+    {"x86-64", 0, nullptr},
+    {"x86-64-v3", ops::detail::kLevelV3, nullptr},
+    {"x86-64-v4", ops::detail::kLevelV4, nullptr},
+};
+
+TEST(KernelIsa, SelectsHighestCompleteLevel) {
+  using ops::detail::kLevelV2;
+  using ops::detail::kLevelV3;
+  using ops::detail::kLevelV4;
+  using ops::detail::select_kernel_tier;
+  EXPECT_EQ(select_kernel_tier(kFakeX86Tiers, 0), 0u);
+  EXPECT_EQ(select_kernel_tier(kFakeX86Tiers, kLevelV2), 0u);
+  EXPECT_EQ(select_kernel_tier(kFakeX86Tiers, kLevelV3), 1u);
+  EXPECT_EQ(select_kernel_tier(kFakeX86Tiers, kLevelV4), 2u);
+  EXPECT_EQ(select_kernel_tier(kFakeX86Tiers, ~0u), 2u);
+}
+
+TEST(KernelIsa, MissingFeatureNeverSelectsItsTier) {
+  using ops::detail::kLevelV3;
+  using ops::detail::kLevelV4;
+  using ops::detail::select_kernel_tier;
+  for (std::uint32_t bit = 1; bit != 0; bit <<= 1) {
+    if ((kLevelV4 & bit) == 0) continue;
+    // Everything but one feature: an AVX-512 part (or the OS's saved ZMM
+    // state) missing keeps the AVX2 tier; an AVX2-level part missing, or
+    // the OS not saving YMM state, keeps the baseline.
+    const std::size_t expected = (kLevelV3 & bit) != 0 ? 0u : 1u;
+    EXPECT_EQ(select_kernel_tier(kFakeX86Tiers, kLevelV4 & ~bit), expected)
+        << "without feature bit 0x" << std::hex << bit;
+    EXPECT_EQ(select_kernel_tier(kFakeX86Tiers, ~bit), expected)
+        << "every other bit set, without 0x" << std::hex << bit;
+  }
+}
+
+TEST(KernelIsa, BuildTiersAndActiveTier) {
+  const auto tiers = ops::detail::kernel_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers[0].required, 0u) << "the first tier must run anywhere";
+#if defined(__x86_64__)
+  ASSERT_EQ(tiers.size(), 3u);
+  EXPECT_STREQ(tiers[0].name, "x86-64");
+  EXPECT_STREQ(tiers[1].name, "x86-64-v3");
+  EXPECT_STREQ(tiers[2].name, "x86-64-v4");
+  EXPECT_EQ(tiers[1].required, ops::detail::kLevelV3);
+  EXPECT_EQ(tiers[2].required, ops::detail::kLevelV4);
+#else
+  // Off x86-64 there is exactly one tier, whatever the feature mask.
+  ASSERT_EQ(tiers.size(), 1u);
+  EXPECT_EQ(ops::detail::select_kernel_tier(tiers, ~0u), 0u);
+#endif
+  // The process runs the tier selection picks for this host's features.
+  const std::size_t picked = ops::detail::select_kernel_tier(
+      tiers, ops::detail::host_cpu_features());
+  EXPECT_STREQ(ops::kernel_isa(), tiers[picked].name);
+  EXPECT_EQ(&ops::detail::active_kernels(), &tiers[picked].kernels());
+  EXPECT_EQ(ops::detail::host_kernel_tiers().size(), picked + 1);
 }
 
 }  // namespace
