@@ -12,16 +12,30 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/sync_trainer.hpp"
 #include "core/stellaris_trainer.hpp"
 #include "obs/obs.hpp"
+#include "tensor/kernel_config.hpp"
+#include "tensor/kernel_isa.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
 namespace stellaris::bench {
+
+/// Opens a BENCH_*.json document with the header every bench JSON shares:
+/// schema, kernel threads, host cores and the kernel ISA tier that ran.
+/// The caller writes `"entries": [...]` and the closing brace.
+inline void write_bench_header(std::ostream& os, const std::string& schema) {
+  os << "{\n  \"schema\": \"" << schema << "\",\n"
+     << "  \"kernel_threads\": " << ops::kernel_threads() << ",\n"
+     << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
+     << "  \"kernel_isa\": \"" << ops::kernel_isa() << "\",\n";
+}
 
 /// Shared observability flag surface: every figure bench accepts
 ///   --trace-out=<file>        Chrome trace-event JSON (open in Perfetto)

@@ -24,11 +24,9 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
-#include "tensor/kernel_isa.hpp"
 #include "util/mini_json.hpp"
 
 using namespace stellaris;
@@ -127,10 +125,8 @@ RunOutcome run_fig10(bool smoke, sim::DriverKind kind, std::size_t threads) {
 
 void write_json(const std::string& path, const std::vector<Entry>& entries) {
   std::ofstream os(path);
-  os << "{\n  \"schema\": \"stellaris-driver-bench-v1\",\n"
-     << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
-     << "  \"kernel_isa\": \"" << ops::kernel_isa() << "\",\n"
-     << "  \"entries\": [\n";
+  bench::write_bench_header(os, "stellaris-driver-bench-v1");
+  os << "  \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& e = entries[i];
     char buf[512];

@@ -32,11 +32,9 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
-#include "tensor/kernel_isa.hpp"
 #include "serve/serve_engine.hpp"
 #include "util/mini_json.hpp"
 
@@ -183,10 +181,8 @@ struct Entry {
 
 void write_json(const std::string& path, const std::vector<Entry>& entries) {
   std::ofstream os(path);
-  os << "{\n  \"schema\": \"stellaris-serve-bench-v1\",\n"
-     << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
-     << "  \"kernel_isa\": \"" << ops::kernel_isa() << "\",\n"
-     << "  \"entries\": [\n";
+  bench::write_bench_header(os, "stellaris-serve-bench-v1");
+  os << "  \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     char buf[256];
     std::snprintf(buf, sizeof buf,

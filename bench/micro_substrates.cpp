@@ -37,10 +37,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cache/distributed_cache.hpp"
+#include "common.hpp"
 #include "core/parameter_function.hpp"
 #include "core/policy_io.hpp"
 #include "envs/env.hpp"
@@ -565,11 +565,8 @@ std::vector<KernelResult> run_actor_benches() {
 void write_kernel_json(const std::string& path, const std::string& schema,
                        const std::vector<KernelResult>& results) {
   std::ofstream os(path);
-  os << "{\n  \"schema\": \"" << schema << "\",\n"
-     << "  \"kernel_threads\": " << ops::kernel_threads() << ",\n"
-     << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
-     << "  \"kernel_isa\": \"" << ops::kernel_isa() << "\",\n"
-     << "  \"entries\": [\n";
+  bench::write_bench_header(os, schema);
+  os << "  \"entries\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     char buf[512];

@@ -5,6 +5,7 @@
 
 #include "core/kl_probe.hpp"
 #include "core/learner_update.hpp"
+#include "core/run_setup.hpp"
 #include "core/worker_context.hpp"
 #include "fault/fault_injector.hpp"
 #include "nn/optimizer.hpp"
@@ -59,9 +60,7 @@ core::TrainResult run_sync_training(const SyncConfig& sync_cfg) {
       minions ? 1 : std::max<std::size_t>(1, sync_cfg.num_learners);
 
   const envs::EnvSpec env_spec = envs::env_spec(cfg.env_name);
-  const nn::NetworkSpec net_spec =
-      env_spec.obs.image ? nn::NetworkSpec::atari()
-                         : nn::NetworkSpec::mujoco(cfg.network_width);
+  const nn::NetworkSpec net_spec = core::spec_for(env_spec, cfg.network_width);
   auto build_model = [&](std::uint64_t salt) {
     return std::make_unique<nn::ActorCritic>(env_spec.obs,
                                              env_spec.action_kind,
@@ -74,12 +73,7 @@ core::TrainResult run_sync_training(const SyncConfig& sync_cfg) {
   std::vector<float> target_params = params;
   std::size_t updates_since_target = 0;
 
-  std::vector<std::unique_ptr<rl::VecActor>> actors;
-  for (std::size_t i = 0; i < cfg.num_actors; ++i)
-    actors.push_back(std::make_unique<rl::VecActor>(
-        std::make_unique<envs::VecEnv>(cfg.env_name, cfg.envs_per_actor,
-                                       cfg.seed * 7919 + i),
-        cfg.seed * 7919 + i));
+  auto actors = core::make_actor_fleet(cfg);
   auto eval_env = envs::make_env(cfg.env_name);
   Rng rng(cfg.seed ^ 0x517cULL);
 
@@ -262,15 +256,8 @@ core::TrainResult run_sync_training(const SyncConfig& sync_cfg) {
                                    cfg.num_actors, actor_slots));
 
     // ---- telemetry -----------------------------------------------------------
-    if (!batches.empty() && probe_obs.empty()) {
-      const auto& src = batches.front().obs;
-      const std::size_t rows = std::min<std::size_t>(src.dim(0), 32);
-      std::vector<float> probe(src.vec().begin(),
-                               src.vec().begin() +
-                                   static_cast<std::ptrdiff_t>(
-                                       rows * src.dim(1)));
-      probe_obs = Tensor({rows, src.dim(1)}, std::move(probe));
-    }
+    if (!batches.empty() && probe_obs.empty())
+      probe_obs = core::probe_rows(batches.front().obs);
     double round_kl = 0.0;
     if (!probe_obs.empty())
       round_kl = core::policy_update_kl(*probe_model, before, params,
@@ -326,18 +313,7 @@ core::TrainResult run_sync_training(const SyncConfig& sync_cfg) {
   if (minions)
     fstats.wasted_cost_usd = cfg.cluster.actor_unit_price() * wasted_actor_s;
   result.faults = fstats;
-
-  std::vector<double> evaluated;
-  for (const auto& r : result.rounds)
-    if (r.evaluated) evaluated.push_back(r.reward);
-  if (!evaluated.empty()) {
-    result.best_reward = *std::max_element(evaluated.begin(), evaluated.end());
-    const std::size_t tail = std::max<std::size_t>(1, evaluated.size() / 5);
-    double sum = 0.0;
-    for (std::size_t i = evaluated.size() - tail; i < evaluated.size(); ++i)
-      sum += evaluated[i];
-    result.final_reward = sum / static_cast<double>(tail);
-  }
+  result.summarize_rewards();
   return result;
 }
 

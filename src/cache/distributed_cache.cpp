@@ -153,7 +153,7 @@ std::optional<CacheValue> DistributedCache::get_blocking(
   // intentionally measured against the wall clock and recorded under an
   // explicitly real-time debug metric. Nothing result-affecting depends on
   // it; the virtual-time overload below handles simulation callers.
-  // lint:wall-clock-ok — measures genuine thread blocking time
+  // analyze:wall-clock-ok — measures genuine thread blocking time
   const auto wait_begin = std::chrono::steady_clock::now();
   const auto deadline = wait_begin + timeout;
   std::optional<CacheValue> result;
@@ -169,7 +169,7 @@ std::optional<CacheValue> DistributedCache::get_blocking(
       e = find_ready_locked(s, key, min_version);
     }
     // Real blocking time for the debug histogram.
-    const auto wait_end = std::chrono::steady_clock::now();  // lint:wall-clock-ok
+    const auto wait_end = std::chrono::steady_clock::now();  // analyze:wall-clock-ok
     waited_ms =
         std::chrono::duration<double, std::milli>(wait_end - wait_begin)
             .count();
@@ -263,7 +263,7 @@ void DistributedCache::expire_waiter(Shard& s, std::uint64_t id) {
 
 std::size_t DistributedCache::pending_waiters() const {
   std::size_t n = 0;
-  for (const auto& s : shards_) {  // lint:shard-iter-ok — order-independent sum
+  for (const auto& s : shards_) {  // analyze:shard-iter-ok — order-independent sum
     MutexLock lock(s->mu);
     n += s->waiters.size();
   }
@@ -300,7 +300,7 @@ bool DistributedCache::erase(const std::string& key) {
 std::vector<std::string> DistributedCache::keys_with_prefix(
     const std::string& prefix) const {
   std::vector<std::string> out;
-  // lint:shard-iter-ok — collected across shards, then sorted below
+  // analyze:shard-iter-ok — collected across shards, then sorted below
   for (const auto& s : shards_) {
     MutexLock lock(s->mu);
     for (const auto& [key, entry] : s->store)
@@ -313,7 +313,7 @@ std::vector<std::string> DistributedCache::keys_with_prefix(
 
 std::size_t DistributedCache::erase_prefix(const std::string& prefix) {
   std::size_t removed = 0;
-  // lint:shard-iter-ok — per-key removal; totals are order-independent
+  // analyze:shard-iter-ok — per-key removal; totals are order-independent
   for (const auto& s : shards_) {
     std::size_t freed = 0;
     MutexLock lock(s->mu);
@@ -339,7 +339,7 @@ std::size_t DistributedCache::erase_prefix(const std::string& prefix) {
 
 std::size_t DistributedCache::num_keys() const {
   std::size_t n = 0;
-  for (const auto& s : shards_) {  // lint:shard-iter-ok — order-independent sum
+  for (const auto& s : shards_) {  // analyze:shard-iter-ok — order-independent sum
     MutexLock lock(s->mu);
     n += s->store.size();
   }
@@ -348,7 +348,7 @@ std::size_t DistributedCache::num_keys() const {
 
 std::size_t DistributedCache::resident_bytes() const {
   std::size_t n = 0;
-  for (const auto& s : shards_) {  // lint:shard-iter-ok — order-independent sum
+  for (const auto& s : shards_) {  // analyze:shard-iter-ok — order-independent sum
     MutexLock lock(s->mu);
     n += s->resident_bytes;
   }
@@ -365,7 +365,7 @@ void DistributedCache::sample_depth(double t_s) const {
 
 CacheStats DistributedCache::stats() const {
   CacheStats total;
-  for (const auto& s : shards_) {  // lint:shard-iter-ok — order-independent sum
+  for (const auto& s : shards_) {  // analyze:shard-iter-ok — order-independent sum
     MutexLock lock(s->mu);
     total.puts += s->stats.puts;
     total.gets += s->stats.gets;
@@ -379,7 +379,7 @@ CacheStats DistributedCache::stats() const {
 }
 
 void DistributedCache::reset_stats() {
-  for (const auto& s : shards_) {  // lint:shard-iter-ok — per-shard reset
+  for (const auto& s : shards_) {  // analyze:shard-iter-ok — per-shard reset
     MutexLock lock(s->mu);
     s->stats = CacheStats{};
   }
@@ -387,7 +387,7 @@ void DistributedCache::reset_stats() {
 
 void DistributedCache::clear() {
   std::size_t dropped = 0;
-  for (const auto& s : shards_) {  // lint:shard-iter-ok — per-shard clear
+  for (const auto& s : shards_) {  // analyze:shard-iter-ok — per-shard clear
     MutexLock lock(s->mu);
     dropped += s->store.size();
     s->store.clear();

@@ -188,7 +188,7 @@ class DistributedCache {
     // Per-key versioned entries. Iteration order is shard-private and never
     // observable: aggregate reads sort (keys_with_prefix) or reduce
     // order-independently (stats, byte/key counts).
-    // lint:unordered-ok — outputs sorted or order-independent (see above)
+    // analyze:unordered-ok — outputs sorted or order-independent (see above)
     std::unordered_map<std::string, Entry> store GUARDED_BY(mu);
     std::vector<Waiter> waiters GUARDED_BY(mu);
     std::uint64_t next_waiter_id GUARDED_BY(mu) = 0;

@@ -1,5 +1,8 @@
 #include "core/kl_probe.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "nn/distributions.hpp"
 
 namespace stellaris::core {
@@ -27,6 +30,14 @@ double policy_update_kl(nn::ActorCritic& model,
     kl = nn::categorical_kl(out_before, out_after);
   }
   return kl.mean();
+}
+
+Tensor probe_rows(const Tensor& obs) {
+  const std::size_t rows = std::min<std::size_t>(obs.dim(0), 32);
+  std::vector<float> probe(
+      obs.vec().begin(),
+      obs.vec().begin() + static_cast<std::ptrdiff_t>(rows * obs.dim(1)));
+  return Tensor({rows, obs.dim(1)}, std::move(probe));
 }
 
 }  // namespace stellaris::core

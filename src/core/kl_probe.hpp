@@ -17,4 +17,7 @@ double policy_update_kl(nn::ActorCritic& model,
                         std::span<const float> params_after,
                         const Tensor& probe_obs);
 
+/// The probe set drawn from a batch: its first (up to) 32 rows of `obs`.
+Tensor probe_rows(const Tensor& obs);
+
 }  // namespace stellaris::core

@@ -87,6 +87,9 @@ struct TrainResult {
   double delta_max = 0.0;  ///< calibrated round-0 max staleness
   LatencyBreakdown breakdown;
   FaultStats faults;
+
+  /// Sets best_reward and final_reward from the evaluated rounds.
+  void summarize_rewards();
 };
 
 }  // namespace stellaris::core

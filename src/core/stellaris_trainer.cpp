@@ -5,6 +5,7 @@
 
 #include "core/kl_probe.hpp"
 #include "core/learner_update.hpp"
+#include "core/run_setup.hpp"
 #include "rl/gae.hpp"
 #include "rl/impact.hpp"
 #include "rl/ppo.hpp"
@@ -16,11 +17,6 @@
 namespace stellaris::core {
 
 namespace {
-nn::NetworkSpec spec_for(const envs::EnvSpec& env, std::size_t width) {
-  return env.obs.image ? nn::NetworkSpec::atari()
-                       : nn::NetworkSpec::mujoco(width);
-}
-
 ParameterFunction::Config param_fn_config(const TrainConfig& cfg) {
   ParameterFunction::Config pc;
   // Learners run their local SGD epochs with the algorithm's Adam at α₀ and
@@ -62,9 +58,7 @@ StellarisTrainer::StellarisTrainer(TrainConfig cfg)
       net_spec_(spec_for(env_spec_, cfg_.network_width)),
       schedule_(cfg_.aggregation == AggregationMode::kStellaris ? cfg_.decay_d
                                                                 : 1.0,
-                1.0, cfg.staleness_floor),
-      rng_(cfg_.seed) {
-  cfg_.validate();
+                1.0, cfg_.staleness_floor) {
   // New trace namespace for this run; the platform's tracks inherit it.
   obs::begin_run();
   trace_tag_ = obs::run_tag();
@@ -112,12 +106,7 @@ StellarisTrainer::StellarisTrainer(TrainConfig cfg)
   target_params_ =
       std::make_shared<const std::vector<float>>(param_fn_->params());
 
-  actors_.reserve(cfg_.num_actors);
-  for (std::size_t i = 0; i < cfg_.num_actors; ++i)
-    actors_.push_back(std::make_unique<rl::VecActor>(
-        std::make_unique<envs::VecEnv>(cfg_.env_name, cfg_.envs_per_actor,
-                                       cfg_.seed * 7919 + i),
-        cfg_.seed * 7919 + i));
+  actors_ = make_actor_fleet(cfg_);
   eval_env_ = envs::make_env(cfg_.env_name);
 
   // Execution driver (DESIGN.md §14): the event engine keeps sole authority
@@ -267,21 +256,7 @@ TrainResult StellarisTrainer::train() {
       costs.wasted_seconds(serverless::FnKind::kActor);
   result_.faults.retry_wait_s = retry_wait_accum_;
 
-  std::vector<double> evaluated;
-  for (const auto& r : result_.rounds)
-    if (r.evaluated) evaluated.push_back(r.reward);
-  if (!evaluated.empty()) {
-    result_.best_reward =
-        *std::max_element(evaluated.begin(), evaluated.end());
-    // Final reward = mean over the last 20% of evaluations, as a robust
-    // "final training quality" statistic.
-    const std::size_t tail =
-        std::max<std::size_t>(1, evaluated.size() / 5);
-    double sum = 0.0;
-    for (std::size_t i = evaluated.size() - tail; i < evaluated.size(); ++i)
-      sum += evaluated[i];
-    result_.final_reward = sum / static_cast<double>(tail);
-  }
+  result_.summarize_rewards();
   if (auto* led = obs::ledger())
     led->append(obs::LedgerEvent("run_end", engine_.now())
                     .field("rounds", result_.rounds.size())
@@ -513,14 +488,7 @@ void StellarisTrainer::maybe_launch_learner() {
         out->update = compute_learner_update(cfg_, ctx->model, ctx->target,
                                              snapshot->params, batch);
         out->batch_size = batch.size();
-        const std::size_t probe_rows =
-            std::min<std::size_t>(batch.obs.dim(0), 32);
-        std::vector<float> probe(
-            batch.obs.vec().begin(),
-            batch.obs.vec().begin() +
-                static_cast<std::ptrdiff_t>(probe_rows * batch.obs.dim(1)));
-        out->probe_obs =
-            Tensor({probe_rows, batch.obs.dim(1)}, std::move(probe));
+        out->probe_obs = probe_rows(batch.obs);
       });
     };
     platform_->invoke_retrying(

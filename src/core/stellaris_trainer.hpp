@@ -139,7 +139,6 @@ class StellarisTrainer {
 
   std::vector<std::unique_ptr<rl::VecActor>> actors_;
   std::unique_ptr<envs::Env> eval_env_;
-  Rng rng_;
 
   // Run state.
   bool done_ = false;

@@ -99,7 +99,7 @@ class TraceRecorder {
 
   mutable Mutex mu_{"obs/trace-recorder", lock_rank::kTraceRecorder};
   // Name→id lookup only; serialization iterates events_ (a vector, in
-  // insertion order), never this map. lint:unordered-ok
+  // insertion order), never this map. analyze:unordered-ok
   std::unordered_map<std::string, TrackId> tracks_ GUARDED_BY(mu_);
   std::vector<Event> events_ GUARDED_BY(mu_);
 };

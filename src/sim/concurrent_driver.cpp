@@ -32,7 +32,7 @@ class ThreadPoolDriver final : public Driver {
 
   ~ThreadPoolDriver() override {
     drain();
-    std::vector<std::thread> workers;  // lint:raw-thread-ok — see header comment
+    std::vector<std::thread> workers;  // analyze:raw-thread-ok — see header comment
     {
       MutexLock lock(mu_);
       stopping_ = true;
@@ -104,7 +104,7 @@ class ThreadPoolDriver final : public Driver {
   bool stopping_ GUARDED_BY(mu_) = false;
   // Raw threads on purpose: driver workers must block on job dependencies,
   // which ThreadPool tasks may not do (see header comment).
-  std::vector<std::thread> workers_ GUARDED_BY(mu_);  // lint:raw-thread-ok
+  std::vector<std::thread> workers_ GUARDED_BY(mu_);  // analyze:raw-thread-ok
 };
 
 }  // namespace

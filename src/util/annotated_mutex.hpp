@@ -22,9 +22,9 @@
 //     first inverted acquisition, on any single-threaded code path, not
 //     just when two threads actually collide.
 //
-//  3. **Lintability.** tools/lint/stellaris_lint forbids raw std::mutex /
-//     std::condition_variable / std::lock_guard outside this header, so
-//     "is every lock annotated and ranked?" reduces to a grep.
+//  3. **Lintability.** stellaris_analyze's raw-mutex rule forbids raw
+//     std::mutex / std::condition_variable / std::lock_guard outside this
+//     header, so "is every lock annotated and ranked?" reduces to a grep.
 //
 // Lock hierarchy (ranks; a thread may only acquire strictly increasing
 // ranks — full table and rationale in DESIGN.md §11):

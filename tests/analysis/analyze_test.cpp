@@ -1,7 +1,7 @@
 // Unit tests for stellaris_analyze internals: the tokenizer, the
 // function-shape extractor, layers.toml parsing/validation, and rule-pass
 // behavior over synthetic in-memory projects. The end-to-end behavior
-// (all four rules over a real tree) is pinned by the self-test corpus
+// (every rule over a real tree) is pinned by the self-test corpus
 // ctests; these tests cover the building blocks and edge cases that are
 // awkward to express as corpus files.
 #include <fstream>
@@ -15,13 +15,6 @@
 
 namespace stellaris::analyze {
 namespace {
-
-SourceFile make_file(const std::string& rel, const std::string& text) {
-  SourceFile f;
-  f.rel = rel;
-  f.tokens = tokenize(text);
-  return f;
-}
 
 TEST(Tokenizer, StripsCommentsKeepsStrings) {
   const auto toks = tokenize(
@@ -71,7 +64,7 @@ TEST(MatchGroup, BalancedAndUnbalanced) {
 }
 
 TEST(ExtractFunctions, FreeFunctionAndCtorInits) {
-  const SourceFile file = make_file(
+  const SourceFile file = parse_source(
       "src/util/x.cpp",
       "int add(int a, int b) { return a + b; }\n"
       "Widget::Widget(int v) : value_(v), name_{\"w\"} { init(); }\n"
@@ -87,7 +80,7 @@ TEST(ExtractFunctions, FreeFunctionAndCtorInits) {
 }
 
 TEST(ExtractFunctions, ControlKeywordsAreNotCalls) {
-  const SourceFile file = make_file(
+  const SourceFile file = parse_source(
       "src/util/x.cpp",
       "void f() { if (a) { g(); } while (b) { h(); } return; }\n");
   const auto defs = extract_functions(file);
@@ -134,7 +127,7 @@ TEST(Layers, FlagsUpwardIncludeAndHonorsMarker) {
   graph.deps["util"] = {};
   graph.deps["obs"] = {"util"};
   Project project;
-  SourceFile bad = make_file("src/util/bad.cpp", "int x;\n");
+  SourceFile bad = parse_source("src/util/bad.cpp", "int x;\n");
   bad.includes.emplace_back("obs/ledger.hpp", 3);
   project.files.push_back(bad);
 
@@ -154,10 +147,10 @@ TEST(Layers, FlagsUpwardIncludeAndHonorsMarker) {
 
 TEST(Ledger, EmitWithoutBranchIsFlagged) {
   Project project;
-  project.files.push_back(make_file(
+  project.files.push_back(parse_source(
       "src/core/emit.cpp",
       "void f(double t) { obs::LedgerEvent(\"boom\", t).finish(); }\n"));
-  project.files.push_back(make_file(
+  project.files.push_back(parse_source(
       "tools/report/ledger_analysis.cpp",
       "void g(const Value& ev) {\n"
       "  const std::string type = str_or(ev, \"ev\", \"\");\n"
@@ -191,6 +184,65 @@ TEST(Baseline, ParsesAndRejectsMalformed) {
       baseline.entries.count("lock-rank src/obs/ledger.hpp name:obs/ledger"));
   ASSERT_EQ(baseline.errors.size(), 1u);
   EXPECT_NE(baseline.errors[0].find("expected"), std::string::npos);
+}
+
+/// Lint findings over one in-memory file, as "rule@line".
+using Hits = std::vector<std::string>;
+Hits lint(const std::string& rel, const std::string& text) {
+  Project project;
+  project.files.push_back(parse_source(rel, text));
+  std::vector<Finding> findings;
+  check_lint(project, findings);
+  Hits out;
+  for (const auto& f : findings)
+    out.push_back(f.rule + "@" + std::to_string(f.line));
+  return out;
+}
+
+TEST(Lint, HardwareConcurrencyIsAQueryNotAThread) {
+  EXPECT_EQ(lint("src/a.cpp", "int n = std::thread::hardware_concurrency();"),
+            Hits{});
+  EXPECT_EQ(lint("src/a.cpp", "std::thread t(f);"), Hits{"raw-thread@1"});
+}
+
+TEST(Lint, GrandIsNotRand) {
+  EXPECT_EQ(lint("src/a.cpp", "int grand(int);\nint g = grand(3);"), Hits{});
+  EXPECT_EQ(lint("src/a.cpp", "int r = rand ();"), Hits{"randomness@1"});
+}
+
+TEST(Lint, MutexHeaderIsFlaggedOutsideTheWrapper) {
+  const std::string text = "#include <mutex>\n#include \"util/x.hpp\"\n";
+  EXPECT_EQ(lint("src/a.cpp", text), Hits{"raw-mutex@1"});
+  EXPECT_EQ(lint("src/util/annotated_mutex.hpp", text), Hits{});
+}
+
+TEST(Lint, SleepIsScopedToServeAndBenchIsOutOfScope) {
+  const std::string text = "std::this_thread::sleep_for(d);";
+  EXPECT_EQ(lint("src/core/a.cpp", text), Hits{});
+  EXPECT_EQ(lint("src/serve/a.cpp", text), Hits{"serve-sleep@1"});
+  EXPECT_EQ(lint("bench/a.cpp", "auto t = steady_clock::now();"), Hits{});
+}
+
+TEST(Lint, MarkerOnLineAboveSuppressesOnlyItsRule) {
+  EXPECT_EQ(lint("src/a.cpp",
+                 "// analyze:wall-clock-ok — debug histogram\n"
+                 "auto t = steady_clock::now();\n"
+                 "// analyze:wall-clock-ok\n\n"
+                 "auto u = steady_clock::now();\n"
+                 "// analyze:unordered-ok\n"
+                 "auto v = system_clock::now();\n"),
+            (Hits{"wall-clock@5", "wall-clock@7"}));
+}
+
+TEST(Lint, MatchesTokensNotText) {
+  // Strings and block comments are not code; a `for (` header split across
+  // lines is one header; two hits on one line are one finding.
+  EXPECT_EQ(lint("src/a.cpp",
+                 "const char* s = \"std::mutex rand()\";\n"
+                 "/* for (auto& s : shards_) */\n"
+                 "for (const auto& s :\n     shards_) {}\n"
+                 "std::lock_guard<std::mutex> g(m);\n"),
+            (Hits{"shard-iter@3", "raw-mutex@5"}));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// analyze_tree: run all four passes over a tree; baseline-file parsing.
+// analyze_tree: run all five passes over a tree; baseline-file parsing.
 #include "analyzer.hpp"
 
 #include <algorithm>
@@ -9,7 +9,7 @@ namespace stellaris::analyze {
 
 std::vector<Finding> analyze_tree(const std::string& root,
                                   const std::string& layers_path) {
-  Project project = load_project(root, {"src", "tools", "bench"});
+  Project project = load_project(root, kAnalyzedDirs);
 
   std::vector<Finding> findings;
   LayerGraph graph = parse_layers_file(layers_path);
@@ -29,6 +29,7 @@ std::vector<Finding> analyze_tree(const std::string& root,
   check_locks(project, design, findings);
   check_purity(project, findings);
   check_ledger(project, findings);
+  check_lint(project, findings);
 
   std::stable_sort(findings.begin(), findings.end(),
                    [](const Finding& a, const Finding& b) {

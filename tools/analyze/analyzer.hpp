@@ -1,10 +1,8 @@
 // stellaris_analyze — whole-project static invariant checker.
 //
-// Where tools/lint/stellaris_lint is a line-regex pass (randomness,
-// wall-clock, raw threads, ...), this tool understands just enough C++
-// structure — tokens, include edges, function bodies, call references —
-// to machine-check the four invariant families the compiler cannot see
-// (DESIGN.md §16):
+// The tool understands just enough C++ structure — tokens, include edges,
+// function bodies, call references — to machine-check the invariant
+// families the compiler cannot see (DESIGN.md §16):
 //
 //   layer-dag       #include edges between src/ layers must follow the
 //                   architecture DAG declared in tools/analyze/layers.toml.
@@ -22,11 +20,16 @@
 //                   tools/report/ledger_analysis.cpp accepts, so an
 //                   emitter/parser skew fails the build instead of
 //                   silently dropping report rows.
+//   lint            eight token-level determinism and hygiene rules
+//                   (randomness, wall-clock, raw-thread, raw-mutex,
+//                   unordered, shard-iter, serve-sleep, driver-engine)
+//                   over src/, tools/report/ and examples/ (lint.cpp).
 //
-// Findings are suppressed per line with `analyze:<rule>-ok` markers (same
-// convention as the lint) or per finding id via the commented baseline
-// file tools/analyze/baseline.txt. Determinism note: the analyzer itself
-// only uses ordered containers, so its output order is stable.
+// Findings are suppressed per line with `analyze:<rule>-ok` markers (a
+// marker covers its own line and the next) or per finding id via the
+// commented baseline file tools/analyze/baseline.txt. Determinism note:
+// the analyzer itself only uses ordered containers, so its output order
+// is stable.
 #pragma once
 
 #include <cstddef>
@@ -75,6 +78,15 @@ struct Project {
   const SourceFile* find(const std::string& rel) const;
 };
 
+/// Tokenize `text` and scan its lines for markers, expectations, quoted
+/// includes and ledger-schema ignores.
+SourceFile parse_source(std::string rel, const std::string& text);
+
+/// The top-level directories a tree (or the self-test corpus) is loaded
+/// from. Each pass picks its own scope inside them.
+inline const std::vector<std::string> kAnalyzedDirs = {"src", "tools", "bench",
+                                                       "examples"};
+
 /// Load every *.hpp/*.cpp/*.h/*.cc under `root/<subdir>` for each subdir.
 /// Missing subdirs are skipped silently (the self-test corpus has no
 /// bench/, for instance).
@@ -122,8 +134,10 @@ void check_locks(const Project& project, const std::string& design_md,
                  std::vector<Finding>& out);
 void check_purity(const Project& project, std::vector<Finding>& out);
 void check_ledger(const Project& project, std::vector<Finding>& out);
+/// The eight lint rules (rule name = finding rule; see lint.cpp).
+void check_lint(const Project& project, std::vector<Finding>& out);
 
-/// All four passes over a tree rooted at `root` (uses `root/DESIGN.md` and
+/// All five passes over a tree rooted at `root` (uses `root/DESIGN.md` and
 /// `layers_path` for configuration). Layer-graph config errors surface as
 /// findings against the layers file itself.
 std::vector<Finding> analyze_tree(const std::string& root,

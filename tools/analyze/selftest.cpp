@@ -28,7 +28,7 @@ int run_selftest(const std::string& corpus_root,
 
   // Reload the corpus for the expectation annotations (analyze_tree does
   // not expose its project); the corpus is tiny so the second load is free.
-  const Project project = load_project(corpus_root, {"src", "tools", "bench"});
+  const Project project = load_project(corpus_root, kAnalyzedDirs);
 
   // Ids expected via the side file (findings in .md/.toml files).
   std::map<std::string, bool> side_expected;  // id -> matched
@@ -67,6 +67,10 @@ int run_selftest(const std::string& corpus_root,
     std::cout << "self-test FAIL: " << what << "\n";
     ++failures;
   };
+
+  // A rule with no corpus case would pass vacuously.
+  if (!rule_filter.empty() && inline_expected.empty() && side_expected.empty())
+    fail("no corpus case expects [" + rule_filter + "]");
 
   for (const auto& f : findings) {
     bool matched = false;

@@ -66,7 +66,7 @@ struct Trainer {
 
   void bad_wall_clock() {
     engine_.driver().submit([] {
-      // expect: driver-purity
+      // expect: driver-purity wall-clock
       auto t = std::chrono::steady_clock::now();
       (void)t;
     });

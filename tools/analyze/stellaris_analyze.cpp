@@ -1,16 +1,14 @@
 // stellaris_analyze — CLI for the whole-project invariant checker.
 //
 //   stellaris_analyze [--root DIR] [--layers FILE] [--baseline FILE]
-//                     [--lint] [--self-test[=RULE]]
+//                     [--self-test[=RULE]]
 //
-// Exit codes: 0 clean, 1 findings (or self-test/lint failures), 2 usage or
+// Exit codes: 0 clean, 1 findings (or self-test failures), 2 usage or
 // configuration error (unreadable layers/baseline file, bad flag).
 //
 // --baseline FILE suppresses findings whose id ("<rule> <file> <key>")
 // appears in FILE; entries matching no current finding are *stale* and
-// fail the run — the baseline only ever shrinks. --lint additionally runs
-// tools/lint/stellaris_lint (the line-regex pass) over the same root, so
-// CI needs a single entry point for both tools.
+// fail the run — the baseline only ever shrinks.
 #include "analyzer.hpp"
 
 #include <cstdlib>
@@ -18,28 +16,14 @@
 #include <string>
 #include <vector>
 
-#include <sys/wait.h>
-
 namespace {
-
-int run_lint(const std::string& root) {
-  const std::string cmd =
-      "python3 '" + root + "/tools/lint/stellaris_lint' --root '" + root + "'";
-  std::cout << "stellaris_analyze: running lint: " << cmd << std::endl;
-  const int status = std::system(cmd.c_str());
-  if (status < 0) {
-    std::cerr << "stellaris_analyze: failed to spawn lint\n";
-    return 2;
-  }
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  return 2;
-}
 
 void usage(std::ostream& os) {
   os << "usage: stellaris_analyze [--root DIR] [--layers FILE]\n"
-        "                         [--baseline FILE] [--lint]\n"
-        "                         [--self-test[=RULE]]\n"
-        "rules: layer-dag lock-rank driver-purity ledger-schema\n";
+        "                         [--baseline FILE] [--self-test[=RULE]]\n"
+        "rules: layer-dag lock-rank driver-purity ledger-schema\n"
+        "       randomness wall-clock raw-thread raw-mutex unordered\n"
+        "       shard-iter serve-sleep driver-engine\n";
 }
 
 }  // namespace
@@ -50,7 +34,6 @@ int main(int argc, char** argv) {
   std::string root = ".";
   std::string layers;
   std::string baseline_path;
-  bool lint = false;
   bool self_test = false;
   std::string self_test_rule;
 
@@ -70,8 +53,6 @@ int main(int argc, char** argv) {
       layers = value("--layers");
     } else if (a == "--baseline") {
       baseline_path = value("--baseline");
-    } else if (a == "--lint") {
-      lint = true;
     } else if (a == "--self-test") {
       self_test = true;
     } else if (a.rfind("--self-test=", 0) == 0) {
@@ -133,14 +114,8 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  if (lint) {
-    const int lint_code = run_lint(root);
-    if (lint_code != 0) return lint_code == 2 ? 2 : 1;
-  }
-
   if (exit_code == 0)
     std::cout << "stellaris_analyze: clean (layer-dag lock-rank "
-                 "driver-purity ledger-schema"
-              << (lint ? " + lint" : "") << ")\n";
+                 "driver-purity ledger-schema lint)\n";
   return exit_code;
 }

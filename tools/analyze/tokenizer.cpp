@@ -219,16 +219,19 @@ void load_one(const fs::path& root, const fs::path& abs, Project& project) {
   if (!in) throw std::runtime_error("cannot read " + abs.string());
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  SourceFile file;
-  file.rel = fs::relative(abs, root).generic_string();
-  file.tokens = tokenize(text);
-  scan_lines(text, file);
-  project.files.push_back(std::move(file));
+  project.files.push_back(
+      parse_source(fs::relative(abs, root).generic_string(), buf.str()));
 }
 
 }  // namespace
+
+SourceFile parse_source(std::string rel, const std::string& text) {
+  SourceFile file;
+  file.rel = std::move(rel);
+  file.tokens = tokenize(text);
+  scan_lines(text, file);
+  return file;
+}
 
 Project load_project(const std::string& root,
                      const std::vector<std::string>& subdirs) {
