@@ -528,8 +528,8 @@ std::vector<KernelResult> run_cache_benches() {
 // ---------------------------------------------------------------------------
 //
 // "value" is VecActor's batched rollout rate at K envs per invocation;
-// "reference" is its K=1 rate (one single-row forward per step) on the same
-// policy network, so speedup_vs_reference is the DESIGN.md §17
+// "reference" is its K=1 rate (one single-row policy forward per step) on
+// the same policy network, so speedup_vs_reference is the DESIGN.md §17
 // batched-inference gain. Rates are Msteps/s (environment steps, not
 // timesteps × envs). Activated by --actor-json / --actor-compare / --actor;
 // shares --max-regress.

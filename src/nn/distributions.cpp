@@ -1,5 +1,6 @@
 #include "nn/distributions.hpp"
 
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -10,7 +11,36 @@ namespace stellaris::nn {
 
 namespace {
 constexpr double kLog2Pi = 1.8378770664093453;  // log(2π)
-}
+
+/// exp(scale · log_std[j]) for every column j, computed once per call
+/// instead of once per element. Each value is the double an inline
+/// std::exp(scale * log_std[j]) gives, so hoisting changes no result bit.
+/// Up to kInline columns (every env's act_dim) live on the stack, so the
+/// `_into` forms stay allocation-free.
+class ColumnExp {
+ public:
+  ColumnExp(const Tensor& log_std, double scale) {
+    const std::size_t d = log_std.numel();
+    if (d > kInline) {
+      heap_.resize(d);
+      values_ = heap_.data();
+    }
+    for (std::size_t j = 0; j < d; ++j)
+      values_[j] = std::exp(scale * log_std[j]);
+  }
+  ColumnExp(const ColumnExp&) = delete;
+  ColumnExp& operator=(const ColumnExp&) = delete;
+
+  double operator[](std::size_t j) const { return values_[j]; }
+
+ private:
+  static constexpr std::size_t kInline = 32;
+  std::array<double, kInline> inline_{};
+  std::vector<double> heap_;
+  double* values_ = inline_.data();  // points into *this: no copies
+};
+
+}  // namespace
 
 Tensor gaussian_sample(const Tensor& mean, const Tensor& log_std, Rng& rng) {
   Tensor out;
@@ -43,11 +73,12 @@ void gaussian_log_prob_into(Tensor& out, const Tensor& mean,
   STELLARIS_CHECK_MSG(mean.same_shape(actions), "log_prob shape mismatch");
   const std::size_t m = mean.dim(0), d = mean.dim(1);
   out.ensure_shape({m});
+  const ColumnExp sigma(log_std, 1.0);
   for (std::size_t i = 0; i < m; ++i) {
     double lp = 0.0;
     for (std::size_t j = 0; j < d; ++j) {
       const double ls = log_std[j];
-      const double z = (actions.at(i, j) - mean.at(i, j)) / std::exp(ls);
+      const double z = (actions.at(i, j) - mean.at(i, j)) / sigma[j];
       lp += -0.5 * z * z - ls - 0.5 * kLog2Pi;
     }
     out[i] = static_cast<float>(lp);
@@ -62,16 +93,15 @@ GaussianLogProbGrad gaussian_log_prob_backward(const Tensor& mean,
                       "coeff must be (batch)");
   const std::size_t m = mean.dim(0), d = mean.dim(1);
   GaussianLogProbGrad g{Tensor({m, d}), Tensor({d})};
+  const ColumnExp inv_var(log_std, -2.0);  // 1/σ²
   for (std::size_t i = 0; i < m; ++i) {
     const float c = coeff[i];
     for (std::size_t j = 0; j < d; ++j) {
-      const double ls = log_std[j];
-      const double inv_var = std::exp(-2.0 * ls);
       const double diff = actions.at(i, j) - mean.at(i, j);
       // ∂logp/∂mean = (a-μ)/σ²;  ∂logp/∂logσ = ((a-μ)/σ)² − 1.
-      g.dmean.at(i, j) = static_cast<float>(c * diff * inv_var);
+      g.dmean.at(i, j) = static_cast<float>(c * diff * inv_var[j]);
       g.dlog_std[j] +=
-          static_cast<float>(c * (diff * diff * inv_var - 1.0));
+          static_cast<float>(c * (diff * diff * inv_var[j] - 1.0));
     }
   }
   return g;
@@ -89,13 +119,13 @@ Tensor gaussian_kl(const Tensor& mean_p, const Tensor& log_std_p,
   STELLARIS_CHECK_MSG(mean_p.same_shape(mean_q), "kl shape mismatch");
   const std::size_t m = mean_p.dim(0), d = mean_p.dim(1);
   Tensor out({m});
+  const ColumnExp vp(log_std_p, 2.0), vq(log_std_q, 2.0);  // σ²
   for (std::size_t i = 0; i < m; ++i) {
     double kl = 0.0;
     for (std::size_t j = 0; j < d; ++j) {
       const double lp = log_std_p[j], lq = log_std_q[j];
-      const double vp = std::exp(2.0 * lp), vq = std::exp(2.0 * lq);
       const double diff = mean_p.at(i, j) - mean_q.at(i, j);
-      kl += lq - lp + (vp + diff * diff) / (2.0 * vq) - 0.5;
+      kl += lq - lp + (vp[j] + diff * diff) / (2.0 * vq[j]) - 0.5;
     }
     out[i] = static_cast<float>(kl);
   }

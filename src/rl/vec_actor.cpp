@@ -1,8 +1,20 @@
 #include "rl/vec_actor.hpp"
 
+#include <algorithm>
+
 #include "nn/distributions.hpp"
 
 namespace stellaris::rl {
+
+namespace {
+
+// Float budget of one value-forward chunk's observations. The value net's
+// layer buffers grow to the largest row count they see, so one (K·H)-row
+// forward would raise peak RSS on image observations; 16384 floats keep a
+// chunk near the per-step forward's size (13 rows of a 1200-dim frame).
+constexpr std::size_t kValueChunkFloats = 16384;
+
+}  // namespace
 
 VecActor::VecActor(std::unique_ptr<envs::VecEnv> env, std::uint64_t seed)
     : env_(std::move(env)), rng_(seed) {
@@ -50,43 +62,36 @@ SampleBatch VecActor::sample(nn::ActorCritic& policy, VecActorScratch& scratch,
   batch.behaviour_log_probs = Tensor({total});
   batch.values = Tensor({total});
 
+  scratch.pol_out.ensure_shape({total, spec.act_dim});
   for (std::size_t t = 0; t < horizon; ++t) {
     ensure_episodes(rng);
-    // ONE batched forward pair for all K envs — the (K, obs_dim)×W GEMM
-    // shape the blocked kernels are tiled for.
+    // The step needs only the next decision: ONE batched (K, obs_dim)
+    // policy forward, the action draw and the env step. Values and
+    // behaviour log-probs are computed after the loop.
     const Tensor& pol_out = policy.policy_forward(current_obs_);
-    const Tensor& value = policy.value_forward(current_obs_);
 
     for (std::size_t e = 0; e < k; ++e) {
       const std::size_t row = e * horizon + t;  // env-major layout
       const auto src = current_obs_.row(e);
       std::copy(src.begin(), src.end(), batch.obs.row(row).begin());
-      batch.values[row] = value[e];
+      const auto out = pol_out.row(e);
+      std::copy(out.begin(), out.end(), scratch.pol_out.row(row).begin());
     }
 
     if (continuous) {
       // Row-major draws: env e's noise follows env e-1's within a step.
       nn::gaussian_sample_into(scratch.actions, pol_out, *policy.log_std(),
                                rng);
-      nn::gaussian_log_prob_into(scratch.logp, pol_out, *policy.log_std(),
-                                 scratch.actions);
       for (std::size_t e = 0; e < k; ++e) {
-        const std::size_t row = e * horizon + t;
         const auto act = scratch.actions.row(e);
         std::copy(act.begin(), act.end(),
-                  batch.actions_cont.row(row).begin());
-        batch.behaviour_log_probs[row] = scratch.logp[e];
+                  batch.actions_cont.row(e * horizon + t).begin());
       }
     } else {
       nn::categorical_sample_into(scratch.disc_actions, scratch.probs,
                                   pol_out, rng);
-      nn::categorical_log_prob_into(scratch.logp, scratch.lsm, pol_out,
-                                    scratch.disc_actions);
-      for (std::size_t e = 0; e < k; ++e) {
-        const std::size_t row = e * horizon + t;
-        batch.actions_disc[row] = scratch.disc_actions[e];
-        batch.behaviour_log_probs[row] = scratch.logp[e];
-      }
+      for (std::size_t e = 0; e < k; ++e)
+        batch.actions_disc[e * horizon + t] = scratch.disc_actions[e];
     }
 
     for (std::size_t e = 0; e < k; ++e) {
@@ -107,6 +112,30 @@ SampleBatch VecActor::sample(nn::ActorCritic& policy, VecActorScratch& scratch,
         active_[e] = 0;
       }
     }
+  }
+
+  // Behaviour log-probs: one batched call over the stored policy outputs.
+  // Rows are independent, so each equals its per-step value bit for bit.
+  if (continuous) {
+    nn::gaussian_log_prob_into(batch.behaviour_log_probs, scratch.pol_out,
+                               *policy.log_std(), batch.actions_cont);
+  } else {
+    nn::categorical_log_prob_into(batch.behaviour_log_probs, scratch.lsm,
+                                  scratch.pol_out, batch.actions_disc);
+  }
+
+  // Values: batched forwards over the stored observations, in chunks of
+  // at least K rows. Every GEMM element is one k-ascending chain whatever
+  // the row count (DESIGN.md §9), so each V(s_t) keeps its per-step bits.
+  const std::size_t chunk = std::max(k, kValueChunkFloats / obs_dim);
+  for (std::size_t r0 = 0; r0 < total; r0 += chunk) {
+    const std::size_t rows = std::min(chunk, total - r0);
+    scratch.obs_chunk.ensure_shape({rows, obs_dim});
+    const auto src = batch.obs.data().subspan(r0 * obs_dim, rows * obs_dim);
+    std::copy(src.begin(), src.end(), scratch.obs_chunk.data().begin());
+    const Tensor& value = policy.value_forward(scratch.obs_chunk);
+    std::copy(value.data().begin(), value.data().end(),
+              batch.values.data().begin() + static_cast<std::ptrdiff_t>(r0));
   }
 
   // Bootstrap values for truncated final transitions: one batched value

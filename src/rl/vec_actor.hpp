@@ -2,8 +2,12 @@
 // and emits trajectory SampleBatches — Step ① of the paper's workflow
 // (§IV). Each step runs ONE batched policy forward (K, obs_dim)×W instead
 // of K single-row matvecs — the shape the blocked GEMM kernels are tiled
-// for. K=1 is the paper's one-env actor function. See DESIGN.md §17 for
-// the full contract.
+// for — and nothing the next decision does not need. The values V(s_t) and
+// behaviour log-probs log μ(a_t|s_t) are computed after the loop: batched
+// value forwards over the stored observations in bounded row chunks (so
+// the value net's buffers, and peak RSS, stay near the per-step size) and
+// one log-prob call over the stored policy outputs. K=1 is the paper's
+// one-env actor function. See DESIGN.md §17 for the full contract.
 //
 // Per env slot:
 //  - episodes persist across sample() calls, so they span training rounds
@@ -19,9 +23,10 @@
 //
 // Buffer ownership: cross-invocation state (current observations, episode
 // flags/returns, member RNG) lives in the VecActor, serialized by the
-// per-actor job chain. Per-invocation scratch (sampled actions, log-probs,
-// softmax workspaces) lives in a VecActorScratch leased from the worker
-// context pool, scratch-by-construction like the rest of WorkerContext.
+// per-actor job chain. Per-invocation scratch (sampled actions, stored
+// policy outputs, softmax workspaces, the value-chunk staging rows) lives
+// in a VecActorScratch leased from the worker context pool,
+// scratch-by-construction like the rest of WorkerContext.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +43,11 @@ namespace stellaris::rl {
 /// core::WorkerContext so concurrent driver bodies each get their own set.
 /// Every tensor is fully overwritten before it is read.
 struct VecActorScratch {
-  Tensor actions;                         ///< (K, act_dim) sampled actions
-  Tensor logp;                            ///< (K) behaviour log-probs
-  Tensor probs;                           ///< categorical softmax workspace
-  Tensor lsm;                             ///< categorical log-softmax workspace
+  Tensor actions;    ///< (K, act_dim) sampled actions
+  Tensor pol_out;    ///< (K·H, act_dim) per-step policy outputs, env-major
+  Tensor obs_chunk;  ///< (rows, obs_dim) observations of one value chunk
+  Tensor probs;      ///< categorical softmax workspace
+  Tensor lsm;        ///< categorical log-softmax workspace
   std::vector<std::size_t> disc_actions;  ///< (K) discrete actions
 };
 
@@ -49,12 +55,12 @@ class VecActor {
  public:
   VecActor(std::unique_ptr<envs::VecEnv> env, std::uint64_t seed);
 
-  /// Roll every env `horizon` steps under `policy` with one batched forward
-  /// per step, continuing across episode boundaries. Emits a (K·horizon)-row
-  /// env-major SampleBatch with one segment per env (K=1: one implicit
-  /// segment). All draws (reset seeds, action noise) come from `rng` — the
-  /// caller's per-invocation keyed stream — so a trajectory is a pure
-  /// function of (policy, env state, invocation key).
+  /// Roll every env `horizon` steps under `policy` with one batched policy
+  /// forward per step, continuing across episode boundaries. Emits a
+  /// (K·horizon)-row env-major SampleBatch with one segment per env (K=1: one
+  /// implicit segment). All draws (reset seeds, action noise) come from
+  /// `rng` — the caller's per-invocation keyed stream — so a trajectory is a
+  /// pure function of (policy, env state, invocation key).
   SampleBatch sample(nn::ActorCritic& policy, VecActorScratch& scratch,
                      std::size_t horizon, std::uint64_t policy_version,
                      Rng& rng);

@@ -441,10 +441,9 @@ ServeResult ServeEngine::run() {
     tr.mean_batch = ts->batches > 0 ? static_cast<double>(ts->batched_requests) /
                                           static_cast<double>(ts->batches)
                                     : 0.0;
-    std::sort(ts->latencies.begin(), ts->latencies.end());
-    tr.p50_s = nearest_rank_sorted(ts->latencies, 0.50);
-    tr.p99_s = nearest_rank_sorted(ts->latencies, 0.99);
-    tr.p999_s = nearest_rank_sorted(ts->latencies, 0.999);
+    tr.p50_s = nearest_rank_select(ts->latencies, 0.50);
+    tr.p99_s = nearest_rank_select(ts->latencies, 0.99);
+    tr.p999_s = nearest_rank_select(ts->latencies, 0.999);
     tr.latency_sum_s = ts->latency_sum_s;
     tr.value_checksum = ts->value_checksum;
     tr.final_stable_version = ts->rollout.stable_version();

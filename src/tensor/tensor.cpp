@@ -93,12 +93,6 @@ Tensor Tensor::rand_uniform(Shape shape, Rng& rng, float lo, float hi) {
   return t;
 }
 
-std::size_t Tensor::dim(std::size_t i) const {
-  STELLARIS_CHECK_MSG(i < shape_.size(), "dim " << i << " out of rank "
-                                                << shape_.size());
-  return shape_[i];
-}
-
 float& Tensor::at(std::size_t i, std::size_t j) {
   STELLARIS_DCHECK(rank() == 2 && i < shape_[0] && j < shape_[1]);
   return data_[i * shape_[1] + j];
@@ -140,6 +134,14 @@ Tensor& Tensor::ensure_shape(const Shape& shape) {
   const std::size_t n = shape_numel(shape);
   if (n > data_.capacity()) note_alloc();
   shape_ = shape;
+  data_.resize(n);
+  return *this;
+}
+
+Tensor& Tensor::ensure_shape(std::initializer_list<std::size_t> shape) {
+  shape_.assign(shape);  // reuses shape_'s capacity: no heap temporary
+  const std::size_t n = shape_numel(shape_);
+  if (n > data_.capacity()) note_alloc();
   data_.resize(n);
   return *this;
 }

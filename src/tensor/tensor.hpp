@@ -67,7 +67,11 @@ class Tensor {
   const Shape& shape() const { return shape_; }
   std::size_t rank() const { return shape_.size(); }
   std::size_t numel() const { return data_.size(); }
-  std::size_t dim(std::size_t i) const;
+  std::size_t dim(std::size_t i) const {
+    STELLARIS_CHECK_MSG(i < shape_.size(), "dim " << i << " out of rank "
+                                                  << shape_.size());
+    return shape_[i];
+  }
   bool empty() const { return data_.empty(); }
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
 
@@ -96,6 +100,9 @@ class Tensor {
   /// *_into kernels: after warm-up, repeated calls with stable shapes never
   /// allocate.
   Tensor& ensure_shape(const Shape& shape);
+  /// Braced form, `ensure_shape({m, n})`: assigns the extents in place, so
+  /// the call builds no temporary Shape on the heap.
+  Tensor& ensure_shape(std::initializer_list<std::size_t> shape);
 
   /// Row `i` of a 2-D tensor as a span (no copy).
   std::span<const float> row(std::size_t i) const;

@@ -16,28 +16,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 namespace stellaris {
+
+/// 0-based index of the nearest-rank order statistic of a sample of
+/// `size` > 0 elements.
+inline std::size_t nearest_rank_index(std::size_t size, double q) {
+  const double n = static_cast<double>(size);
+  // Clamp in floating point BEFORE the integer cast: q < 0 would make the
+  // double→size_t conversion of a negative rank undefined.
+  const double rank = std::min(std::max(std::ceil(q * n), 1.0), n);
+  return static_cast<std::size_t>(rank) - 1;
+}
 
 /// Nearest-rank quantile of an ascending-sorted sample (q in (0, 1]).
 /// Returns 0.0 for an empty sample.
 inline double nearest_rank_sorted(const std::vector<double>& sorted,
                                   double q) {
   if (sorted.empty()) return 0.0;
-  const double n = static_cast<double>(sorted.size());
-  // Clamp in floating point BEFORE the integer cast: q < 0 would make the
-  // double→size_t conversion of a negative rank undefined.
-  const double rank = std::min(std::max(std::ceil(q * n), 1.0), n);
-  return sorted[static_cast<std::size_t>(rank) - 1];
+  return sorted[nearest_rank_index(sorted.size(), q)];
 }
 
-/// Nearest-rank quantile of an unsorted sample (copies and sorts).
+/// Nearest-rank quantile of an unsorted sample, found with
+/// std::nth_element in linear time: the value nearest_rank_sorted returns
+/// on the sorted sample, for callers that need a few quantiles, not the
+/// order. Reorders `sample`; returns 0.0 for an empty sample.
+inline double nearest_rank_select(std::vector<double>& sample, double q) {
+  if (sample.empty()) return 0.0;
+  const auto nth = sample.begin() + static_cast<std::ptrdiff_t>(
+                                        nearest_rank_index(sample.size(), q));
+  std::nth_element(sample.begin(), nth, sample.end());
+  return *nth;
+}
+
+/// Nearest-rank quantile of an unsorted sample (copies, then selects).
 /// Callers with a persistent sample should sort once and use the
 /// `_sorted` variant for repeated quantiles.
 inline double nearest_rank(std::vector<double> sample, double q) {
-  std::sort(sample.begin(), sample.end());
-  return nearest_rank_sorted(sample, q);
+  return nearest_rank_select(sample, q);
 }
 
 }  // namespace stellaris

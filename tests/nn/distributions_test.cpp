@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -230,6 +232,108 @@ TEST(CategoricalInto, SampleAndLogProbBitIdenticalToAllocatingForms) {
   categorical_log_prob_into(lp_b, lsm_scratch, logits, b);
   EXPECT_EQ(lp_a.vec(), lp_b.vec());
 }
+
+// -- per-column exp hoist -------------------------------------------------------
+// The Gaussian kernels evaluate exp(log_std) once per column. These are the
+// per-element formulas they replaced; every output must match them bit for
+// bit, for a narrow head (stack storage) and a wide one (heap storage).
+
+constexpr double kRefLog2Pi = 1.8378770664093453;
+
+std::vector<float> ref_log_prob(const Tensor& mean, const Tensor& log_std,
+                                const Tensor& actions) {
+  std::vector<float> out(mean.dim(0));
+  for (std::size_t i = 0; i < mean.dim(0); ++i) {
+    double lp = 0.0;
+    for (std::size_t j = 0; j < mean.dim(1); ++j) {
+      const double ls = log_std[j];
+      const double z = (actions.at(i, j) - mean.at(i, j)) / std::exp(ls);
+      lp += -0.5 * z * z - ls - 0.5 * kRefLog2Pi;
+    }
+    out[i] = static_cast<float>(lp);
+  }
+  return out;
+}
+
+GaussianLogProbGrad ref_log_prob_backward(const Tensor& mean,
+                                          const Tensor& log_std,
+                                          const Tensor& actions,
+                                          const Tensor& coeff) {
+  const std::size_t m = mean.dim(0), d = mean.dim(1);
+  GaussianLogProbGrad g{Tensor({m, d}), Tensor({d})};
+  for (std::size_t i = 0; i < m; ++i) {
+    const float c = coeff[i];
+    for (std::size_t j = 0; j < d; ++j) {
+      const double ls = log_std[j];
+      const double inv_var = std::exp(-2.0 * ls);
+      const double diff = actions.at(i, j) - mean.at(i, j);
+      g.dmean.at(i, j) = static_cast<float>(c * diff * inv_var);
+      g.dlog_std[j] += static_cast<float>(c * (diff * diff * inv_var - 1.0));
+    }
+  }
+  return g;
+}
+
+std::vector<float> ref_kl(const Tensor& mean_p, const Tensor& log_std_p,
+                          const Tensor& mean_q, const Tensor& log_std_q) {
+  std::vector<float> out(mean_p.dim(0));
+  for (std::size_t i = 0; i < mean_p.dim(0); ++i) {
+    double kl = 0.0;
+    for (std::size_t j = 0; j < mean_p.dim(1); ++j) {
+      const double lp = log_std_p[j], lq = log_std_q[j];
+      const double vp = std::exp(2.0 * lp), vq = std::exp(2.0 * lq);
+      const double diff = mean_p.at(i, j) - mean_q.at(i, j);
+      kl += lq - lp + (vp + diff * diff) / (2.0 * vq) - 0.5;
+    }
+    out[i] = static_cast<float>(kl);
+  }
+  return out;
+}
+
+class GaussianHoist : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GaussianHoist, BitIdenticalToPerElementFormulas) {
+  const std::size_t d = GetParam(), m = 17;
+  Rng rng(31 + d);
+  const Tensor mean = Tensor::randn({m, d}, rng);
+  const Tensor mean_q = Tensor::randn({m, d}, rng);
+  const Tensor log_std = Tensor::rand_uniform({d}, rng, -1.5f, 0.8f);
+  const Tensor log_std_q = Tensor::rand_uniform({d}, rng, -1.5f, 0.8f);
+  const Tensor coeff = Tensor::randn({m}, rng);
+  const Tensor actions = gaussian_sample(mean, log_std, rng);
+
+  EXPECT_EQ(gaussian_log_prob(mean, log_std, actions).vec(),
+            ref_log_prob(mean, log_std, actions));
+  const auto g = gaussian_log_prob_backward(mean, log_std, actions, coeff);
+  const auto ref = ref_log_prob_backward(mean, log_std, actions, coeff);
+  EXPECT_EQ(g.dmean.vec(), ref.dmean.vec());
+  EXPECT_EQ(g.dlog_std.vec(), ref.dlog_std.vec());
+  EXPECT_EQ(gaussian_kl(mean, log_std, mean_q, log_std_q).vec(),
+            ref_kl(mean, log_std, mean_q, log_std_q));
+}
+
+TEST_P(GaussianHoist, BatchedLogProbEqualsRowByRow) {
+  // The rollout computes every step's log-prob in one call after the loop;
+  // each row must equal the single-row call it replaced.
+  const std::size_t d = GetParam(), m = 9;
+  Rng rng(47 + d);
+  const Tensor mean = Tensor::randn({m, d}, rng);
+  const Tensor log_std = Tensor::rand_uniform({d}, rng, -1.0f, 0.5f);
+  const Tensor actions = gaussian_sample(mean, log_std, rng);
+  Tensor batched, one, mean_row({1, d}), act_row({1, d});
+  gaussian_log_prob_into(batched, mean, log_std, actions);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::copy(mean.row(i).begin(), mean.row(i).end(), mean_row.row(0).begin());
+    std::copy(actions.row(i).begin(), actions.row(i).end(),
+              act_row.row(0).begin());
+    gaussian_log_prob_into(one, mean_row, log_std, act_row);
+    EXPECT_EQ(one[0], batched[i]) << "row " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ActDims, GaussianHoist,
+                         ::testing::Values(std::size_t{1}, std::size_t{3},
+                                           std::size_t{32}, std::size_t{40}));
 
 // Property: KL between a logit set and a shifted copy is invariant to the
 // shift (softmax shift invariance).

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -174,6 +175,166 @@ TEST(VecActorK1, ByteIdenticalUnderCallerRngOverload) {
     auto b = vec.sample(policy, scratch, 40, 1, rb);
     ASSERT_EQ(a.serialize(), b.serialize()) << "attempt " << attempt;
   }
+}
+
+// -- values and log-probs after the loop ------------------------------------
+// VecActor computes V(s_t) and log μ(a_t|s_t) after its step loop: one
+// log-prob call over the stored policy outputs, and value forwards over
+// the stored observations in bounded row chunks. The reference below is
+// the per-step form it replaced: at every step one (K, obs_dim) policy AND
+// value forward and one K-row log-prob. Both must emit the same bytes.
+
+class PerStepReference {
+ public:
+  PerStepReference(const std::string& env, std::size_t k, std::uint64_t seed)
+      : env_(env, k, seed),
+        current_obs_({k, env_.spec().obs.flat_dim}),
+        active_(k, 0),
+        episode_return_(k, 0.0) {}
+
+  SampleBatch sample(nn::ActorCritic& policy, std::size_t horizon, Rng& rng) {
+    const auto& spec = env_.spec();
+    const std::size_t k = env_.size(), total = k * horizon;
+    const bool continuous = spec.action_kind == nn::ActionKind::kContinuous;
+    SampleBatch batch;
+    batch.action_kind = spec.action_kind;
+    batch.obs = Tensor({total, spec.obs.flat_dim});
+    if (continuous) batch.actions_cont = Tensor({total, spec.act_dim});
+    else batch.actions_disc.resize(total);
+    batch.rewards = Tensor({total});
+    batch.dones = Tensor({total});
+    batch.behaviour_log_probs = Tensor({total});
+    batch.values = Tensor({total});
+
+    for (std::size_t t = 0; t < horizon; ++t) {
+      for (std::size_t e = 0; e < k; ++e) {
+        if (active_[e]) continue;
+        env_.reset_env_into(e, rng.next(), current_obs_.row(e));
+        active_[e] = 1;
+        episode_return_[e] = 0.0;
+      }
+      const Tensor& pol_out = policy.policy_forward(current_obs_);
+      const Tensor& value = policy.value_forward(current_obs_);
+      if (continuous) {
+        nn::gaussian_sample_into(actions_, pol_out, *policy.log_std(), rng);
+        nn::gaussian_log_prob_into(logp_, pol_out, *policy.log_std(),
+                                   actions_);
+      } else {
+        nn::categorical_sample_into(disc_, probs_, pol_out, rng);
+        nn::categorical_log_prob_into(logp_, probs_, pol_out, disc_);
+      }
+      for (std::size_t e = 0; e < k; ++e) {
+        const std::size_t row = e * horizon + t;
+        std::copy(current_obs_.row(e).begin(), current_obs_.row(e).end(),
+                  batch.obs.row(row).begin());
+        batch.values[row] = value[e];
+        batch.behaviour_log_probs[row] = logp_[e];
+        envs::StepOut out;
+        if (continuous) {
+          std::copy(actions_.row(e).begin(), actions_.row(e).end(),
+                    batch.actions_cont.row(row).begin());
+          out = env_.step_env_into(e, actions_.row(e), current_obs_.row(e));
+        } else {
+          batch.actions_disc[row] = disc_[e];
+          out = env_.step_env_discrete_into(e, disc_[e], current_obs_.row(e));
+        }
+        batch.rewards[row] = static_cast<float>(out.reward);
+        episode_return_[e] += out.reward;
+        batch.dones[row] = out.done ? 1.0f : 0.0f;
+        if (out.done) {
+          batch.episode_returns.push_back(episode_return_[e]);
+          active_[e] = 0;
+        }
+      }
+    }
+
+    const Tensor& value = policy.value_forward(current_obs_);
+    auto bootstrap = [&](std::size_t e) {
+      return batch.dones[e * horizon + horizon - 1] >= 0.5f ? 0.0f : value[e];
+    };
+    if (k == 1) {
+      batch.bootstrap_value = bootstrap(0);
+    } else {
+      for (std::size_t e = 0; e < k; ++e)
+        batch.segments.push_back({e * horizon, bootstrap(e)});
+    }
+    return batch;
+  }
+
+ private:
+  envs::VecEnv env_;
+  Tensor current_obs_;
+  std::vector<std::uint8_t> active_;
+  std::vector<double> episode_return_;
+  Tensor actions_, logp_, probs_;
+  std::vector<std::size_t> disc_;
+};
+
+void expect_same_bytes(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_EQ(a.numel(), b.numel()) << what;
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        a.numel() * sizeof(float)),
+            0)
+      << what;
+}
+
+void expect_same_bytes(float a, float b, const char* what) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(float)), 0) << what;
+}
+
+struct AfterLoopCase {
+  const char* env;
+  std::size_t k;
+  std::size_t horizon;
+};
+
+class VecActorAfterLoop : public ::testing::TestWithParam<AfterLoopCase> {};
+
+TEST_P(VecActorAfterLoop, ValuesAndLogProbsMatchPerStepForm) {
+  const auto [env, k, horizon] = GetParam();
+  auto policy = policy_for(env, 5);
+  PerStepReference ref(env, k, 8);
+  VecActor vec = make_vec(env, k, 8);
+  VecActorScratch scratch;
+  // Two calls: the second starts from the episode state the first left.
+  for (int call = 0; call < 2; ++call) {
+    Rng ra(sim::invocation_stream(77, k, call));
+    Rng rb(sim::invocation_stream(77, k, call));
+    const SampleBatch a = ref.sample(policy, horizon, ra);
+    const SampleBatch b = vec.sample(policy, scratch, horizon, 0, rb);
+    SCOPED_TRACE(::testing::Message() << env << " K=" << k << " call "
+                                      << call);
+    expect_same_bytes(a.values, b.values, "values");
+    expect_same_bytes(a.behaviour_log_probs, b.behaviour_log_probs,
+                      "behaviour_log_probs");
+    expect_same_bytes(a.bootstrap_value, b.bootstrap_value,
+                      "bootstrap_value");
+    ASSERT_EQ(a.segments.size(), b.segments.size());
+    for (std::size_t e = 0; e < a.segments.size(); ++e) {
+      EXPECT_EQ(a.segments[e].start, b.segments[e].start);
+      expect_same_bytes(a.segments[e].bootstrap, b.segments[e].bootstrap,
+                        "segment bootstrap");
+    }
+    EXPECT_EQ(a.serialize(), b.serialize());
+  }
+}
+
+// SpaceInvaders observations are 1200 floats, so the value forward runs in
+// 13-row chunks: K=1 × 30 steps is 13 + 13 + 4 rows, K=4 × 30 steps is nine
+// chunks of 13 and one of 3.
+INSTANTIATE_TEST_SUITE_P(
+    Envs, VecActorAfterLoop,
+    ::testing::Values(AfterLoopCase{"Hopper", 1, 57},
+                      AfterLoopCase{"Hopper", 4, 40},
+                      AfterLoopCase{"SpaceInvaders", 1, 30},
+                      AfterLoopCase{"SpaceInvaders", 4, 30}),
+    [](const auto& test) {
+      return std::string(test.param.env) + "K" + std::to_string(test.param.k);
+    });
+
+TEST(VecActorValueChunks, SpaceInvadersObsDimSplitsTheValueForward) {
+  // The chunk arithmetic in the cases above assumes 1200-dim frames.
+  EXPECT_EQ(envs::env_spec("SpaceInvaders").obs.flat_dim, 1200u);
 }
 
 // -- batch structure ----------------------------------------------------------
