@@ -41,6 +41,17 @@ ActorCritic::ActorCritic(const ObsSpec& obs, ActionKind kind,
     log_std_ = Tensor::full({act_dim_}, -0.5f);
     dlog_std_ = Tensor({act_dim_});
   }
+
+  params_ = policy_net_.parameters();
+  grads_ = policy_net_.gradients();
+  for (const Tensor* p : params_) log_std_offset_ += p->numel();
+  if (kind_ == ActionKind::kContinuous) {
+    params_.push_back(&log_std_);
+    grads_.push_back(&dlog_std_);
+  }
+  for (Tensor* p : value_net_.parameters()) params_.push_back(p);
+  for (Tensor* g : value_net_.gradients()) grads_.push_back(g);
+  for (const Tensor* p : params_) flat_size_ += p->numel();
 }
 
 Sequential ActorCritic::build_torso(std::size_t out_dim, Rng& rng) const {
@@ -123,44 +134,19 @@ Tensor* ActorCritic::log_std_grad() {
   return kind_ == ActionKind::kContinuous ? &dlog_std_ : nullptr;
 }
 
-std::vector<Tensor*> ActorCritic::parameters() {
-  std::vector<Tensor*> out = policy_net_.parameters();
-  if (kind_ == ActionKind::kContinuous) out.push_back(&log_std_);
-  for (Tensor* p : value_net_.parameters()) out.push_back(p);
-  return out;
-}
-
-std::vector<Tensor*> ActorCritic::gradients() {
-  std::vector<Tensor*> out = policy_net_.gradients();
-  if (kind_ == ActionKind::kContinuous) out.push_back(&dlog_std_);
-  for (Tensor* g : value_net_.gradients()) out.push_back(g);
-  return out;
-}
-
 void ActorCritic::zero_grad() {
-  for (Tensor* g : gradients()) g->zero();
+  for (Tensor* g : grads_) g->zero();
 }
 
 std::pair<std::size_t, std::size_t> ActorCritic::log_std_span() const {
   if (kind_ != ActionKind::kContinuous) return {0, 0};
-  std::size_t offset = 0;
-  for (const Tensor* p :
-       const_cast<ActorCritic*>(this)->policy_net_.parameters())
-    offset += p->numel();
-  return {offset, act_dim_};
-}
-
-std::size_t ActorCritic::flat_size() const {
-  std::size_t n = 0;
-  for (const Tensor* p : const_cast<ActorCritic*>(this)->parameters())
-    n += p->numel();
-  return n;
+  return {log_std_offset_, act_dim_};
 }
 
 std::vector<float> ActorCritic::flat_params() const {
   std::vector<float> out;
   out.reserve(flat_size());
-  for (const Tensor* p : const_cast<ActorCritic*>(this)->parameters())
+  for (const Tensor* p : params_)
     out.insert(out.end(), p->vec().begin(), p->vec().end());
   return out;
 }
@@ -170,7 +156,7 @@ void ActorCritic::set_flat_params(std::span<const float> flat) {
                       "flat params size " << flat.size() << " != "
                                           << flat_size());
   std::size_t off = 0;
-  for (Tensor* p : parameters()) {
+  for (Tensor* p : params_) {
     std::copy(flat.begin() + static_cast<std::ptrdiff_t>(off),
               flat.begin() + static_cast<std::ptrdiff_t>(off + p->numel()),
               p->vec().begin());
@@ -181,7 +167,7 @@ void ActorCritic::set_flat_params(std::span<const float> flat) {
 std::vector<float> ActorCritic::flat_grads() const {
   std::vector<float> out;
   out.reserve(flat_size());
-  for (const Tensor* g : const_cast<ActorCritic*>(this)->gradients())
+  for (const Tensor* g : grads_)
     out.insert(out.end(), g->vec().begin(), g->vec().end());
   return out;
 }

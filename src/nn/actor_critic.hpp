@@ -63,10 +63,12 @@ class ActorCritic {
               const NetworkSpec& net, std::uint64_t seed);
 
   // Non-copyable (layers own big buffers); use clone() for explicit copies.
+  // Non-movable too: the cached parameter/gradient lists point into this
+  // object's members (log_std_, dlog_std_), so a move would dangle them.
   ActorCritic(const ActorCritic&) = delete;
   ActorCritic& operator=(const ActorCritic&) = delete;
-  ActorCritic(ActorCritic&&) = default;
-  ActorCritic& operator=(ActorCritic&&) = default;
+  ActorCritic(ActorCritic&&) = delete;
+  ActorCritic& operator=(ActorCritic&&) = delete;
 
   /// Deep copy with identical parameters.
   std::unique_ptr<ActorCritic> clone() const;
@@ -95,8 +97,11 @@ class ActorCritic {
   const Tensor* log_std() const;
   Tensor* log_std_grad();
 
-  std::vector<Tensor*> parameters();
-  std::vector<Tensor*> gradients();
+  /// Every parameter tensor in flat-vector order (policy net, log-std,
+  /// value net) and the parallel gradient accumulators. Built once by the
+  /// constructor; the references stay valid for the model's lifetime.
+  const std::vector<Tensor*>& parameters() { return params_; }
+  const std::vector<Tensor*>& gradients() { return grads_; }
   void zero_grad();
 
   // -- flat-vector interface (cache wire format) ---------------------------
@@ -106,7 +111,7 @@ class ActorCritic {
   /// gradient is noise-dominated, and adaptive optimizers would otherwise
   /// random-walk σ into degenerate exploration.
   std::pair<std::size_t, std::size_t> log_std_span() const;
-  std::size_t flat_size() const;
+  std::size_t flat_size() const { return flat_size_; }
   std::vector<float> flat_params() const;
   void set_flat_params(std::span<const float> flat);
   std::vector<float> flat_grads() const;
@@ -126,6 +131,12 @@ class ActorCritic {
   Tensor dlog_std_;
   Tensor value_out_;     // value_forward result, reshaped to (batch)
   Tensor dvalues_2d_;    // value_backward input, reshaped to (batch, 1)
+
+  // Built once in the constructor (parameter shapes never change).
+  std::vector<Tensor*> params_;
+  std::vector<Tensor*> grads_;
+  std::size_t log_std_offset_ = 0;  // numel of the policy net's parameters
+  std::size_t flat_size_ = 0;
 };
 
 }  // namespace stellaris::nn

@@ -5,17 +5,21 @@
 // versions of the SAME tenant) run at once, so models cannot be shared. The
 // pool leases one scratch ActorCritic per body execution, exactly the
 // core::WorkerContextPool discipline: lease at body start on whichever
-// thread runs the body, construct outside the lock, fully overwrite
-// (set_flat_params) before reading — which context a body draws never
-// affects results. One pool per tenant, because the model geometry is the
-// tenant's (obs_dim, act_dim, hidden).
+// thread runs the body, construct outside the lock. Before its forward a
+// body calls load(snap), which copies the weights in only when the context
+// does not already hold that exact snapshot: forwards never write
+// parameters, so a context's weights are a pure function of `loaded`, and
+// which context a body draws never affects results. One pool per tenant,
+// because the model geometry is the tenant's (obs_dim, act_dim, hidden).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/actor_critic.hpp"
+#include "serve/policy_store.hpp"
 #include "serve/serve_config.hpp"
 #include "util/annotated_mutex.hpp"
 
@@ -34,7 +38,21 @@ struct ServeContext {
     return net;
   }
 
-  nn::ActorCritic model;  ///< scratch; set_flat_params before every forward
+  /// Make `model` hold `snap`'s weights. Returns true when it had to copy
+  /// them (set_flat_params, with its size check), false when `loaded` was
+  /// already this snapshot. Identity is the shared_ptr itself: holding it
+  /// keeps the address from being reused, and a republished version is a
+  /// new snapshot, so it reloads.
+  bool load(const PolicyRef& snap) {
+    if (loaded == snap) return false;
+    model.set_flat_params(
+        std::span<const float>(snap->params.data(), snap->params.size()));
+    loaded = snap;
+    return true;
+  }
+
+  nn::ActorCritic model;  ///< scratch; its weights are `loaded`'s
+  PolicyRef loaded;       ///< snapshot `model` holds; null before the first load
 };
 
 class ServeContextPool {

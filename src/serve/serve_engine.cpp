@@ -34,6 +34,7 @@ std::vector<float> make_policy_params(const TenantConfig& tenant,
 struct ServeEngine::BatchResult {
   std::vector<double> values;
   double checksum = 0.0;
+  bool loaded = false;  ///< the body copied weights into its context
 };
 
 /// Everything the virtual completion event needs to settle one batch.
@@ -45,7 +46,9 @@ struct ServeEngine::InflightBatch {
   bool cold = false;
   std::vector<ServeRequest> reqs;  ///< obs moved out into the body capture
   sim::Driver::Job job;            ///< null when the batch is doomed
-  std::shared_ptr<BatchResult> box;
+  /// Written by the body through a raw pointer: safe because settle_batch
+  /// joins every submitted job before the batch can be freed.
+  BatchResult box;
   bool ok = true;
   fault::ErrorKind error = fault::ErrorKind::kNone;
   double compute_s = 0.0;
@@ -126,6 +129,10 @@ void ServeEngine::on_arrival(std::size_t t, std::uint64_t client) {
   req.version = ts.rollout.assign(ts.assign_rng);
   req.arrival_s = engine_.now();
   req.client = client;
+  if (!ts.spare_obs.empty()) {
+    req.obs = std::move(ts.spare_obs.back());
+    ts.spare_obs.pop_back();
+  }
   req.obs.reserve(ts.cfg.obs_dim);
   for (std::size_t d = 0; d < ts.cfg.obs_dim; ++d)
     req.obs.push_back(static_cast<float>(ts.obs_rng.uniform(-1.0, 1.0)));
@@ -215,24 +222,22 @@ void ServeEngine::dispatch_batch(std::size_t t, std::uint64_t version) {
 
   if (b->ok) {
     // Flatten the batch's observations into one (n, obs_dim) matrix.
+    // Each emptied request buffer goes back to the tenant for reuse.
     std::vector<float> flat;
     flat.reserve(n * ts.cfg.obs_dim);
     for (auto& req : b->reqs) {
       flat.insert(flat.end(), req.obs.begin(), req.obs.end());
       req.obs.clear();
-      req.obs.shrink_to_fit();
+      ts.spare_obs.push_back(std::move(req.obs));
     }
-    b->box = std::make_shared<BatchResult>();
     auto* contexts = &ts.contexts;
     const std::size_t obs_dim = ts.cfg.obs_dim;
     // -- body: pure function of the capture; runs wherever the driver says.
     b->job = engine_.driver().submit(
         [contexts, snap, flat = std::move(flat), n, obs_dim,
-         box = b->box]() mutable {
+         box = &b->box]() mutable {
           auto ctx = contexts->lease();
-          ctx->model.set_flat_params(
-              std::span<const float>(snap->params.data(),
-                                     snap->params.size()));
+          box->loaded = ctx->load(snap);
           Tensor obs({n, obs_dim}, std::move(flat));
           const Tensor& acts = ctx->model.policy_forward(obs);
           double checksum = 0.0;
@@ -259,25 +264,28 @@ void ServeEngine::settle_batch(const std::shared_ptr<InflightBatch>& b) {
   costs_.record(serverless::FnKind::kServe, unit_price_, b->billed_s, !b->ok);
 
   const std::size_t n = b->reqs.size();
-  std::vector<double> latencies;
   if (b->ok) {
     // -- merge (engine thread): join the body, publish its outputs.
     sim::Driver::join(b->job);
-    latencies.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const double latency = now - b->reqs[i].arrival_s;
-      latencies.push_back(latency);
       ts.latencies.push_back(latency);
       ts.latency_sum_s += latency;
-      ts.rollout.observe(b->version, latency, b->box->values[i]);
+      ts.rollout.observe(b->version, latency, b->box.values[i]);
     }
     ts.completed += n;
-    ts.value_checksum += b->box->checksum;
+    ts.value_checksum += b->box.checksum;
+    if (b->box.loaded) ++model_loads_;
   } else {
     ts.failed += n;
   }
 
-  if (auto* led = obs::ledger())
+  if (auto* led = obs::ledger()) {
+    // An ok batch's latencies are the last n appended above; a failed one
+    // has none.
+    const std::vector<double> latencies(
+        ts.latencies.end() - static_cast<std::ptrdiff_t>(b->ok ? n : 0),
+        ts.latencies.end());
     led->append(obs::LedgerEvent("serve_batch", now)
                     .field("tenant", ts.cfg.name)
                     .field("lid", b->lid)
@@ -292,6 +300,7 @@ void ServeEngine::settle_batch(const std::shared_ptr<InflightBatch>& b) {
                     .field("error", fault::error_kind_name(b->error))
                     .raw("lat", obs::render_number_array(latencies))
                     .finish());
+  }
 
   // Closed-loop clients continue whether their request succeeded or died.
   for (const auto& req : b->reqs) ts.traffic.on_complete(req.client);
@@ -473,6 +482,7 @@ ServeResult ServeEngine::run() {
   res.policy_decodes = store_.decodes();
   res.policy_reuses = store_.reuses();
   res.crashes_injected = injector_.crashes_injected();
+  res.model_loads = model_loads_;
   return res;
 }
 

@@ -10,8 +10,9 @@
 //
 //   capture   (engine thread) the decoded PolicyRef, the flattened
 //             observation matrix, and a private result box;
-//   body      lease a scratch model, set_flat_params, one blocked-GEMM
-//             policy + value forward over the whole batch;
+//   body      lease a scratch model, load the snapshot into it only if the
+//             context does not already hold it (ServeContext::load), one
+//             blocked-GEMM policy + value forward over the whole batch;
 //   merge     (engine thread, at the batch's virtual completion) join the
 //             job, settle latencies / costs / rollout windows / ledger.
 //
@@ -91,6 +92,12 @@ struct ServeResult {
   std::uint64_t policy_decodes = 0;
   std::uint64_t policy_reuses = 0;
   std::uint64_t crashes_injected = 0;
+  /// Batch bodies that copied weights into their context, i.e. whose
+  /// leased context held a different snapshot. Depends on how many
+  /// contexts the driver's concurrency created, so like the kernel and
+  /// tensor diagnostics it is not part of any cross-driver identity
+  /// (DESIGN.md §14.1, §15.1).
+  std::uint64_t model_loads = 0;
 };
 
 class ServeEngine {
@@ -148,6 +155,10 @@ class ServeEngine {
     ServeContextPool contexts;
     Rng obs_rng;     ///< observation synthesis stream
     Rng assign_rng;  ///< canary bernoulli stream
+    /// Emptied request obs buffers, reused by the next arrivals. Every
+    /// buffer is either queued in a request or here, so the list is
+    /// bounded by the tenant's peak queue depth.
+    std::vector<std::vector<float>> spare_obs;
     std::map<std::uint64_t, Timer> cutoffs;  ///< per-lane cutoff timers
     sim::Engine::CancelHandle rollout_timer;
     // Settled-request accounting.
@@ -187,6 +198,7 @@ class ServeEngine {
   std::uint64_t next_lid_ = 1;   ///< batch invocation ledger ids
   std::uint64_t next_req_ = 1;   ///< request ids
   std::size_t busy_workers_ = 0;
+  std::uint64_t model_loads_ = 0;  ///< merged from BatchResult::loaded
   sim::Engine::CancelHandle autoscale_timer_;
   bool finished_ = false;
   bool ran_ = false;

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "util/rng.hpp"
 
 namespace stellaris::nn {
 namespace {
+
+// The cached parameter/gradient lists point into the model's own members.
+static_assert(!std::is_move_constructible_v<ActorCritic>,
+              "a moved ActorCritic would keep pointers into the old object");
 
 ActorCritic make_mujoco_model(std::uint64_t seed = 1) {
   return ActorCritic(ObsSpec::vector(8), ActionKind::kContinuous, 3,
@@ -112,6 +118,31 @@ TEST(ActorCritic, ZeroGradClearsAccumulators) {
   EXPECT_GT(norm, 0.0);
   m.zero_grad();
   for (float g : m.flat_grads()) EXPECT_EQ(g, 0.0f);
+}
+
+TEST(ActorCritic, ParameterListsAreBuiltOnce) {
+  for (bool atari : {false, true}) {
+    auto m = atari ? make_atari_model(14) : make_mujoco_model(14);
+    const std::vector<Tensor*>& p1 = m.parameters();
+    const std::vector<Tensor*>& g1 = m.gradients();
+    // Repeated calls hand back the same list, not a rebuilt copy.
+    EXPECT_EQ(&m.parameters(), &p1);
+    EXPECT_EQ(&m.gradients(), &g1);
+    const std::vector<Tensor*> p_copy = p1;
+    const std::vector<Tensor*> g_copy = g1;
+    m.zero_grad();
+    m.set_flat_params(m.flat_params());
+    EXPECT_EQ(m.parameters(), p_copy);
+    EXPECT_EQ(m.gradients(), g_copy);
+    // Parallel lists: one gradient of the same shape per parameter.
+    ASSERT_EQ(p1.size(), g1.size());
+    std::size_t numel = 0;
+    for (std::size_t i = 0; i < p1.size(); ++i) {
+      EXPECT_EQ(p1[i]->shape(), g1[i]->shape());
+      numel += p1[i]->numel();
+    }
+    EXPECT_EQ(m.flat_size(), numel);
+  }
 }
 
 TEST(ActorCritic, GradSizeMatchesParamSize) {

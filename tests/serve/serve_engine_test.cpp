@@ -1,7 +1,7 @@
 // ServeEngine end-to-end: batched inference over the virtual clock,
 // cross-driver bit-identity, canary promote/rollback, admission under
-// overload, queue-depth autoscaling, snapshot decode reuse, and the
-// driver×kernel thread-budget clamp.
+// overload, queue-depth autoscaling, snapshot decode reuse, per-context
+// policy load reuse, and the driver×kernel thread-budget clamp.
 #include "serve/serve_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -100,6 +100,76 @@ TEST(ServeEngine, CrossDriverBitIdentity) {
   }
 }
 
+TEST(ServeEngine, RepublishedVersionReloads) {
+  const auto cfg = base_config();
+  ServeEngine eng(cfg);
+  eng.publish_policy(0, make_policy_params(cfg.tenants[0], 1), 1);
+  // Same version, new weights: a new snapshot, so the context must reload
+  // even though the version number it holds is unchanged.
+  eng.engine().schedule_at(2.5, [&] {
+    eng.publish_policy(0, make_policy_params(cfg.tenants[0], 2), 1);
+  });
+  const auto res = eng.run();
+  EXPECT_EQ(res.policy_decodes, 2u);
+  EXPECT_EQ(res.model_loads, 2u);
+}
+
+TEST(ServeEngine, CanaryCrossDriverBitIdentity) {
+  auto cfg = base_config();
+  auto& t = cfg.tenants[0];
+  // Keep the canary split for the whole run: nothing may promote or roll
+  // back, so v1 and v2 batches interleave on the same contexts throughout.
+  t.rollout.eval_period_s = 1.0;
+  t.rollout.healthy_windows_to_promote = 1000;
+  t.rollout.slo_p99_s = 1.0;
+  t.rollout.max_value_drift = 1e9;
+  const auto v1 = make_policy_params(t, 1);
+  const auto v2 = make_policy_params(t, 2);
+  ASSERT_NE(v1, v2);
+  auto run = [&](sim::DriverKind kind, std::size_t threads) {
+    cfg.driver = kind;
+    cfg.driver_threads = threads;
+    ServeEngine eng(cfg);
+    eng.publish_policy(0, v1, 1);
+    eng.publish_policy(0, v2, 2);
+    eng.schedule_canary(0, 2, 0.5, 0.0);
+    return eng.run();
+  };
+  const auto virt = run(sim::DriverKind::kVirtual, 0);
+  const auto conc = run(sim::DriverKind::kConcurrent, 4);
+  ASSERT_EQ(virt.tenants.size(), conc.tenants.size());
+  for (std::size_t i = 0; i < virt.tenants.size(); ++i) {
+    EXPECT_EQ(virt.tenants[i].value_checksum, conc.tenants[i].value_checksum);
+    EXPECT_EQ(virt.tenants[i].latency_sum_s, conc.tenants[i].latency_sum_s);
+    EXPECT_EQ(virt.tenants[i].p99_s, conc.tenants[i].p99_s);
+  }
+  EXPECT_EQ(virt.tenants[0].promotions + virt.tenants[0].rollbacks, 0u);
+  // The one virtual context switches between v1 and v2 lanes: it reloads
+  // more than once, but never more than once per batch.
+  EXPECT_GT(virt.model_loads, cfg.tenants.size());
+  EXPECT_LE(virt.model_loads, virt.tenants[0].batches);
+}
+
+TEST(ServeEngine, CanaryServesItsOwnWeights) {
+  auto cfg = base_config();
+  auto& t = cfg.tenants[0];
+  t.rollout.eval_period_s = 1.0;
+  t.rollout.min_window_requests = 20;
+  t.rollout.slo_p99_s = 1.0;  // only value drift can trip
+  ServeEngine eng(cfg);
+  const auto v1 = make_policy_params(t, 1);
+  // v2 is v1 with the value head's output bias (the last flat parameter)
+  // raised by 5: only a context that really loads v2 sees the drift.
+  auto v2 = v1;
+  v2.back() += 5.0f;
+  eng.publish_policy(0, v1, 1);
+  eng.publish_policy(0, v2, 2);
+  eng.schedule_canary(0, 2, 0.5, 0.5);
+  const auto res = eng.run();
+  EXPECT_EQ(res.tenants[0].rollbacks, 1u);
+  EXPECT_EQ(res.tenants[0].final_stable_version, 1u);
+}
+
 TEST(ServeEngine, CanaryPromotesAfterHealthyWindows) {
   auto cfg = base_config();
   auto& t = cfg.tenants[0];
@@ -191,6 +261,11 @@ TEST(ServeEngine, MultiTenantIsolatesStreams) {
   EXPECT_GT(res.tenants[0].completed, 0u);
   EXPECT_GT(res.tenants[1].completed, 0u);
   EXPECT_NE(res.tenants[0].value_checksum, res.tenants[1].value_checksum);
+  // Virtual bodies run inline, so each tenant's pool holds one context: it
+  // copies the tenant's only snapshot in once and reuses it every batch.
+  EXPECT_GT(res.tenants[0].batches, 1u);
+  EXPECT_GT(res.tenants[1].batches, 1u);
+  EXPECT_EQ(res.model_loads, cfg.tenants.size());
 }
 
 TEST(ServeEngine, AppliesDriverThreadBudgetClamp) {
