@@ -34,6 +34,10 @@ LearnerUpdate compute_learner_update(const TrainConfig& cfg,
     rl::normalize_advantages(batch);
   }
 
+  // The target net is fixed for the whole update, so its log-probs are too.
+  const Tensor logp_target =
+      is_ppo ? Tensor() : rl::impact_target_log_probs(target, batch);
+
   LearnerUpdate out;
   std::vector<float> local = pulled_params;
   nn::AdamOptimizer opt(alpha0);
@@ -44,8 +48,8 @@ LearnerUpdate compute_learner_update(const TrainConfig& cfg,
     model.set_flat_params(local);
     model.zero_grad();
     out.stats = is_ppo ? rl::ppo_compute_gradients(model, batch, cfg.ppo, cap)
-                       : rl::impact_compute_gradients(model, target, batch,
-                                                      cfg.impact, cap);
+                       : rl::impact_compute_gradients(model, logp_target,
+                                                      batch, cfg.impact, cap);
     ++out.epochs_run;
     // Trust-region early stop once the sample KL overshoots.
     if (e > 0 && out.stats.kl > kl_stop) break;

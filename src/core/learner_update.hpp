@@ -22,7 +22,8 @@ struct LearnerUpdate {
 };
 
 /// Compute a learner update. `model` is scratch space (clobbered); `target`
-/// is the IMPACT target network (ignored for PPO); `pulled_params` is the
+/// is the IMPACT target network (ignored for PPO), whose log-probs are
+/// computed once, before the SGD epochs; `pulled_params` is the
 /// policy the learner starts from. Advantage estimation (GAE or V-trace) is
 /// segment-aware. `batch` is modified in place (advantages filled for PPO).
 LearnerUpdate compute_learner_update(const TrainConfig& cfg,

@@ -34,6 +34,10 @@ ActorCritic::ActorCritic(const ObsSpec& obs, ActionKind kind,
   Rng rng_value(seed ^ 0xabcdef1234567890ULL);
   policy_net_ = build_torso(act_dim_, rng_policy);
   value_net_ = build_torso(1, rng_value);
+  if (net.use_cnn) {
+    policy_conv_ = &dynamic_cast<Conv2d&>(policy_net_.layer(0));
+    value_conv_ = &dynamic_cast<Conv2d&>(value_net_.layer(0));
+  }
 
   if (kind_ == ActionKind::kContinuous) {
     // Start at σ ≈ e^{-0.5} ≈ 0.61: exploratory but not saturating the
@@ -99,9 +103,30 @@ std::unique_ptr<ActorCritic> ActorCritic::clone() const {
   return copy;
 }
 
-const Tensor& ActorCritic::policy_forward(const Tensor& obs) {
+void ActorCritic::check_obs(const Tensor& obs) const {
   STELLARIS_CHECK_MSG(obs.rank() == 2 && obs.dim(1) == obs_.flat_dim,
-                      "policy_forward obs " << shape_str(obs.shape()));
+                      "observation batch " << shape_str(obs.shape()));
+}
+
+ActorCritic::Heads ActorCritic::forward(const Tensor& obs) {
+  if (policy_conv_ == nullptr) {
+    const Tensor& policy = policy_forward(obs);
+    return {policy, value_forward(obs)};
+  }
+  check_obs(obs);
+  // Both torsos share the first conv's spec, so one lowering serves both.
+  const std::size_t batch = obs.dim(0);
+  ops::im2col_into(obs_cols_, obs, policy_conv_->spec());
+  const Tensor& policy = policy_net_.forward_from(
+      1, policy_conv_->forward_lowered(obs_cols_, batch));
+  value_out_ = value_net_.forward_from(
+      1, value_conv_->forward_lowered(obs_cols_, batch));
+  value_out_.reshape({batch});
+  return {policy, value_out_};
+}
+
+const Tensor& ActorCritic::policy_forward(const Tensor& obs) {
+  check_obs(obs);
   return policy_net_.forward(obs);
 }
 

@@ -8,6 +8,12 @@
 //           256 11×11, ReLU
 // The critic shares the policy architecture (separate weights), as in the
 // paper.
+//
+// forward(obs) runs both heads on one batch. On a CNN torso both first
+// convolutions read the same im2col lowering of obs, so forward builds it
+// once, into a buffer the model owns, and hands it to both through
+// Conv2d::forward_lowered; policy_forward and value_forward each lower
+// their own input, for callers that need one head.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +83,14 @@ class ActorCritic {
   std::size_t act_dim() const { return act_dim_; }
   const ObsSpec& obs_spec() const { return obs_; }
 
+  /// Both heads on one observation batch, bit-identical to policy_forward
+  /// and value_forward on it; the references follow those calls' validity.
+  struct Heads {
+    const Tensor& policy;
+    const Tensor& values;
+  };
+  Heads forward(const Tensor& obs);
+
   /// Policy head output: Gaussian means (batch, act_dim) or logits
   /// (batch, n_actions). The reference is owned by the policy net and stays
   /// valid until its next forward/backward call.
@@ -86,7 +100,7 @@ class ActorCritic {
   void policy_backward(const Tensor& dout);
 
   /// State values, shape (batch); reference valid until the next
-  /// value_forward call.
+  /// value_forward or forward call.
   const Tensor& value_forward(const Tensor& obs);
   /// Push dL/d(values), shape (batch); like policy_backward, parameter
   /// gradients only.
@@ -118,6 +132,7 @@ class ActorCritic {
 
  private:
   Sequential build_torso(std::size_t out_dim, Rng& rng) const;
+  void check_obs(const Tensor& obs) const;
 
   ObsSpec obs_;
   ActionKind kind_;
@@ -131,6 +146,11 @@ class ActorCritic {
   Tensor dlog_std_;
   Tensor value_out_;     // value_forward result, reshaped to (batch)
   Tensor dvalues_2d_;    // value_backward input, reshaped to (batch, 1)
+  // CNN torsos: the first conv of each net, and forward()'s shared
+  // lowering of its obs, which both convs read again in backward.
+  Conv2d* policy_conv_ = nullptr;
+  Conv2d* value_conv_ = nullptr;
+  Tensor obs_cols_;
 
   // Built once in the constructor (parameter shapes never change).
   std::vector<Tensor*> params_;

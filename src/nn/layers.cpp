@@ -56,19 +56,28 @@ std::size_t Conv2d::out_features() const {
 }
 
 const Tensor& Conv2d::forward(const Tensor& x) {
-  cached_batch_ = x.dim(0);
-  ops::im2col_into(cached_cols_, x, spec_);
+  ops::im2col_into(own_cols_, x, spec_);
+  return forward_lowered(own_cols_, x.dim(0));
+}
+
+const Tensor& Conv2d::forward_lowered(const Tensor& cols, std::size_t batch) {
+  const std::size_t oh = spec_.out_h(), ow = spec_.out_w(),
+                    oc = spec_.out_channels;
+  STELLARIS_CHECK_MSG(cols.rank() == 2 && cols.dim(0) == batch * oh * ow &&
+                          cols.dim(1) == w_.dim(0),
+                      "Conv2d lowering " << shape_str(cols.shape())
+                                         << " for batch " << batch);
+  cols_ = &cols;
+  cached_batch_ = batch;
   // (N·oh·ow, patch) x (patch, oc) -> (N·oh·ow, oc)
-  ops::matmul_into(y_, cached_cols_, w_);
+  ops::matmul_into(y_, cols, w_);
   ops::add_bias_rows(y_, b_);
   // Reorder to channel-major rows (N, oc·oh·ow) so downstream layers see the
   // conventional CHW flattening.
-  const std::size_t oh = spec_.out_h(), ow = spec_.out_w(),
-                    oc = spec_.out_channels;
-  out_.ensure_shape({cached_batch_, oc * oh * ow});
+  out_.ensure_shape({batch, oc * oh * ow});
   const float* py = y_.data().data();
   float* po = out_.data().data();
-  for (std::size_t n = 0; n < cached_batch_; ++n)
+  for (std::size_t n = 0; n < batch; ++n)
     for (std::size_t p = 0; p < oh * ow; ++p)
       for (std::size_t c = 0; c < oc; ++c)
         po[n * oc * oh * ow + c * oh * ow + p] =
@@ -77,7 +86,7 @@ const Tensor& Conv2d::forward(const Tensor& x) {
 }
 
 void Conv2d::backward_params(const Tensor& dy) {
-  STELLARIS_CHECK_MSG(!cached_cols_.empty(), "backward before forward");
+  STELLARIS_CHECK_MSG(cols_ != nullptr, "backward before forward");
   const std::size_t oh = spec_.out_h(), ow = spec_.out_w(),
                     oc = spec_.out_channels;
   STELLARIS_CHECK_MSG(dy.rank() == 2 && dy.dim(0) == cached_batch_ &&
@@ -93,7 +102,7 @@ void Conv2d::backward_params(const Tensor& dy) {
         ps[(n * oh * ow + p) * oc + c] =
             pd[n * oc * oh * ow + c * oh * ow + p];
 
-  ops::matmul_tn_into(dw_step_, cached_cols_, dys_);
+  ops::matmul_tn_into(dw_step_, *cols_, dys_);
   dw_ += dw_step_;
   ops::sum_rows_into(db_step_, dys_);
   db_ += db_step_;
@@ -118,14 +127,15 @@ const Tensor& Tanh::backward(const Tensor& dy) {
 }
 
 const Tensor& Relu::forward(const Tensor& x) {
-  cached_input_ = x;
   ops::relu_forward_into(out_, x);
   return out_;
 }
 
 const Tensor& Relu::backward(const Tensor& dy) {
-  STELLARIS_CHECK_MSG(!cached_input_.empty(), "backward before forward");
-  ops::relu_backward_into(dx_, cached_input_, dy);
+  STELLARIS_CHECK_MSG(!out_.empty(), "backward before forward");
+  // relu_backward_into masks on its first operand <= 0; the output has
+  // the same mask as the input (see the class comment).
+  ops::relu_backward_into(dx_, out_, dy);
   return dx_;
 }
 
@@ -139,8 +149,16 @@ const Tensor& Sequential::forward(const Tensor& x) {
     passthrough_ = x;
     return passthrough_;
   }
+  return forward_from(0, x);
+}
+
+const Tensor& Sequential::forward_from(std::size_t first, const Tensor& x) {
+  STELLARIS_CHECK_MSG(first < layers_.size(),
+                      "forward_from layer " << first << " of "
+                                            << layers_.size());
   const Tensor* cur = &x;
-  for (auto& l : layers_) cur = &l->forward(*cur);
+  for (std::size_t i = first; i < layers_.size(); ++i)
+    cur = &layers_[i]->forward(*cur);
   return *cur;
 }
 

@@ -79,11 +79,25 @@ class Linear final : public Layer {
 };
 
 /// 2-D convolution via im2col lowering; input rows are flattened (C,H,W).
+///
+/// forward(x) lowers x into the layer's own buffer and calls
+/// forward_lowered on it. A caller that feeds one input to several convs of
+/// the same spec (ActorCritic::forward, for its two torsos) lowers it once
+/// and calls forward_lowered on each. backward uses the lowering the last
+/// forward consumed, so a forward_lowered caller must keep `cols` alive and
+/// unchanged until the matching backward.
 class Conv2d final : public Layer {
  public:
   Conv2d(ops::Conv2dSpec spec, Rng& rng);
 
+  // Non-copyable: cols_ may point at this layer's own lowering.
+  Conv2d(const Conv2d&) = delete;
+  Conv2d& operator=(const Conv2d&) = delete;
+
   const Tensor& forward(const Tensor& x) override;
+  /// forward() from `cols`, the ops::im2col_into lowering of a `batch`-row
+  /// input under spec(): GEMM, bias add and channel-major reorder.
+  const Tensor& forward_lowered(const Tensor& cols, std::size_t batch);
   const Tensor& backward(const Tensor& dy) override;
   void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
@@ -99,7 +113,8 @@ class Conv2d final : public Layer {
   Tensor w_;   // (C·k·k, out_channels)
   Tensor b_;   // (out_channels)
   Tensor dw_, db_;
-  Tensor cached_cols_;
+  Tensor own_cols_;                // forward()'s lowering of its input
+  const Tensor* cols_ = nullptr;   // the lowering the last forward consumed
   std::size_t cached_batch_ = 0;
   Tensor y_, out_;              // pre-/post-reorder forward buffers
   Tensor dys_, dcols_, dx_;     // backward buffers (dcols_, dx_: dx only)
@@ -117,6 +132,9 @@ class Tanh final : public Layer {
   Tensor dx_;
 };
 
+/// y = (x < 0 ? 0 : x). backward masks on the output it kept: y <= 0
+/// exactly when x <= 0, for every float including -0.0 and NaN, so no copy
+/// of the input is needed.
 class Relu final : public Layer {
  public:
   const Tensor& forward(const Tensor& x) override;
@@ -124,7 +142,6 @@ class Relu final : public Layer {
   std::string name() const override { return "Relu"; }
 
  private:
-  Tensor cached_input_;
   Tensor out_, dx_;
 };
 
@@ -136,6 +153,9 @@ class Sequential final : public Layer {
   Sequential& add(std::unique_ptr<Layer> layer);
 
   const Tensor& forward(const Tensor& x) override;
+  /// forward() through layers first..N-1 only, with `x` as the input of
+  /// layer `first` (its own caller ran layers 0..first-1).
+  const Tensor& forward_from(std::size_t first, const Tensor& x);
   const Tensor& backward(const Tensor& dy) override;
   /// backward() through layers N-1..1, backward_params() on layer 0.
   void backward_params(const Tensor& dy) override;

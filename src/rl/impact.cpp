@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "nn/distributions.hpp"
 #include "rl/vtrace.hpp"
@@ -9,31 +10,73 @@
 
 namespace stellaris::rl {
 
+Tensor impact_target_log_probs(nn::ActorCritic& target,
+                               const SampleBatch& batch) {
+  const std::size_t n = batch.size();
+  STELLARIS_CHECK_MSG(n > 0, "empty batch");
+  const std::size_t obs_dim = batch.obs.dim(1);
+  const bool continuous = batch.action_kind == nn::ActionKind::kContinuous;
+  const std::size_t act_dim = continuous ? batch.actions_cont.dim(1) : 0;
+  const std::size_t chunk =
+      std::min(n, std::max<std::size_t>(1, kValueChunkFloats / obs_dim));
+
+  Tensor logp({n});
+  auto& pool = ops::ScratchPool::local();
+  auto obs_lease = pool.take({chunk, obs_dim});
+  auto act_lease = pool.take({continuous ? chunk : 0, act_dim});
+  auto lsm_lease = pool.take({continuous ? 0 : chunk, target.act_dim()});
+  auto logp_lease = pool.take({chunk});
+  Tensor& obs = *obs_lease;
+  Tensor& act = *act_lease;
+  Tensor& chunk_logp = *logp_lease;
+  std::vector<std::size_t> act_disc;
+  for (std::size_t r0 = 0; r0 < n; r0 += chunk) {
+    const std::size_t rows = std::min(chunk, n - r0);
+    obs.ensure_shape({rows, obs_dim});
+    const auto src = batch.obs.data().subspan(r0 * obs_dim, rows * obs_dim);
+    std::copy(src.begin(), src.end(), obs.data().begin());
+    const Tensor& pol_out = target.policy_forward(obs);
+    if (continuous) {
+      act.ensure_shape({rows, act_dim});
+      const auto a =
+          batch.actions_cont.data().subspan(r0 * act_dim, rows * act_dim);
+      std::copy(a.begin(), a.end(), act.data().begin());
+      nn::gaussian_log_prob_into(chunk_logp, pol_out, *target.log_std(), act);
+    } else {
+      const auto first =
+          batch.actions_disc.begin() + static_cast<std::ptrdiff_t>(r0);
+      act_disc.assign(first, first + static_cast<std::ptrdiff_t>(rows));
+      nn::categorical_log_prob_into(chunk_logp, *lsm_lease, pol_out,
+                                    act_disc);
+    }
+    std::copy(chunk_logp.data().begin(), chunk_logp.data().end(),
+              logp.data().begin() + static_cast<std::ptrdiff_t>(r0));
+  }
+  return logp;
+}
+
 LossStats impact_compute_gradients(nn::ActorCritic& model,
-                                   nn::ActorCritic& target,
+                                   const Tensor& logp_target,
                                    const SampleBatch& batch,
                                    const ImpactConfig& cfg, double ratio_cap) {
   const std::size_t n = batch.size();
   STELLARIS_CHECK_MSG(n > 0, "empty batch");
+  STELLARIS_CHECK_MSG(logp_target.rank() == 1 && logp_target.dim(0) == n,
+                      "logp_target " << shape_str(logp_target.shape())
+                                     << " for a batch of " << n);
   const double inv_n = 1.0 / static_cast<double>(n);
 
-  // ---- forward on current and target networks -------------------------------
-  // References into the nets' persistent output buffers; `model` and
-  // `target` are distinct nets, so all three stay valid through the
-  // backward calls below.
-  const Tensor& pol_out = model.policy_forward(batch.obs);
-  const Tensor& values = model.value_forward(batch.obs);
-  const Tensor& target_out = target.policy_forward(batch.obs);
+  // ---- forward on the current network --------------------------------------
+  // References into the model's persistent output buffers, valid through
+  // the backward calls below.
+  const auto [pol_out, values] = model.forward(batch.obs);
 
-  Tensor logp, logp_target;
+  Tensor logp;
   if (batch.action_kind == nn::ActionKind::kContinuous) {
     logp =
         nn::gaussian_log_prob(pol_out, *model.log_std(), batch.actions_cont);
-    logp_target = nn::gaussian_log_prob(target_out, *target.log_std(),
-                                        batch.actions_cont);
   } else {
     logp = nn::categorical_log_prob(pol_out, batch.actions_disc);
-    logp_target = nn::categorical_log_prob(target_out, batch.actions_disc);
   }
 
   // ---- V-trace value targets and advantages (vs behaviour policy μ) ---------

@@ -7,6 +7,10 @@
 //    V-trace advantages computed against the behaviour policy μ.
 //  - The target network is refreshed by copying current weights every
 //    `target_update_freq` updates (Table III lists 1.0).
+//
+// The target network is fixed for a whole learner update, so its
+// log-probs are too: impact_target_log_probs computes them once per
+// update, and every SGD epoch's impact_compute_gradients reads them.
 #pragma once
 
 #include <limits>
@@ -35,12 +39,21 @@ struct ImpactConfig {
   double log_std_grad_scale = 0.25;  ///< see PpoConfig::log_std_grad_scale
 };
 
-/// Accumulate IMPACT gradients for `batch` into `model`, using `target` for
-/// the surrogate ratio. Value targets / advantages come from V-trace, so the
+/// log π_target(a_t | s_t) of every row of `batch`, shape (n). Runs
+/// target.policy_forward over chunks of max(1, kValueChunkFloats / obs_dim)
+/// rows, so the target's buffers stay at the chunk size; every GEMM element
+/// and log-prob is row-independent, so each entry equals its whole-batch
+/// value bit for bit.
+Tensor impact_target_log_probs(nn::ActorCritic& target,
+                               const SampleBatch& batch);
+
+/// Accumulate IMPACT gradients for `batch` into `model`, using the target
+/// network's log-probs `logp_target` (impact_target_log_probs) for the
+/// surrogate ratio. Value targets / advantages come from V-trace, so the
 /// batch does NOT need GAE. `ratio_cap` is the Stellaris truncation ρ.
 LossStats impact_compute_gradients(
-    nn::ActorCritic& model, nn::ActorCritic& target, const SampleBatch& batch,
-    const ImpactConfig& cfg,
+    nn::ActorCritic& model, const Tensor& logp_target,
+    const SampleBatch& batch, const ImpactConfig& cfg,
     double ratio_cap = std::numeric_limits<double>::infinity());
 
 }  // namespace stellaris::rl

@@ -20,8 +20,7 @@ LossStats ppo_compute_gradients(nn::ActorCritic& model,
   // ---- forward ------------------------------------------------------------
   // References into the nets' persistent output buffers; valid through the
   // backward calls below (backward never touches a forward output buffer).
-  const Tensor& pol_out = model.policy_forward(batch.obs);
-  const Tensor& values = model.value_forward(batch.obs);
+  const auto [pol_out, values] = model.forward(batch.obs);
 
   Tensor logp;
   if (batch.action_kind == nn::ActionKind::kContinuous) {

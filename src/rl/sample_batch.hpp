@@ -17,6 +17,14 @@
 
 namespace stellaris::rl {
 
+/// Float budget of the observations in one chunked forward over a batch's
+/// stored rows: VecActor's value forwards and IMPACT's target log-probs.
+/// Layer buffers grow to the largest row count they see, so a whole-batch
+/// forward would raise peak RSS on image observations; 16384 floats keep a
+/// chunk near the per-step forward's size (13 rows of a 1200-dim frame).
+/// See DESIGN.md §17.
+inline constexpr std::size_t kValueChunkFloats = 16384;
+
 struct SampleBatch {
   nn::ActionKind action_kind = nn::ActionKind::kContinuous;
 

@@ -6,16 +6,6 @@
 
 namespace stellaris::rl {
 
-namespace {
-
-// Float budget of one value-forward chunk's observations. The value net's
-// layer buffers grow to the largest row count they see, so one (K·H)-row
-// forward would raise peak RSS on image observations; 16384 floats keep a
-// chunk near the per-step forward's size (13 rows of a 1200-dim frame).
-constexpr std::size_t kValueChunkFloats = 16384;
-
-}  // namespace
-
 VecActor::VecActor(std::unique_ptr<envs::VecEnv> env, std::uint64_t seed)
     : env_(std::move(env)), rng_(seed) {
   const std::size_t k = env_->size();

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <type_traits>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -174,6 +176,93 @@ TEST(ActorCritic, RejectsBadConstruction) {
   EXPECT_THROW(ActorCritic(ObsSpec::vector(4), ActionKind::kDiscrete, 2,
                            NetworkSpec::atari(), 1),
                Error);
+}
+
+// -- forward(): both heads, one conv lowering --------------------------------
+
+void expect_same_bits(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        a.numel() * sizeof(float)),
+            0);
+}
+
+void expect_same_grads(const ActorCritic& a, const ActorCritic& b) {
+  const std::vector<float> ga = a.flat_grads(), gb = b.flat_grads();
+  ASSERT_EQ(ga.size(), gb.size());
+  EXPECT_EQ(std::memcmp(ga.data(), gb.data(), ga.size() * sizeof(float)), 0);
+}
+
+Tensor random_obs(const ActorCritic& m, std::size_t rows, Rng& rng) {
+  return Tensor::rand_uniform({rows, m.obs_spec().flat_dim}, rng, -1.0f,
+                              1.0f);
+}
+
+TEST(ActorCritic, ForwardMatchesSeparateHeadsAndGradients) {
+  for (bool atari : {false, true}) {
+    auto both = atari ? make_atari_model(21) : make_mujoco_model(21);
+    auto separate = atari ? make_atari_model(21) : make_mujoco_model(21);
+    Rng rng(22);
+    const Tensor obs = random_obs(both, 6, rng);
+    const Tensor dpolicy = Tensor::randn({6, both.act_dim()}, rng);
+    const Tensor dvalues = Tensor::randn({6}, rng);
+
+    const auto [policy, values] = both.forward(obs);
+    expect_same_bits(policy, separate.policy_forward(obs));
+    expect_same_bits(values, separate.value_forward(obs));
+
+    both.policy_backward(dpolicy);
+    both.value_backward(dvalues);
+    separate.policy_backward(dpolicy);
+    separate.value_backward(dvalues);
+    expect_same_grads(both, separate);
+  }
+}
+
+// A single-head forward between forward(a) and the backward calls runs on
+// its own lowering: the other net still backprops against a's.
+TEST(ActorCritic, SingleHeadForwardAfterForwardKeepsTheOtherHeadsLowering) {
+  for (bool atari : {false, true}) {
+    auto mixed = atari ? make_atari_model(23) : make_mujoco_model(23);
+    auto ref = atari ? make_atari_model(23) : make_mujoco_model(23);
+    Rng rng(24);
+    const Tensor a = random_obs(mixed, 5, rng);
+    const Tensor b = random_obs(mixed, 3, rng);
+    const Tensor dpolicy = Tensor::randn({3, mixed.act_dim()}, rng);
+    const Tensor dvalues = Tensor::randn({5}, rng);
+
+    (void)mixed.forward(a);
+    (void)mixed.policy_forward(b);
+    mixed.value_backward(dvalues);
+    (void)ref.value_forward(a);
+    ref.value_backward(dvalues);
+    expect_same_grads(mixed, ref);
+
+    mixed.policy_backward(dpolicy);
+    (void)ref.policy_forward(b);
+    ref.policy_backward(dpolicy);
+    expect_same_grads(mixed, ref);
+  }
+}
+
+TEST(ActorCritic, SteadyStateForwardBackwardDoesNotAllocate) {
+  for (bool atari : {false, true}) {
+    auto m = atari ? make_atari_model(25) : make_mujoco_model(25);
+    Rng rng(26);
+    const Tensor obs = random_obs(m, 4, rng);
+    const Tensor dpolicy = Tensor::ones({4, m.act_dim()});
+    const Tensor dvalues = Tensor::ones({4});
+    auto step = [&] {
+      (void)m.forward(obs);
+      m.policy_backward(dpolicy);
+      m.value_backward(dvalues);
+      m.zero_grad();
+    };
+    step();  // warm-up sizes every buffer and scratch lease
+    const std::uint64_t allocs = tensor_buffer_allocs();
+    for (int i = 0; i < 3; ++i) step();
+    EXPECT_EQ(tensor_buffer_allocs(), allocs) << (atari ? "atari" : "mujoco");
+  }
 }
 
 }  // namespace

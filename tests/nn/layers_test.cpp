@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -331,6 +332,87 @@ TEST(Sequential, BackwardParamsMatchesBackwardOnCnnTorso) {
         return seq;
       },
       Tensor::randn({3, 3 * 20 * 20}, rng));
+}
+
+// Relu::backward masks on its output, not on a copy of its input: the
+// result must equal the input-mask formula dx = (x <= 0 ? 0 : dy) on the
+// floats where the two could part, bit for bit.
+TEST(Relu, BackwardMatchesInputMaskOnSpecialValues) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> xs = {-0.0f, 0.0f, std::nanf(""), kInf, -kInf,
+                                 sub,   -sub, 1.0f,          -1.0f};
+  const std::size_t n = xs.size();
+  Tensor x({1, n}, xs);
+  Tensor dy({1, n});
+  for (std::size_t i = 0; i < n; ++i) dy[i] = 0.5f + static_cast<float>(i);
+  Relu r;
+  (void)r.forward(x);
+  const Tensor dx = r.backward(dy);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float got = dx[i];
+    const float want = xs[i] <= 0.0f ? 0.0f : dy[i];
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+        << "x = " << xs[i];
+  }
+}
+
+// forward_lowered on the im2col lowering of x is forward(x), and backward
+// uses the lowering of the LAST forward, whichever entry point ran it.
+TEST(Conv2d, ForwardLoweredMatchesForward) {
+  Rng rng(19);
+  const ops::Conv2dSpec spec = conv_spec(3, 9, 8, 3, 2);
+  Rng ra(7), rb(7);
+  Conv2d own(spec, ra), lowered(spec, rb);
+  const Tensor x = Tensor::randn({4, 3 * 9 * 9}, rng);
+  const Tensor cols = ops::im2col(x, spec);
+  const Tensor y_own = own.forward(x);
+  const Tensor y_low = lowered.forward_lowered(cols, 4);
+  ASSERT_EQ(y_own.shape(), y_low.shape());
+  EXPECT_EQ(std::memcmp(y_own.data().data(), y_low.data().data(),
+                        y_own.numel() * sizeof(float)),
+            0);
+  EXPECT_THROW((void)lowered.forward_lowered(cols, 3), Error);
+}
+
+void expect_same_grads(Layer& a, Layer& b) {
+  const auto ga = a.gradients(), gb = b.gradients();
+  ASSERT_EQ(ga.size(), gb.size());
+  for (std::size_t i = 0; i < ga.size(); ++i)
+    EXPECT_EQ(std::memcmp(ga[i]->data().data(), gb[i]->data().data(),
+                          ga[i]->numel() * sizeof(float)),
+              0)
+        << "gradient " << i;
+}
+
+TEST(Conv2d, BackwardUsesTheLastForwardsLowering) {
+  Rng rng(20);
+  const ops::Conv2dSpec spec = conv_spec(3, 9, 8, 3, 2);
+  const Tensor a = Tensor::randn({4, 3 * 9 * 9}, rng);
+  const Tensor b = Tensor::randn({4, 3 * 9 * 9}, rng);
+  const Tensor cols_a = ops::im2col(a, spec);
+  const Tensor cols_b = ops::im2col(b, spec);
+  auto build = [&] {
+    Rng r(8);
+    return std::make_unique<Conv2d>(spec, r);
+  };
+  auto ref = build();
+  const Tensor dy = Tensor::randn(ref->forward(a).shape(), rng);
+  ref->backward_params(dy);
+
+  // forward(b), then forward_lowered(a): backward must read cols_a.
+  auto mixed = build();
+  (void)mixed->forward(b);
+  (void)mixed->forward_lowered(cols_a, 4);
+  mixed->backward_params(dy);
+  expect_same_grads(*ref, *mixed);
+
+  // forward_lowered(b), then forward(a): backward must read its own.
+  auto mixed2 = build();
+  (void)mixed2->forward_lowered(cols_b, 4);
+  (void)mixed2->forward(a);
+  mixed2->backward_params(dy);
+  expect_same_grads(*ref, *mixed2);
 }
 
 }  // namespace

@@ -282,11 +282,16 @@ void expect_same_bytes(float a, float b, const char* what) {
   EXPECT_EQ(std::memcmp(&a, &b, sizeof(float)), 0) << what;
 }
 
+// gtest names each case after the raw bytes of its parameter, so the case
+// holds its env name inline rather than as a pointer: a pointer would put the
+// address of a string literal into the test name, and that moves whenever
+// anything linked into the binary changes.
 struct AfterLoopCase {
-  const char* env;
-  std::size_t k;
-  std::size_t horizon;
+  char env[16];
+  std::uint32_t k;
+  std::uint32_t horizon;
 };
+static_assert(sizeof(AfterLoopCase) == 24);
 
 class VecActorAfterLoop : public ::testing::TestWithParam<AfterLoopCase> {};
 
