@@ -556,8 +556,10 @@ std::vector<KernelResult> run_actor_benches() {
       benchmark::DoNotOptimize(actor.sample(policy, scratch, horizon, 0));
     });
     if (k == 1) k1_rate = rate;
-    out.push_back({"actor_rollout", "K" + std::to_string(k), "msteps", work,
-                   rate, k1_rate});
+    // append, not "K" + to_string(k): GCC 12 reports a false -Wrestrict on
+    // the insert that operator+ inlines here.
+    out.push_back({"actor_rollout", std::string("K").append(std::to_string(k)),
+                   "msteps", work, rate, k1_rate});
   }
   return out;
 }

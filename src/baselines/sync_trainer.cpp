@@ -18,16 +18,6 @@
 
 namespace stellaris::baselines {
 
-const char* sync_variant_name(SyncVariant v) {
-  switch (v) {
-    case SyncVariant::kVanillaPpo: return "vanilla";
-    case SyncVariant::kRllibLike: return "rllib-like";
-    case SyncVariant::kMinionsLike: return "minionsrl-like";
-    case SyncVariant::kParRl: return "par-rl-like";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Sum of hourly prices of every VM in the cluster — serverful trainers pay

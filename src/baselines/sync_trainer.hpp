@@ -29,8 +29,6 @@ namespace stellaris::baselines {
 
 enum class SyncVariant { kVanillaPpo, kRllibLike, kMinionsLike, kParRl };
 
-const char* sync_variant_name(SyncVariant v);
-
 struct SyncConfig {
   core::TrainConfig base;         ///< env / algorithm / scale / latency
   SyncVariant variant = SyncVariant::kVanillaPpo;

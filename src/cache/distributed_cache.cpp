@@ -1,7 +1,5 @@
 #include "cache/distributed_cache.hpp"
 
-#include <algorithm>
-
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -36,14 +34,7 @@ DistributedCache::DistributedCache(std::size_t num_shards) {
   m_bytes_written_ = &m.counter("cache.bytes_written");
   m_bytes_read_ = &m.counter("cache.bytes_read");
   m_blocked_timeouts_ = &m.counter("cache.blocked_read_timeouts");
-  // Explicitly real-time (wall-clock) debug metric: how long real driver
-  // threads sat in get_blocking. Never feeds back into virtual-time
-  // results; see the header comment on the real-time get_blocking.
-  m_blocked_wait_real_ms_ =
-      &m.histogram("cache.blocked_read_wait_real_ms", 0.0, 500.0, 100);
   m_resident_bytes_ = &m.gauge("cache.resident_bytes");
-  m_async_waits_ = &m.counter("cache.async_waits");
-  m_async_timeouts_ = &m.counter("cache.async_timeouts");
 }
 
 DistributedCache::Shard& DistributedCache::shard_for(
@@ -79,47 +70,19 @@ std::uint64_t DistributedCache::put(const std::string& key, Bytes value) {
 std::uint64_t DistributedCache::put(const std::string& key, Payload value) {
   if (!value) value = std::make_shared<const Bytes>();
   Shard& s = shard_for(key);
-  std::uint64_t new_version = 0;
-  // Async waiters this put satisfies; their callbacks are scheduled (not
-  // run) outside the lock, as fresh events at the current virtual time.
-  struct Ready {
-    sim::Engine* engine;
-    AsyncCallback cb;
-    CacheValue value;
-  };
-  std::vector<Ready> ready;
-  {
-    MutexLock lock(s.mu);
-    auto& entry = s.store[key];
-    const std::size_t old_size = entry.data ? entry.data->size() : 0;
-    s.resident_bytes -= old_size;
-    s.resident_bytes += value->size();
-    s.stats.bytes_written += value->size();
-    ++s.stats.puts;
-    m_puts_->add();
-    m_bytes_written_->add(value->size());
-    m_resident_bytes_->add(static_cast<double>(value->size()) -
-                           static_cast<double>(old_size));
-    entry.data = std::move(value);
-    new_version = ++entry.version;
-    for (auto it = s.waiters.begin(); it != s.waiters.end();) {
-      if (it->key == key && new_version > it->min_version) {
-        if (it->deadline) *it->deadline = true;
-        ready.push_back(
-            {it->engine, std::move(it->cb), read_entry_locked(s, entry)});
-        it = s.waiters.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  s.cv.notify_all();
-  for (auto& r : ready)
-    r.engine->schedule_after(
-        0.0, [cb = std::move(r.cb), v = std::move(r.value)]() mutable {
-          cb(std::move(v));
-        });
-  return new_version;
+  MutexLock lock(s.mu);
+  auto& entry = s.store[key];
+  const std::size_t old_size = entry.data ? entry.data->size() : 0;
+  s.resident_bytes -= old_size;
+  s.resident_bytes += value->size();
+  s.stats.bytes_written += value->size();
+  ++s.stats.puts;
+  m_puts_->add();
+  m_bytes_written_->add(value->size());
+  m_resident_bytes_->add(static_cast<double>(value->size()) -
+                         static_cast<double>(old_size));
+  entry.data = std::move(value);
+  return ++entry.version;
 }
 
 std::optional<CacheValue> DistributedCache::get(const std::string& key) const {
@@ -146,52 +109,6 @@ CacheValue DistributedCache::get_or_throw(const std::string& key) const {
 }
 
 std::optional<CacheValue> DistributedCache::get_blocking(
-    const std::string& key, std::uint64_t min_version,
-    std::chrono::milliseconds timeout) {
-  Shard& s = shard_for(key);
-  // Real-concurrency path: this thread actually sleeps, so the wait is
-  // intentionally measured against the wall clock and recorded under an
-  // explicitly real-time debug metric. Nothing result-affecting depends on
-  // it; the virtual-time overload below handles simulation callers.
-  // analyze:wall-clock-ok — measures genuine thread blocking time
-  const auto wait_begin = std::chrono::steady_clock::now();
-  const auto deadline = wait_begin + timeout;
-  std::optional<CacheValue> result;
-  double waited_ms = 0.0;
-  {
-    MutexLock lock(s.mu);
-    const Entry* e = find_ready_locked(s, key, min_version);
-    while (e == nullptr) {
-      if (s.cv.wait_until(s.mu, deadline) == std::cv_status::timeout) {
-        e = find_ready_locked(s, key, min_version);  // final re-check
-        break;
-      }
-      e = find_ready_locked(s, key, min_version);
-    }
-    // Real blocking time for the debug histogram.
-    const auto wait_end = std::chrono::steady_clock::now();  // analyze:wall-clock-ok
-    waited_ms =
-        std::chrono::duration<double, std::milli>(wait_end - wait_begin)
-            .count();
-    m_blocked_wait_real_ms_->observe(waited_ms);
-    ++s.stats.gets;
-    m_gets_->add();
-    if (e != nullptr) {
-      result = read_entry_locked(s, *e);
-    } else {
-      ++s.stats.misses;
-      m_misses_->add();
-      m_blocked_timeouts_->add();
-    }
-  }
-  if (!result) {
-    LOG_DEBUG << "blocking read timed out after " << waited_ms
-              << "ms: key=" << key << " min_version=" << min_version;
-  }
-  return result;
-}
-
-std::optional<CacheValue> DistributedCache::get_blocking(
     const std::string& key, std::uint64_t min_version, sim::Engine& engine,
     double timeout_s) {
   Shard& s = shard_for(key);
@@ -209,71 +126,6 @@ std::optional<CacheValue> DistributedCache::get_blocking(
             << " min_version=" << min_version << " (deadline would be t="
             << engine.now() + timeout_s << ")";
   return std::nullopt;
-}
-
-void DistributedCache::get_async(const std::string& key,
-                                 std::uint64_t min_version,
-                                 sim::Engine& engine, double timeout_s,
-                                 AsyncCallback cb) {
-  Shard& s = shard_for(key);
-  m_async_waits_->add();
-  MutexLock lock(s.mu);
-  ++s.stats.gets;
-  m_gets_->add();
-  if (const Entry* e = find_ready_locked(s, key, min_version)) {
-    CacheValue v = read_entry_locked(s, *e);
-    engine.schedule_after(
-        0.0, [cb = std::move(cb), v = std::move(v)]() mutable {
-          cb(std::move(v));
-        });
-    return;
-  }
-  Waiter w;
-  w.id = s.next_waiter_id++;
-  w.key = key;
-  w.min_version = min_version;
-  w.engine = &engine;
-  w.cb = std::move(cb);
-  if (timeout_s > 0.0) {
-    const std::uint64_t id = w.id;
-    w.deadline = engine.schedule_cancellable_after(
-        timeout_s, [this, &s, id] { expire_waiter(s, id); });
-  }
-  s.waiters.push_back(std::move(w));
-}
-
-void DistributedCache::expire_waiter(Shard& s, std::uint64_t id) {
-  AsyncCallback cb;
-  {
-    MutexLock lock(s.mu);
-    auto it = s.waiters.begin();
-    for (; it != s.waiters.end(); ++it)
-      if (it->id == id) break;
-    if (it == s.waiters.end()) return;  // already satisfied or cleared
-    cb = std::move(it->cb);
-    ++s.stats.misses;
-    m_misses_->add();
-    m_async_timeouts_->add();
-    LOG_DEBUG << "async cache wait timed out: key=" << it->key
-              << " min_version=" << it->min_version;
-    s.waiters.erase(it);
-  }
-  cb(std::nullopt);
-}
-
-std::size_t DistributedCache::pending_waiters() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) {  // analyze:shard-iter-ok — order-independent sum
-    MutexLock lock(s->mu);
-    n += s->waiters.size();
-  }
-  return n;
-}
-
-bool DistributedCache::contains(const std::string& key) const {
-  Shard& s = shard_for(key);
-  MutexLock lock(s.mu);
-  return s.store.count(key) > 0;
 }
 
 std::uint64_t DistributedCache::version(const std::string& key) const {
@@ -295,46 +147,6 @@ bool DistributedCache::erase(const std::string& key) {
   m_resident_bytes_->add(-static_cast<double>(freed));
   s.store.erase(it);
   return true;
-}
-
-std::vector<std::string> DistributedCache::keys_with_prefix(
-    const std::string& prefix) const {
-  std::vector<std::string> out;
-  // analyze:shard-iter-ok — collected across shards, then sorted below
-  for (const auto& s : shards_) {
-    MutexLock lock(s->mu);
-    for (const auto& [key, entry] : s->store)
-      if (key.compare(0, prefix.size(), prefix) == 0) out.push_back(key);
-  }
-  // Lexicographic result regardless of shard count or hash placement.
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::size_t DistributedCache::erase_prefix(const std::string& prefix) {
-  std::size_t removed = 0;
-  // analyze:shard-iter-ok — per-key removal; totals are order-independent
-  for (const auto& s : shards_) {
-    std::size_t freed = 0;
-    MutexLock lock(s->mu);
-    for (auto it = s->store.begin(); it != s->store.end();) {
-      if (it->first.compare(0, prefix.size(), prefix) == 0) {
-        freed += it->second.data ? it->second.data->size() : 0;
-        ++s->stats.erases;
-        m_erases_->add();
-        it = s->store.erase(it);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
-    s->resident_bytes -= freed;
-    m_resident_bytes_->add(-static_cast<double>(freed));
-  }
-  if (removed > 0) {
-    LOG_DEBUG << "erased " << removed << " keys with prefix " << prefix;
-  }
-  return removed;
 }
 
 std::size_t DistributedCache::num_keys() const {
@@ -378,13 +190,6 @@ CacheStats DistributedCache::stats() const {
   return total;
 }
 
-void DistributedCache::reset_stats() {
-  for (const auto& s : shards_) {  // analyze:shard-iter-ok — per-shard reset
-    MutexLock lock(s->mu);
-    s->stats = CacheStats{};
-  }
-}
-
 void DistributedCache::clear() {
   std::size_t dropped = 0;
   for (const auto& s : shards_) {  // analyze:shard-iter-ok — per-shard clear
@@ -392,9 +197,6 @@ void DistributedCache::clear() {
     dropped += s->store.size();
     s->store.clear();
     s->resident_bytes = 0;
-    for (auto& w : s->waiters)
-      if (w.deadline) *w.deadline = true;
-    s->waiters.clear();
   }
   m_resident_bytes_->set(0.0);
   if (dropped > 0) {

@@ -4,32 +4,27 @@
 // policy model weights; everyone else polls or blocks for them.
 //
 // This is our Redis substitute: a thread-safe versioned KV store with
-//  - monotonically increasing per-key versions (so pollers can wait for
+//  - monotonically increasing per-key versions (so pollers can ask for
 //    "anything newer than what I last saw"),
-//  - blocking reads with timeout (condition-variable based, for the real
-//    multi-threaded driver),
-//  - prefix scans (gradient / trajectory inbox patterns like "grad/*"),
+//  - a virtual-time blocking read for simulation-driven callers,
 //  - byte and hit/miss accounting that feeds the data-passing latency model.
 //
 // Data-plane design (DESIGN.md §12):
 //  - **Zero-copy reads.** Entries own their payload through
 //    `std::shared_ptr<const Bytes>`; every read hands back the refcounted
-//    payload plus a span view, so `get`/`get_blocking`/`get_async` and
-//    pub/sub waiters never copy bytes. A put replaces the entry's pointer —
-//    readers still holding the old payload keep a valid immutable snapshot.
+//    payload plus a span view, so `get`/`get_blocking` never copy bytes.
+//    A put replaces the entry's pointer — readers still holding the old
+//    payload keep a valid immutable snapshot.
 //  - **Sharded store.** Keys hash (FNV-1a, platform-stable) onto N stripes,
 //    each behind its own annotated Mutex at rank `lock_rank::kCache`. The
 //    stripes are rank-equal peers: no code path ever holds two shard locks
 //    at once (whole-cache operations visit shards one at a time in index
 //    order), which the runtime lock-order checker enforces. Aggregate
-//    results (key lists, stats sums) are made deterministic by sorting /
-//    order-independent reduction, so figures are bit-identical for any
-//    shard count.
+//    results (stats, byte and key counts) are order-independent sums, so
+//    figures are bit-identical for any shard count.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -63,7 +58,7 @@ struct CacheValue {
   std::size_t size_bytes() const { return payload ? payload->size() : 0; }
 };
 
-/// Aggregate counters (monotonic since construction or reset_stats()).
+/// Aggregate counters (monotonic since construction).
 struct CacheStats {
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
@@ -98,57 +93,23 @@ class DistributedCache {
   /// Read that throws CacheError on miss — for keys the protocol guarantees.
   CacheValue get_or_throw(const std::string& key) const;
 
-  /// Block until `key` exists with version > `min_version`, or timeout.
-  /// Returns nullopt on timeout. min_version = 0 accepts any value.
-  ///
-  /// Real-concurrency driver only: the calling thread genuinely sleeps, so
-  /// the wait duration is measured in *real* time and recorded under the
-  /// explicitly real-time debug metric `cache.blocked_read_wait_real_ms`.
-  /// Everything result-affecting stays on the virtual clock (the sim
-  /// overload below never sleeps and records no wait time).
-  std::optional<CacheValue> get_blocking(const std::string& key,
-                                         std::uint64_t min_version,
-                                         std::chrono::milliseconds timeout);
-
-  /// Virtual-time deadline overload for simulation-driven callers. The
-  /// event loop is single-threaded, so no other event can publish the key
-  /// while this call "waits": the wait collapses deterministically to an
-  /// immediate hit (the key is already satisfied) or a miss accounted as a
-  /// timeout at `engine.now() + timeout_s` — no wall-clock sleep, no
-  /// nondeterminism, and the virtual clock never advances. Callers that
-  /// need to genuinely wait across events use get_async.
+  /// Read `key` once it has a version > `min_version` (0 accepts any
+  /// value), waiting at most `timeout_s` of virtual time. The event loop
+  /// is single-threaded, so no other event can publish the key while this
+  /// call "waits": the wait collapses deterministically to an immediate
+  /// hit (the key is already satisfied) or a miss accounted as a timeout
+  /// at `engine.now() + timeout_s` — no wall-clock sleep, no
+  /// nondeterminism, and the virtual clock never advances.
   std::optional<CacheValue> get_blocking(const std::string& key,
                                          std::uint64_t min_version,
                                          sim::Engine& engine,
                                          double timeout_s);
-
-  using AsyncCallback = std::function<void(std::optional<CacheValue>)>;
-
-  /// Event-driven wait: fires `cb` (via `engine`, in virtual time) as soon
-  /// as `key` reaches a version > `min_version` — immediately (same
-  /// timestamp, later event) if already satisfied — or with nullopt at the
-  /// virtual deadline `engine.now() + timeout_s`. timeout_s <= 0 means no
-  /// deadline (the waiter is dropped at clear()).
-  void get_async(const std::string& key, std::uint64_t min_version,
-                 sim::Engine& engine, double timeout_s, AsyncCallback cb);
-
-  /// Async waiters currently registered (tests / diagnostics).
-  std::size_t pending_waiters() const;
-
-  bool contains(const std::string& key) const;
 
   /// Current version of a key (0 if absent).
   std::uint64_t version(const std::string& key) const;
 
   /// Remove a key; returns whether it existed.
   bool erase(const std::string& key);
-
-  /// All keys starting with `prefix`, in lexicographic order (sorted after
-  /// collection, so the result is identical for any shard count).
-  std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
-
-  /// Remove every key with the prefix; returns count removed.
-  std::size_t erase_prefix(const std::string& prefix);
 
   std::size_t num_keys() const;
   /// Total payload bytes currently resident.
@@ -162,7 +123,6 @@ class DistributedCache {
   void sample_depth(double t_s) const;
 
   CacheStats stats() const;
-  void reset_stats();
 
   void clear();
 
@@ -171,27 +131,15 @@ class DistributedCache {
     Payload data;  ///< never null once written
     std::uint64_t version = 0;
   };
-  /// One registered get_async call awaiting a put (or its deadline).
-  struct Waiter {
-    std::uint64_t id = 0;
-    std::string key;
-    std::uint64_t min_version = 0;
-    sim::Engine* engine = nullptr;
-    AsyncCallback cb;
-    sim::Engine::CancelHandle deadline;  ///< null when timeout_s <= 0
-  };
   /// One lock stripe. All stripes share rank kCache and are never nested;
   /// whole-cache operations lock them one at a time in index order.
   struct Shard {
     Mutex mu{"cache/shard", lock_rank::kCache};
-    CondVar cv;
     // Per-key versioned entries. Iteration order is shard-private and never
-    // observable: aggregate reads sort (keys_with_prefix) or reduce
-    // order-independently (stats, byte/key counts).
-    // analyze:unordered-ok — outputs sorted or order-independent (see above)
+    // observable: aggregate reads reduce order-independently (stats,
+    // byte/key counts).
+    // analyze:unordered-ok — outputs order-independent (see above)
     std::unordered_map<std::string, Entry> store GUARDED_BY(mu);
-    std::vector<Waiter> waiters GUARDED_BY(mu);
-    std::uint64_t next_waiter_id GUARDED_BY(mu) = 0;
     std::size_t resident_bytes GUARDED_BY(mu) = 0;
     CacheStats stats GUARDED_BY(mu);
   };
@@ -200,8 +148,8 @@ class DistributedCache {
 
   /// Account a hit against `s` and return the entry's refcounted value.
   /// The single place where hits/bytes_read are bumped: every successful
-  /// read on every path (plain, blocking, async, waiter wake-up) funnels
-  /// through here, so each logical read is counted exactly once.
+  /// read on every path (plain and blocking) funnels through here, so each
+  /// logical read is counted exactly once.
   CacheValue read_entry_locked(Shard& s, const Entry& entry) const
       REQUIRES(s.mu);
   /// The entry for `key` if it exists with version > min_version.
@@ -209,12 +157,10 @@ class DistributedCache {
                                         const std::string& key,
                                         std::uint64_t min_version)
       REQUIRES(s.mu);
-  /// Deadline event for an async waiter: drop it and fire cb(nullopt).
-  void expire_waiter(Shard& s, std::uint64_t id);
 
   // Stripes are fixed at construction; the vector itself is immutable, so
   // unsynchronized shard lookup is safe. unique_ptr keeps Shard addresses
-  // stable (Mutex/CondVar are not movable).
+  // stable (Mutex is not movable).
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // Process-wide observability mirrors of the per-instance stats (resolved
@@ -227,10 +173,7 @@ class DistributedCache {
   obs::Counter* m_bytes_written_;
   obs::Counter* m_bytes_read_;
   obs::Counter* m_blocked_timeouts_;
-  obs::FixedHistogram* m_blocked_wait_real_ms_;
   obs::Gauge* m_resident_bytes_;
-  obs::Counter* m_async_waits_;
-  obs::Counter* m_async_timeouts_;
 };
 
 }  // namespace stellaris::cache

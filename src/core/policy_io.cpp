@@ -19,12 +19,6 @@ std::vector<std::uint8_t> encode_policy(const std::vector<float>& params,
   return w.take();
 }
 
-std::pair<std::vector<float>, std::uint64_t> decode_policy(ByteSpan bytes) {
-  std::vector<float> params;
-  const std::uint64_t version = decode_policy_into(bytes, params);
-  return {std::move(params), version};
-}
-
 std::uint64_t decode_policy_into(ByteSpan bytes, std::vector<float>& params) {
   ByteReader r(bytes);
   const std::uint64_t version = r.get_u64();

@@ -45,8 +45,6 @@ void decode_checkpoint_into(ByteSpan bytes, Checkpoint& out);
 std::vector<std::uint8_t> encode_policy(const std::vector<float>& params,
                                         std::uint64_t version);
 
-/// Decode (params, version).
-std::pair<std::vector<float>, std::uint64_t> decode_policy(ByteSpan bytes);
 /// Decode into an existing params buffer (capacity reuse); returns version.
 std::uint64_t decode_policy_into(ByteSpan bytes, std::vector<float>& params);
 

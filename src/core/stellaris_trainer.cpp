@@ -307,10 +307,10 @@ void StellarisTrainer::launch_actor(std::size_t actor_idx) {
           auto ctx = ctx_pool_->lease();
           ctx->model.set_flat_params(snapshot->params);
           Rng inv_rng(stream);
-          out->batch = actors_[actor_idx]->sample(ctx->model, ctx->vec_scratch,
-                                                  cfg_.horizon,
-                                                  snapshot->version, inv_rng);
-          out->bytes = out->batch.serialize();
+          const rl::SampleBatch batch = actors_[actor_idx]->sample(
+              ctx->model, ctx->vec_scratch, cfg_.horizon, snapshot->version,
+              inv_rng);
+          out->bytes = batch.serialize();
         },
         actor_chain_[actor_idx]);
     actor_chain_[actor_idx] = job;
@@ -577,8 +577,10 @@ void StellarisTrainer::on_learner_complete(
     msg.batch_size = body.batch_size;
     msg.kl = stats.kl;
     msg.compute_time_s = r.compute_s;
+    // Keyed by learner_id, the id aggregation and recovery erase by:
+    // grad_id counts in settle order, which can differ from launch order.
     const std::uint64_t grad_id = next_grad_id_++;
-    cache_.put(keys::gradient(grad_id), msg.serialize());
+    cache_.put(keys::gradient(learner_id), msg.serialize());
     if (auto* led = obs::ledger())
       led->append(
           obs::LedgerEvent("grad", engine_.now())

@@ -68,7 +68,6 @@ class StellarisTrainer {
   /// Outputs an actor invocation body computes on its worker thread,
   /// published into shared state by the merge section (DESIGN.md §14).
   struct ActorBodyResult {
-    rl::SampleBatch batch;
     std::vector<std::uint8_t> bytes;  ///< serialized trajectory payload
   };
   /// Outputs of a learner invocation body.
@@ -172,7 +171,6 @@ class StellarisTrainer {
   std::shared_ptr<const std::vector<float>> target_params_;
   std::size_t updates_since_target_ = 0;
   Tensor probe_obs_;
-  double last_round_kl_ = 0.0;
   double last_gate_threshold_ = 0.0;  // β_k in force when the group fired
   // Learner-stat accumulators since the previous round record.
   double acc_learner_kl_ = 0.0;

@@ -173,6 +173,7 @@ void LocomotionEnv::observe_into(std::span<float> obs) {
       static_cast<float>(mean_angle / static_cast<double>(p_.n_joints));
 }
 
+// analyze:test-only-ok a test observes the integrator's energy through it
 double LocomotionEnv::limb_energy() const {
   double e = 0.0;
   for (std::size_t j = 0; j < p_.n_joints; ++j)

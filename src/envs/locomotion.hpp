@@ -52,8 +52,6 @@ class LocomotionEnv final : public Env {
   StepOut step_into(std::span<const float> action,
                     std::span<float> obs) override;
 
-  /// Forward velocity of the torso (exposed for tests).
-  double torso_velocity() const { return torso_vel_; }
   /// Total mechanical-ish energy of the limb system (for integrator tests).
   double limb_energy() const;
 

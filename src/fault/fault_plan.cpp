@@ -15,17 +15,6 @@ const char* error_kind_name(ErrorKind kind) {
   return "?";
 }
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kVmReclaim: return "vm_reclaim";
-    case FaultKind::kStraggler: return "straggler";
-    case FaultKind::kCacheFail: return "cache_fail";
-    case FaultKind::kCacheDelay: return "cache_delay";
-  }
-  return "?";
-}
-
 bool FaultConfig::any() const {
   return crash_prob > 0.0 || straggler_prob > 0.0 ||
          reclaim_rate_per_hour > 0.0 || cache_fail_prob > 0.0 ||

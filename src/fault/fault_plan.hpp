@@ -44,8 +44,6 @@ enum class FaultKind : std::uint8_t {
   kCacheDelay,
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 /// One scripted fault.
 struct ScheduledFault {
   double time_s = 0.0;  ///< virtual time the fault arms (or fires: reclaim)

@@ -24,7 +24,7 @@ NetworkSpec NetworkSpec::atari() {
 ActorCritic::ActorCritic(const ObsSpec& obs, ActionKind kind,
                          std::size_t act_dim, const NetworkSpec& net,
                          std::uint64_t seed)
-    : obs_(obs), kind_(kind), act_dim_(act_dim), net_spec_(net), seed_(seed) {
+    : obs_(obs), kind_(kind), act_dim_(act_dim), net_spec_(net) {
   STELLARIS_CHECK_MSG(obs.flat_dim > 0, "observation dim must be positive");
   STELLARIS_CHECK_MSG(act_dim > 0, "action dim must be positive");
   if (net.use_cnn)
@@ -94,13 +94,6 @@ Sequential ActorCritic::build_torso(std::size_t out_dim, Rng& rng) const {
     seq.add(std::make_unique<Linear>(net_spec_.fc_hidden, out_dim, rng));
   }
   return seq;
-}
-
-std::unique_ptr<ActorCritic> ActorCritic::clone() const {
-  auto copy = std::make_unique<ActorCritic>(obs_, kind_, act_dim_, net_spec_,
-                                            seed_);
-  copy->set_flat_params(flat_params());
-  return copy;
 }
 
 void ActorCritic::check_obs(const Tensor& obs) const {

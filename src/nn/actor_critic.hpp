@@ -68,7 +68,7 @@ class ActorCritic {
   ActorCritic(const ObsSpec& obs, ActionKind kind, std::size_t act_dim,
               const NetworkSpec& net, std::uint64_t seed);
 
-  // Non-copyable (layers own big buffers); use clone() for explicit copies.
+  // Non-copyable (layers own big buffers).
   // Non-movable too: the cached parameter/gradient lists point into this
   // object's members (log_std_, dlog_std_), so a move would dangle them.
   ActorCritic(const ActorCritic&) = delete;
@@ -76,12 +76,8 @@ class ActorCritic {
   ActorCritic(ActorCritic&&) = delete;
   ActorCritic& operator=(ActorCritic&&) = delete;
 
-  /// Deep copy with identical parameters.
-  std::unique_ptr<ActorCritic> clone() const;
-
   ActionKind kind() const { return kind_; }
   std::size_t act_dim() const { return act_dim_; }
-  const ObsSpec& obs_spec() const { return obs_; }
 
   /// Both heads on one observation batch, bit-identical to policy_forward
   /// and value_forward on it; the references follow those calls' validity.
@@ -138,7 +134,6 @@ class ActorCritic {
   ActionKind kind_;
   std::size_t act_dim_;
   NetworkSpec net_spec_;
-  std::uint64_t seed_;
 
   Sequential policy_net_;
   Sequential value_net_;

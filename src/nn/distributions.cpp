@@ -42,12 +42,6 @@ class ColumnExp {
 
 }  // namespace
 
-Tensor gaussian_sample(const Tensor& mean, const Tensor& log_std, Rng& rng) {
-  Tensor out;
-  gaussian_sample_into(out, mean, log_std, rng);
-  return out;
-}
-
 void gaussian_sample_into(Tensor& out, const Tensor& mean,
                           const Tensor& log_std, Rng& rng) {
   STELLARIS_CHECK_MSG(mean.rank() == 2 && log_std.rank() == 1 &&
@@ -130,13 +124,6 @@ Tensor gaussian_kl(const Tensor& mean_p, const Tensor& log_std_p,
     out[i] = static_cast<float>(kl);
   }
   return out;
-}
-
-std::vector<std::size_t> categorical_sample(const Tensor& logits, Rng& rng) {
-  std::vector<std::size_t> actions;
-  Tensor probs;
-  categorical_sample_into(actions, probs, logits, rng);
-  return actions;
 }
 
 void categorical_sample_into(std::vector<std::size_t>& actions,

@@ -25,11 +25,8 @@ namespace nn {
 // Diagonal Gaussian
 // ---------------------------------------------------------------------------
 
-/// Sample a ~ N(mean_i, exp(log_std)²) per row; returns (batch, act_dim).
-Tensor gaussian_sample(const Tensor& mean, const Tensor& log_std, Rng& rng);
-
-/// Allocation-free form: `out` is reshaped to (batch, act_dim) reusing its
-/// capacity. RNG draw order is identical to gaussian_sample (row-major).
+/// Sample a ~ N(mean_i, exp(log_std)²) per row into `out`, reshaped to
+/// (batch, act_dim) reusing its capacity. Draws are row-major.
 void gaussian_sample_into(Tensor& out, const Tensor& mean,
                           const Tensor& log_std, Rng& rng);
 
@@ -64,12 +61,9 @@ Tensor gaussian_kl(const Tensor& mean_p, const Tensor& log_std_p,
 // Categorical
 // ---------------------------------------------------------------------------
 
-/// Sample one action index per row from softmax(logits).
-std::vector<std::size_t> categorical_sample(const Tensor& logits, Rng& rng);
-
-/// Allocation-free form: `actions` is resized to (batch); `probs_scratch`
-/// holds the softmax and is reshaped reusing its capacity. Draw order is
-/// identical to categorical_sample.
+/// Sample one action index per row from softmax(logits) into `actions`,
+/// resized to (batch); `probs_scratch` holds the softmax and is reshaped
+/// reusing its capacity. One draw per row, in row order.
 void categorical_sample_into(std::vector<std::size_t>& actions,
                              Tensor& probs_scratch, const Tensor& logits,
                              Rng& rng);

@@ -51,10 +51,6 @@ Conv2d::Conv2d(ops::Conv2dSpec spec, Rng& rng) : spec_(spec) {
   db_ = Tensor({spec_.out_channels});
 }
 
-std::size_t Conv2d::out_features() const {
-  return spec_.out_channels * spec_.out_h() * spec_.out_w();
-}
-
 const Tensor& Conv2d::forward(const Tensor& x) {
   ops::im2col_into(own_cols_, x, spec_);
   return forward_lowered(own_cols_, x.dim(0));
@@ -193,16 +189,6 @@ std::vector<Tensor*> Sequential::gradients() {
   for (auto& l : layers_)
     for (Tensor* g : l->gradients()) out.push_back(g);
   return out;
-}
-
-void zero_gradients(Layer& layer) {
-  for (Tensor* g : layer.gradients()) g->zero();
-}
-
-std::size_t parameter_count(Layer& layer) {
-  std::size_t n = 0;
-  for (Tensor* p : layer.parameters()) n += p->numel();
-  return n;
 }
 
 }  // namespace stellaris::nn

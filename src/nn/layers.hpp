@@ -67,9 +67,6 @@ class Linear final : public Layer {
   std::vector<Tensor*> gradients() override { return {&dw_, &db_}; }
   std::string name() const override { return "Linear"; }
 
-  std::size_t in_features() const { return w_.dim(0); }
-  std::size_t out_features() const { return w_.dim(1); }
-
  private:
   Tensor w_, b_;
   Tensor dw_, db_;
@@ -105,8 +102,6 @@ class Conv2d final : public Layer {
   std::string name() const override { return "Conv2d"; }
 
   const ops::Conv2dSpec& spec() const { return spec_; }
-  /// Flattened output features per sample: out_channels·out_h·out_w.
-  std::size_t out_features() const;
 
  private:
   ops::Conv2dSpec spec_;
@@ -163,19 +158,12 @@ class Sequential final : public Layer {
   std::vector<Tensor*> gradients() override;
   std::string name() const override { return "Sequential"; }
 
-  std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
   Tensor passthrough_;  // only used when the pipeline is empty
 };
-
-/// Zero every gradient accumulator of `layer`.
-void zero_gradients(Layer& layer);
-
-/// Total learnable scalar count.
-std::size_t parameter_count(Layer& layer);
 
 }  // namespace nn
 }  // namespace stellaris

@@ -51,10 +51,6 @@ void SgdOptimizer::step_with_lr(std::vector<float>& params,
   }
 }
 
-std::unique_ptr<FlatOptimizer> SgdOptimizer::clone() const {
-  return std::make_unique<SgdOptimizer>(*this);
-}
-
 void SgdOptimizer::save_slots(ByteWriter& w) const {
   w.put_f64(momentum_);
   w.put_f32_vector(velocity_);
@@ -90,10 +86,6 @@ void AdamOptimizer::step_with_lr(std::vector<float>& params,
   }
 }
 
-std::unique_ptr<FlatOptimizer> AdamOptimizer::clone() const {
-  return std::make_unique<AdamOptimizer>(*this);
-}
-
 void AdamOptimizer::save_slots(ByteWriter& w) const {
   w.put_f64(beta1_);
   w.put_f64(beta2_);
@@ -125,10 +117,6 @@ void RmsPropOptimizer::step_with_lr(std::vector<float>& params,
     params[i] -= static_cast<float>(
         lr * g / (std::sqrt(static_cast<double>(sq_[i])) + eps_));
   }
-}
-
-std::unique_ptr<FlatOptimizer> RmsPropOptimizer::clone() const {
-  return std::make_unique<RmsPropOptimizer>(*this);
 }
 
 void RmsPropOptimizer::save_slots(ByteWriter& w) const {

@@ -36,7 +36,6 @@ class FlatOptimizer {
                             std::span<const float> grad, double lr) = 0;
 
   virtual std::string name() const = 0;
-  virtual std::unique_ptr<FlatOptimizer> clone() const = 0;
 
   /// Serialize the full optimizer state (lr + moment/accumulator slots,
   /// prefixed with name() so a mismatched restore fails fast). Together
@@ -48,7 +47,6 @@ class FlatOptimizer {
   void load_state(ByteReader& r);
 
   double lr() const { return lr_; }
-  void set_lr(double lr) { lr_ = lr; }
 
  protected:
   explicit FlatOptimizer(double lr) : lr_(lr) {}
@@ -66,7 +64,6 @@ class SgdOptimizer final : public FlatOptimizer {
   void step_with_lr(std::vector<float>& params, std::span<const float> grad,
                     double lr) override;
   std::string name() const override { return "sgd"; }
-  std::unique_ptr<FlatOptimizer> clone() const override;
 
  protected:
   void save_slots(ByteWriter& w) const override;
@@ -86,7 +83,6 @@ class AdamOptimizer final : public FlatOptimizer {
   void step_with_lr(std::vector<float>& params, std::span<const float> grad,
                     double lr) override;
   std::string name() const override { return "adam"; }
-  std::unique_ptr<FlatOptimizer> clone() const override;
 
  protected:
   void save_slots(ByteWriter& w) const override;
@@ -107,7 +103,6 @@ class RmsPropOptimizer final : public FlatOptimizer {
   void step_with_lr(std::vector<float>& params, std::span<const float> grad,
                     double lr) override;
   std::string name() const override { return "rmsprop"; }
-  std::unique_ptr<FlatOptimizer> clone() const override;
 
  protected:
   void save_slots(ByteWriter& w) const override;

@@ -67,7 +67,6 @@ class FixedHistogram {
   double lo() const { return lo_; }
   double hi() const { return hi_; }
   double bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-  double bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
   std::uint64_t bin_count(std::size_t i) const {
     return counts_[i].load(std::memory_order_relaxed);
   }

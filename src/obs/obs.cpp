@@ -36,10 +36,6 @@ std::string run_tag() {
          std::to_string(detail::g_run_counter.load(std::memory_order_relaxed));
 }
 
-std::string run_track(const std::string& suffix) {
-  return run_tag() + "/" + suffix;
-}
-
 ObsSession::ObsSession(ObsOptions opts) : opts_(std::move(opts)) {
   if (opts_.reset_metrics) metrics().reset();
   if (!opts_.trace_path.empty()) {

@@ -71,9 +71,6 @@ std::string run_tag();
 /// stamped with this so multi-run captures stay separable offline.
 std::uint64_t current_run();
 
-/// "run<id>/<suffix>" with the current run id.
-std::string run_track(const std::string& suffix);
-
 struct ObsOptions {
   std::string trace_path;       ///< empty → tracing stays disabled
   std::string metrics_path;     ///< empty → no metrics dump at session end

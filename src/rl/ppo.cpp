@@ -128,10 +128,4 @@ LossStats ppo_compute_gradients(nn::ActorCritic& model,
   return stats;
 }
 
-double adapt_kl_coeff(double kl_coeff, double measured_kl, double kl_target) {
-  if (measured_kl > 2.0 * kl_target) return kl_coeff * 1.5;
-  if (measured_kl < 0.5 * kl_target) return kl_coeff / 1.5;
-  return kl_coeff;
-}
-
 }  // namespace stellaris::rl

@@ -53,8 +53,4 @@ LossStats ppo_compute_gradients(
     nn::ActorCritic& model, const SampleBatch& batch, const PpoConfig& cfg,
     double ratio_cap = std::numeric_limits<double>::infinity());
 
-/// RLlib-style adaptive KL coefficient update: doubles the penalty when the
-/// measured KL overshoots 2× target, halves it when under half the target.
-double adapt_kl_coeff(double kl_coeff, double measured_kl, double kl_target);
-
 }  // namespace stellaris::rl

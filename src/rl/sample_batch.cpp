@@ -210,42 +210,4 @@ SampleBatch SampleBatch::concat(std::span<const SampleBatch> parts) {
   return out;
 }
 
-SampleBatch SampleBatch::select(const std::vector<std::size_t>& idx) const {
-  SampleBatch out;
-  out.action_kind = action_kind;
-  out.policy_version = policy_version;
-  out.bootstrap_value = bootstrap_value;
-
-  auto sel1 = [&](const Tensor& t) {
-    if (t.empty()) return Tensor();
-    std::vector<float> data;
-    data.reserve(idx.size());
-    for (std::size_t i : idx) data.push_back(t[i]);
-    return Tensor({idx.size()}, std::move(data));
-  };
-  auto sel2 = [&](const Tensor& t) {
-    if (t.empty()) return Tensor();
-    const std::size_t w = t.dim(1);
-    std::vector<float> data;
-    data.reserve(idx.size() * w);
-    for (std::size_t i : idx) {
-      auto r = t.row(i);
-      data.insert(data.end(), r.begin(), r.end());
-    }
-    return Tensor({idx.size(), w}, std::move(data));
-  };
-
-  out.obs = sel2(obs);
-  out.actions_cont = sel2(actions_cont);
-  if (!actions_disc.empty())
-    for (std::size_t i : idx) out.actions_disc.push_back(actions_disc[i]);
-  out.rewards = sel1(rewards);
-  out.dones = sel1(dones);
-  out.behaviour_log_probs = sel1(behaviour_log_probs);
-  out.values = sel1(values);
-  out.advantages = sel1(advantages);
-  out.value_targets = sel1(value_targets);
-  return out;
-}
-
 }  // namespace stellaris::rl

@@ -89,9 +89,6 @@ struct SampleBatch {
   static SampleBatch concat(std::initializer_list<SampleBatch> parts) {
     return concat(std::span<const SampleBatch>(parts.begin(), parts.size()));
   }
-
-  /// Rows `idx` as a new batch (for minibatch SGD).
-  SampleBatch select(const std::vector<std::size_t>& idx) const;
 };
 
 }  // namespace stellaris::rl

@@ -70,9 +70,9 @@ class VecActor {
   SampleBatch sample(nn::ActorCritic& policy, VecActorScratch& scratch,
                      std::size_t horizon, std::uint64_t policy_version);
 
-  std::size_t num_envs() const { return env_->size(); }
   const envs::EnvSpec& env_spec() const { return env_->spec(); }
   /// Total environment steps taken across all env copies.
+  // analyze:test-only-ok tests observe that a sample steps every env copy
   std::uint64_t total_env_steps() const { return env_->total_steps(); }
 
  private:

@@ -65,12 +65,4 @@ std::optional<double> Batcher::head_arrival(std::uint64_t version) const {
   return it->second.front().arrival_s;
 }
 
-std::vector<std::uint64_t> Batcher::pending_versions() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(lanes_.size());
-  for (const auto& [version, lane] : lanes_)
-    if (!lane.empty()) out.push_back(version);
-  return out;
-}
-
 }  // namespace stellaris::serve

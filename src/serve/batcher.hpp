@@ -57,9 +57,6 @@ class Batcher {
   /// re-arm the cutoff for the remainder after a take().
   std::optional<double> head_arrival(std::uint64_t version) const;
 
-  /// Versions of all non-empty lanes, ascending (cutoff re-arm sweep).
-  std::vector<std::uint64_t> pending_versions() const;
-
  private:
   bool lane_ready(const std::deque<ServeRequest>& lane, double now) const;
 

@@ -60,7 +60,6 @@ class RolloutController {
 
   bool canary_active() const { return active_; }
   std::uint64_t stable_version() const { return stable_; }
-  std::uint64_t canary_version() const { return canary_; }
   std::uint64_t promotions() const { return promotions_; }
   std::uint64_t rollbacks() const { return rollbacks_; }
 

@@ -126,7 +126,6 @@ class ServeEngine {
   const serverless::ContainerPool& pool() const { return pool_; }
   const serverless::CostMeter& costs() const { return costs_; }
   const fault::FaultInjector& injector() const { return injector_; }
-  const Autoscaler& autoscaler() const { return autoscaler_; }
   const AdmissionController& admission(std::size_t t) const {
     return tenants_[t]->admission;
   }

@@ -30,12 +30,6 @@ std::size_t ClusterSpec::total_gpus() const {
   return n;
 }
 
-std::size_t ClusterSpec::total_cpus() const {
-  std::size_t n = 0;
-  for (const auto& g : vms) n += g.type.vcpus * g.count;
-  return n;
-}
-
 std::size_t ClusterSpec::learner_slots() const {
   return total_gpus() * learner_slots_per_gpu;
 }

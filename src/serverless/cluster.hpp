@@ -37,7 +37,6 @@ struct ClusterSpec {
   std::size_t learner_slots_per_gpu = 4;  ///< §VIII-A: capacity 4 per V100
 
   std::size_t total_gpus() const;
-  std::size_t total_cpus() const;
   /// Max concurrently running learner functions across the cluster.
   std::size_t learner_slots() const;
   /// Max concurrently running serverless actors (1 per CPU core on the

@@ -94,6 +94,7 @@ std::size_t ContainerPool::prewarm(std::size_t n, double now) {
   return warmed;
 }
 
+// analyze:test-only-ok tests observe fault kills through it
 std::uint64_t ContainerPool::kills() const {
   MutexLock lock(mu_);
   return kills_;
@@ -114,6 +115,7 @@ std::uint64_t ContainerPool::warm_starts() const {
   return warm_starts_;
 }
 
+// analyze:test-only-ok tests observe pre-warm and keep-alive through it
 std::size_t ContainerPool::warm_idle(double now) const {
   MutexLock lock(mu_);
   std::size_t n = 0;

@@ -35,11 +35,14 @@ class GpuDataLoader {
   double learner_wait_s(std::uint64_t id, double now);
 
   /// Batches currently in flight or resident but unclaimed.
+  // analyze:test-only-ok tests observe batches retiring through it
   std::size_t outstanding() const { return in_flight_.size(); }
-
+  // analyze:test-only-ok tests observe finished pre-loads through it
   std::uint64_t preload_hits() const { return hits_; }
+  // analyze:test-only-ok tests observe residual waits through it
   std::uint64_t preload_misses() const { return misses_; }
   /// Total transfer seconds the loader overlapped with other work.
+  // analyze:test-only-ok tests observe the overlap accounting through it
   double overlapped_s() const { return overlapped_s_; }
 
  private:

@@ -6,15 +6,6 @@
 
 namespace stellaris::serverless {
 
-const char* data_tier_name(DataTier tier) {
-  switch (tier) {
-    case DataTier::kSharedMemory: return "shared-memory";
-    case DataTier::kRpc: return "rpc";
-    case DataTier::kCache: return "cache";
-  }
-  return "?";
-}
-
 double LatencyModel::transfer_s(DataTier tier, std::size_t bytes) const {
   const double b = static_cast<double>(bytes);
   switch (tier) {

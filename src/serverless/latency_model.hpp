@@ -19,8 +19,6 @@ namespace stellaris::serverless {
 /// Which channel a payload travels over (§V-B hierarchical data passing).
 enum class DataTier { kSharedMemory, kRpc, kCache };
 
-const char* data_tier_name(DataTier tier);
-
 struct LatencyModel {
   // -- container lifecycle ---------------------------------------------------
   double cold_start_s = 1.2;

@@ -8,14 +8,6 @@
 
 namespace stellaris::sim {
 
-const char* driver_kind_name(DriverKind kind) {
-  switch (kind) {
-    case DriverKind::kVirtual: return "virtual";
-    case DriverKind::kConcurrent: return "concurrent";
-  }
-  return "?";
-}
-
 std::optional<DriverKind> parse_driver_kind(std::string_view name) {
   if (name == "virtual") return DriverKind::kVirtual;
   if (name == "concurrent") return DriverKind::kConcurrent;

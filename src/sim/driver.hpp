@@ -41,7 +41,6 @@ enum class DriverKind {
   kConcurrent,  ///< bodies run on a worker pool; merge order unchanged
 };
 
-const char* driver_kind_name(DriverKind kind);
 std::optional<DriverKind> parse_driver_kind(std::string_view name);
 
 /// Resolve a `--driver-threads` request: 0 means "one per hardware thread".

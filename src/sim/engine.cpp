@@ -44,10 +44,9 @@ bool Engine::step() {
     Event ev = queue_.top();
     queue_.pop();
     // Cancelled events are dropped without touching the clock: a dead timer
-    // must leave no trace in `now()` or `executed_events()`.
+    // must leave no trace in `now()`.
     if (ev.cancelled && *ev.cancelled) continue;
     now_ = ev.t;
-    ++executed_;
     ev.fn();
     return true;
   }
@@ -59,6 +58,7 @@ void Engine::run() {
   }
 }
 
+// analyze:test-only-ok tests drive never-ending event streams to a deadline
 void Engine::run_until(SimTime deadline) {
   while (!queue_.empty()) {
     const Event& top = queue_.top();

@@ -58,9 +58,6 @@ class Engine {
   /// Run until the queue is empty or virtual time would exceed `deadline`.
   void run_until(SimTime deadline);
 
-  std::size_t pending_events() const { return queue_.size(); }
-  std::uint64_t executed_events() const { return executed_; }
-
   /// Install the execution driver invocation bodies run on (non-owning;
   /// nullptr restores the process-wide inline fallback). The engine itself
   /// never calls the driver — it only carries the reference so subsystems
@@ -86,7 +83,6 @@ class Engine {
   Driver* driver_ = nullptr;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

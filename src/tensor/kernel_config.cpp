@@ -92,6 +92,7 @@ std::uint64_t kernel_parallel_min_flops() {
   return min_flops().load(std::memory_order_relaxed);
 }
 
+// analyze:test-only-ok tests force the threaded GEMM path through it
 void set_kernel_parallel_min_flops(std::uint64_t flops) {
   min_flops().store(flops, std::memory_order_relaxed);
 }

@@ -20,6 +20,7 @@ constexpr KernelTier kTiers[] = {
 
 }  // namespace
 
+// analyze:test-only-ok a test checks the build's tier list through it
 std::span<const KernelTier> kernel_tiers() { return kTiers; }
 
 std::uint32_t host_cpu_features() {

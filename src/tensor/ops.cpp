@@ -96,10 +96,4 @@ void col2im_into(Tensor& out, const Tensor& cols, const Conv2dSpec& spec,
   }
 }
 
-Tensor col2im(const Tensor& cols, const Conv2dSpec& spec, std::size_t batch) {
-  Tensor out;
-  col2im_into(out, cols, spec, batch);
-  return out;
-}
-
 }  // namespace stellaris::ops

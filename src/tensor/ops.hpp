@@ -109,7 +109,6 @@ void im2col_into(Tensor& cols, const Tensor& input, const Conv2dSpec& spec);
 
 /// Inverse scatter of im2col — accumulates column gradients back into the
 /// input-gradient layout (N, C·H·W).
-Tensor col2im(const Tensor& cols, const Conv2dSpec& spec, std::size_t batch);
 void col2im_into(Tensor& out, const Tensor& cols, const Conv2dSpec& spec,
                  std::size_t batch);
 

@@ -31,7 +31,6 @@ class ScratchPool {
     Lease& operator=(const Lease&) = delete;
     ~Lease();
 
-    Tensor& tensor() { return *t_; }
     Tensor& operator*() { return *t_; }
     Tensor* operator->() { return t_.get(); }
 
@@ -53,7 +52,8 @@ class ScratchPool {
   /// when none does.
   Lease take(const Shape& shape);
 
-  /// Buffers currently parked in the pool (test hook).
+  /// Buffers currently parked in the pool.
+  // analyze:test-only-ok tests observe buffer reuse through it
   std::size_t pooled() const { return free_.size(); }
 
   /// The calling thread's pool.

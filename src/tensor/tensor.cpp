@@ -21,6 +21,7 @@ obs::Counter& buffer_alloc_counter() {
 
 void Tensor::note_alloc() { buffer_alloc_counter().add(1); }
 
+// analyze:test-only-ok buffer-reuse tests observe allocations through it
 std::uint64_t tensor_buffer_allocs() {
   return buffer_alloc_counter().value();
 }
@@ -67,10 +68,6 @@ Tensor& Tensor::operator=(const Tensor& other) {
   return *this;
 }
 
-Tensor Tensor::of(std::initializer_list<float> values) {
-  return Tensor({values.size()}, std::vector<float>(values));
-}
-
 Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
 
 Tensor Tensor::full(Shape shape, float value) {
@@ -78,8 +75,6 @@ Tensor Tensor::full(Shape shape, float value) {
   t.fill(value);
   return t;
 }
-
-Tensor Tensor::ones(Shape shape) { return full(std::move(shape), 1.0f); }
 
 Tensor Tensor::randn(Shape shape, Rng& rng, float stddev) {
   Tensor t(std::move(shape));
@@ -101,25 +96,6 @@ float& Tensor::at(std::size_t i, std::size_t j) {
 float Tensor::at(std::size_t i, std::size_t j) const {
   STELLARIS_DCHECK(rank() == 2 && i < shape_[0] && j < shape_[1]);
   return data_[i * shape_[1] + j];
-}
-
-float& Tensor::at3(std::size_t i, std::size_t j, std::size_t k) {
-  STELLARIS_DCHECK(rank() == 3 && i < shape_[0] && j < shape_[1] &&
-                   k < shape_[2]);
-  return data_[(i * shape_[1] + j) * shape_[2] + k];
-}
-
-float Tensor::at3(std::size_t i, std::size_t j, std::size_t k) const {
-  STELLARIS_DCHECK(rank() == 3 && i < shape_[0] && j < shape_[1] &&
-                   k < shape_[2]);
-  return data_[(i * shape_[1] + j) * shape_[2] + k];
-}
-
-Tensor Tensor::reshaped(Shape shape) const {
-  STELLARIS_CHECK_MSG(shape_numel(shape) == numel(),
-                      "reshape " << shape_str(shape_) << " -> "
-                                 << shape_str(shape) << " changes numel");
-  return Tensor(std::move(shape), data_);
 }
 
 Tensor& Tensor::reshape(Shape shape) {
@@ -177,13 +153,6 @@ Tensor& Tensor::operator*=(float s) {
   return *this;
 }
 
-Tensor& Tensor::add_scaled(const Tensor& other, float s) {
-  STELLARIS_CHECK_MSG(same_shape(other), "shape mismatch in add_scaled");
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    data_[i] += s * other.data_[i];
-  return *this;
-}
-
 Tensor& Tensor::fill(float v) {
   std::fill(data_.begin(), data_.end(), v);
   return *this;
@@ -220,11 +189,6 @@ float Tensor::norm() const {
   double s = 0.0;
   for (float v : data_) s += static_cast<double>(v) * v;
   return static_cast<float>(std::sqrt(s));
-}
-
-bool Tensor::all_finite() const {
-  return std::all_of(data_.begin(), data_.end(),
-                     [](float v) { return std::isfinite(v); });
 }
 
 Tensor operator+(Tensor a, const Tensor& b) {

@@ -51,13 +51,8 @@ class Tensor {
   Tensor& operator=(Tensor&&) noexcept = default;
 
   // -- factories ----------------------------------------------------------
-  /// 1-D tensor from explicit values — handy in tests. A named factory (not
-  /// an initializer_list constructor) so `Tensor({m, n})` always means the
-  /// Shape constructor.
-  static Tensor of(std::initializer_list<float> values);
   static Tensor zeros(Shape shape);
   static Tensor full(Shape shape, float value);
-  static Tensor ones(Shape shape);
   /// I.i.d. N(0, stddev^2) entries.
   static Tensor randn(Shape shape, Rng& rng, float stddev = 1.0f);
   /// Uniform in [lo, hi).
@@ -85,14 +80,8 @@ class Tensor {
   float operator[](std::size_t i) const { return data_[i]; }
   float& at(std::size_t i, std::size_t j);
   float at(std::size_t i, std::size_t j) const;
-  float& at3(std::size_t i, std::size_t j, std::size_t k);
-  float at3(std::size_t i, std::size_t j, std::size_t k) const;
 
-  /// Reinterpret to a new shape with identical numel.
-  Tensor reshaped(Shape shape) const;
-
-  /// In-place reinterpretation to a new shape with identical numel — the
-  /// allocation-free sibling of reshaped().
+  /// In-place reinterpretation to a new shape with identical numel.
   Tensor& reshape(Shape shape);
 
   /// Adopt `shape`, reusing the existing buffer when its capacity fits
@@ -112,7 +101,6 @@ class Tensor {
   Tensor& operator+=(const Tensor& other);
   Tensor& operator-=(const Tensor& other);
   Tensor& operator*=(float s);
-  Tensor& add_scaled(const Tensor& other, float s);  ///< this += s * other
   Tensor& fill(float v);
   Tensor& zero() { return fill(0.0f); }
 
@@ -123,8 +111,6 @@ class Tensor {
   float max() const;
   /// L2 norm of the flattened tensor.
   float norm() const;
-  /// True if every element is finite.
-  bool all_finite() const;
 
  private:
   static void note_alloc();

@@ -291,14 +291,6 @@ class CondVar {
   /// Subject to spurious wakeups — always call in a predicate loop.
   void wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
 
-  /// As wait(), but also wakes at `deadline`; returns std::cv_status.
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until(
-      Mutex& mu, const std::chrono::time_point<Clock, Duration>& deadline)
-      REQUIRES(mu) {
-    return cv_.wait_until(mu, deadline);
-  }
-
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 

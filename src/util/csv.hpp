@@ -17,9 +17,6 @@ class Table {
  public:
   explicit Table(std::vector<std::string> columns);
 
-  std::size_t num_columns() const { return columns_.size(); }
-  std::size_t num_rows() const { return rows_.size(); }
-
   /// Begin a new row; subsequent add() calls fill cells left-to-right.
   Table& row();
   Table& add(const std::string& cell);

@@ -24,10 +24,6 @@ std::optional<LogLevel> try_parse_log_level(std::string_view s) {
   return std::nullopt;
 }
 
-LogLevel parse_log_level(std::string_view s, LogLevel fallback) {
-  return try_parse_log_level(s).value_or(fallback);
-}
-
 std::string log_timestamp() {
   using namespace std::chrono;
   const auto now = system_clock::now();
@@ -69,6 +65,7 @@ Logger& Logger::instance() {
   return logger;
 }
 
+// analyze:test-only-ok tests set the level to drive the logging macros
 void Logger::set_level(LogLevel level) {
   MutexLock lock(mu_);
   level_ = level;

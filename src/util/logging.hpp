@@ -27,9 +27,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 /// else.
 std::optional<LogLevel> try_parse_log_level(std::string_view s);
 
-/// As try_parse_log_level, but `fallback` on unrecognized input.
-LogLevel parse_log_level(std::string_view s, LogLevel fallback);
-
 /// Current wall clock as "2026-08-06T12:34:56.789Z".
 std::string log_timestamp();
 

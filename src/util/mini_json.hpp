@@ -24,7 +24,6 @@ struct Value {
   std::map<std::string, Value> obj;
 
   bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
   bool has(const std::string& key) const {
     return kind == Kind::kObject && obj.count(key) > 0;
   }

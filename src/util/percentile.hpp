@@ -3,9 +3,7 @@
 //
 // Nearest-rank (rank = ceil(q·n), 1-indexed) always returns an element of
 // the sample, so a reported p99 is a latency some request actually saw —
-// the property SLO monitoring wants. This is deliberately DIFFERENT from
-// util/stats.hpp's `percentile_sorted`, which linearly interpolates between
-// order statistics for smooth training curves; do not mix the two.
+// the property SLO monitoring wants.
 //
 // Edge cases are pinned by tests/util/percentile_test.cpp:
 //   empty sample            → 0.0

@@ -20,7 +20,7 @@ std::uint64_t SplitMix64::next() {
   return z ^ (z >> 31);
 }
 
-Rng::Rng(std::uint64_t seed) : seed_origin_(seed) {
+Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.next();
   // All-zero state is the one forbidden state for xoshiro; SplitMix64 cannot
@@ -38,13 +38,6 @@ std::uint64_t Rng::next() {
   s_[2] ^= t;
   s_[3] = rotl(s_[3], 45);
   return result;
-}
-
-Rng Rng::split(std::uint64_t stream) const {
-  // Mix the original seed with the stream id through SplitMix64 so streams
-  // land in unrelated regions of the state space.
-  SplitMix64 sm(seed_origin_ ^ (0x5851f42d4c957f2dULL * (stream + 1)));
-  return Rng(sm.next());
 }
 
 double Rng::uniform() {
@@ -89,27 +82,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-std::size_t Rng::categorical(const std::vector<double>& probs) {
-  STELLARIS_DCHECK(!probs.empty());
-  const double u = uniform();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    acc += probs[i];
-    if (u < acc) return i;
-  }
-  return probs.size() - 1;  // numeric slack: fall into the last bucket
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
-
-std::vector<std::size_t> Rng::permutation(std::size_t n) {
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  for (std::size_t i = n; i > 1; --i) {
-    const std::size_t j = uniform_int(i);
-    std::swap(idx[i - 1], idx[j]);
-  }
-  return idx;
-}
 
 }  // namespace stellaris

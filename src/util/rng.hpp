@@ -1,4 +1,4 @@
-// Deterministic, splittable random number generation.
+// Deterministic random number generation.
 //
 // Every stochastic component in Stellaris (environments, policy sampling,
 // simulated latency jitter) takes an explicit seed so that a full training
@@ -13,7 +13,7 @@
 namespace stellaris {
 
 /// SplitMix64: used to expand a single 64-bit seed into generator state and
-/// to derive independent child seeds ("splitting").
+/// to derive independent child seeds.
 class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
@@ -41,10 +41,6 @@ class Rng {
 
   std::uint64_t next();
 
-  /// Derive an independent child generator (for per-actor / per-learner
-  /// streams). Children with distinct `stream` ids are decorrelated.
-  Rng split(std::uint64_t stream) const;
-
   /// Uniform double in [0, 1).
   double uniform();
 
@@ -60,22 +56,13 @@ class Rng {
   /// Normal with mean/stddev.
   double normal(double mean, double stddev);
 
-  /// Sample an index from an (unnormalized) discrete distribution given as
-  /// probabilities; caller guarantees probs sum to ~1.
-  std::size_t categorical(const std::vector<double>& probs);
-
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);
-
-  /// In-place Fisher–Yates shuffle of indices [0, n).
-  std::vector<std::size_t> permutation(std::size_t n);
 
  private:
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;
   bool has_spare_ = false;
-
-  std::uint64_t seed_origin_;
 };
 
 }  // namespace stellaris

@@ -2,11 +2,7 @@
 
 namespace stellaris {
 
-void ByteWriter::put_u32(std::uint32_t v) { put_tagged(wire::kU32, v); }
-
 void ByteWriter::put_u64(std::uint64_t v) { put_tagged(wire::kU64, v); }
-
-void ByteWriter::put_i64(std::int64_t v) { put_tagged(wire::kI64, v); }
 
 void ByteWriter::put_f32(float v) { put_tagged(wire::kF32, v); }
 
@@ -51,19 +47,9 @@ void expect_tag(std::uint8_t got, std::uint8_t want, const char* what) {
 
 std::uint8_t ByteReader::get_u8() { return raw<std::uint8_t>(); }
 
-std::uint32_t ByteReader::get_u32() {
-  expect_tag(get_u8(), wire::kU32, "u32");
-  return raw<std::uint32_t>();
-}
-
 std::uint64_t ByteReader::get_u64() {
   expect_tag(get_u8(), wire::kU64, "u64");
   return raw<std::uint64_t>();
-}
-
-std::int64_t ByteReader::get_i64() {
-  expect_tag(get_u8(), wire::kI64, "i64");
-  return raw<std::int64_t>();
 }
 
 float ByteReader::get_f32() {
@@ -99,21 +85,9 @@ std::vector<float> ByteReader::get_f32_vector() {
   return v;
 }
 
-std::vector<double> ByteReader::get_f64_vector() {
-  std::vector<double> v;
-  get_f64_vector_into(v);
-  return v;
-}
-
 std::vector<std::uint64_t> ByteReader::get_u64_vector() {
   std::vector<std::uint64_t> v;
   get_u64_vector_into(v);
-  return v;
-}
-
-std::vector<std::uint8_t> ByteReader::get_bytes() {
-  std::vector<std::uint8_t> v;
-  get_bytes_into(v);
   return v;
 }
 

@@ -41,10 +41,9 @@ using ByteSpan = std::span<const std::uint8_t>;
 namespace wire {
 // Type tags: each primitive is preceded by its tag so corrupted or
 // mis-ordered reads fail fast.
+// 0x02 and 0x04 (the retired u32 and i64 tags) stay unassigned.
 inline constexpr std::uint8_t kU8 = 0x01;
-inline constexpr std::uint8_t kU32 = 0x02;
 inline constexpr std::uint8_t kU64 = 0x03;
-inline constexpr std::uint8_t kI64 = 0x04;
 inline constexpr std::uint8_t kF32 = 0x05;
 inline constexpr std::uint8_t kF64 = 0x06;
 inline constexpr std::uint8_t kString = 0x07;
@@ -56,14 +55,9 @@ inline constexpr std::uint8_t kU64Vec = 0x0a;
 // size before writing (ByteWriter's single-allocation contract). u8 is raw
 // (no tag); everything else is 1 tag byte + payload.
 inline constexpr std::size_t size_u8() { return 1; }
-inline constexpr std::size_t size_u32() { return 1 + sizeof(std::uint32_t); }
 inline constexpr std::size_t size_u64() { return 1 + sizeof(std::uint64_t); }
-inline constexpr std::size_t size_i64() { return 1 + sizeof(std::int64_t); }
 inline constexpr std::size_t size_f32() { return 1 + sizeof(float); }
 inline constexpr std::size_t size_f64() { return 1 + sizeof(double); }
-inline constexpr std::size_t size_string(std::size_t chars) {
-  return 1 + sizeof(std::uint32_t) + chars;
-}
 inline constexpr std::size_t size_f32_vector(std::size_t n) {
   return 1 + sizeof(std::uint64_t) + n * sizeof(float);
 }
@@ -96,9 +90,7 @@ class ByteWriter {
   std::size_t capacity() const { return buf_.capacity(); }
 
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
-  void put_i64(std::int64_t v);
   void put_f32(float v);
   void put_f64(double v);
   void put_string(const std::string& s);
@@ -140,23 +132,18 @@ class ByteReader {
   ByteReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
+  // analyze:test-only-ok kept for decoders that must reject trailing bytes
   bool exhausted() const { return pos_ == size_; }
+  // analyze:test-only-ok kept for decoders that bound a length by the input
   std::size_t remaining() const { return size_ - pos_; }
 
   std::uint8_t get_u8();
-  std::uint32_t get_u32();
   std::uint64_t get_u64();
-  std::int64_t get_i64();
   float get_f32();
   double get_f64();
   std::string get_string();
   std::vector<float> get_f32_vector();
-  std::vector<double> get_f64_vector();
   std::vector<std::uint64_t> get_u64_vector();
-  /// Raw blob written by put_bytes (or the legacy u64-length + raw-byte
-  /// stream): one bounds check, one memcpy.
-  std::vector<std::uint8_t> get_bytes();
-
   // _into variants: decode into a caller-owned container, reusing its
   // capacity (resize + one memcpy; no allocation once warm). Returns the
   // element count for convenience.

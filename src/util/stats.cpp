@@ -20,33 +20,11 @@ void RunningStat::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStat::merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStat::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-double RunningStat::ci95_halfwidth() const {
-  if (n_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
 
 void Ema::add(double x) {
   acc_ = alpha_ * acc_ + (1.0 - alpha_) * x;
@@ -58,22 +36,6 @@ double Ema::value() const {
   // Bias correction: divide out the weight mass 1 - alpha^n.
   const double correction = 1.0 - std::pow(alpha_, static_cast<double>(n_));
   return acc_ / correction;
-}
-
-double percentile(std::vector<double> xs, double q) {
-  std::sort(xs.begin(), xs.end());
-  return percentile_sorted(xs, q);
-}
-
-double percentile_sorted(const std::vector<double>& sorted, double q) {
-  STELLARIS_CHECK_MSG(!sorted.empty(), "percentile of empty sample");
-  STELLARIS_CHECK(q >= 0.0 && q <= 1.0);
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
@@ -94,8 +56,6 @@ double Histogram::bin_lo(std::size_t i) const {
   return lo_ + width_ * static_cast<double>(i);
 }
 
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
 double Histogram::bin_center(std::size_t i) const {
   return bin_lo(i) + 0.5 * width_;
 }
@@ -107,21 +67,6 @@ std::vector<double> Histogram::density() const {
   for (std::size_t i = 0; i < counts_.size(); ++i)
     d[i] = static_cast<double>(counts_[i]) * norm;
   return d;
-}
-
-double mean_of(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double stddev_of(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean_of(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs.size() - 1));
 }
 
 }  // namespace stellaris

@@ -1,6 +1,5 @@
-// Streaming and batch statistics used across benchmarks and the evaluation
-// harness: Welford running moments, percentiles, bootstrap-free normal
-// confidence intervals, fixed-bin histograms (for the staleness PDF of
+// Streaming statistics used across benchmarks and the evaluation harness:
+// Welford running moments, fixed-bin histograms (for the staleness PDF of
 // Fig. 3(b)), and exponential moving averages (reward smoothing).
 #pragma once
 
@@ -14,7 +13,6 @@ namespace stellaris {
 class RunningStat {
  public:
   void add(double x);
-  void merge(const RunningStat& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
@@ -23,8 +21,6 @@ class RunningStat {
   double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
-  /// Half-width of the ~95% normal confidence interval of the mean.
-  double ci95_halfwidth() const;
 
  private:
   std::size_t n_ = 0;
@@ -50,14 +46,6 @@ class Ema {
   std::size_t n_ = 0;
 };
 
-/// Percentile of a sample (linear interpolation between order statistics).
-/// `q` in [0,1]. The input is copied; callers on hot paths should sort once
-/// and use `percentile_sorted`.
-double percentile(std::vector<double> xs, double q);
-
-/// Percentile of an already ascending-sorted sample.
-double percentile_sorted(const std::vector<double>& sorted, double q);
-
 /// Fixed-width binned histogram over [lo, hi]; out-of-range samples clamp to
 /// the edge bins. `density()` integrates to 1, giving the empirical PDF the
 /// paper plots for staleness in Fig. 3(b).
@@ -69,7 +57,6 @@ class Histogram {
   std::size_t total() const { return total_; }
   std::size_t bins() const { return counts_.size(); }
   double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
   double bin_center(std::size_t i) const;
   std::size_t count(std::size_t i) const { return counts_[i]; }
   /// Empirical probability density per bin (sums×binwidth to 1).
@@ -80,11 +67,5 @@ class Histogram {
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
 };
-
-/// Mean of a vector (0 for empty input).
-double mean_of(const std::vector<double>& xs);
-
-/// Unbiased sample stddev of a vector (0 for n < 2).
-double stddev_of(const std::vector<double>& xs);
 
 }  // namespace stellaris

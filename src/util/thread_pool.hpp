@@ -37,6 +37,7 @@ class ThreadPool {
   /// so tests can assert parallel_for's task granularity: a parallel_for
   /// over any index count enqueues at most size() tasks, never one per
   /// index.
+  // analyze:test-only-ok tests observe parallel_for's task granularity
   std::uint64_t tasks_enqueued() const {
     return tasks_enqueued_.load(std::memory_order_relaxed);
   }

@@ -90,6 +90,17 @@ TEST(ExtractFunctions, ControlKeywordsAreNotCalls) {
   EXPECT_EQ(calls, (std::vector<std::string>{"g", "h"}));
 }
 
+TEST(ExtractFunctions, AttributeMacroIsNotADefinition) {
+  const SourceFile file = parse_source(
+      "src/util/x.hpp",
+      "void lock() ACQUIRE() { mu_.lock(); }\n"
+      "void f() const REQUIRES(mu_) { g(); }\n");
+  const auto defs = extract_functions(file);
+  ASSERT_EQ(defs.size(), 2u);
+  EXPECT_EQ(defs[0].name, "lock");
+  EXPECT_EQ(defs[1].name, "f");
+}
+
 std::string write_temp(const std::string& name, const std::string& text) {
   const std::string path = testing::TempDir() + name;
   std::ofstream out(path);
@@ -243,6 +254,32 @@ TEST(Lint, MatchesTokensNotText) {
                  "for (const auto& s :\n     shards_) {}\n"
                  "std::lock_guard<std::mutex> g(m);\n"),
             (Hits{"shard-iter@3", "raw-mutex@5"}));
+}
+
+/// test-only findings over in-memory (path, text) files, by name.
+Hits test_only(const std::vector<std::pair<std::string, std::string>>& files) {
+  Project project;
+  for (const auto& [rel, text] : files)
+    project.files.push_back(parse_source(rel, text));
+  std::vector<Finding> findings;
+  check_test_only(project, findings);
+  Hits out;
+  for (const auto& f : findings) out.push_back(f.key);
+  return out;
+}
+
+TEST(TestOnly, InitializersMacrosAndBenchCountAsCallers) {
+  EXPECT_EQ(test_only({{"src/a.cpp",
+                        "struct Widget { Widget(); int v_; };\n"
+                        "int seed() { return 1; }\n"
+                        "Widget::Widget() : v_(seed()) {}\n"
+                        "void fail(const char* e) { throw e; }\n"
+                        "#define CHECK(x) \\\n"
+                        "  if (!(x)) fail(#x)\n"
+                        "int bench_api() { return 2; }\n"
+                        "int dead() { return dead(); }\n"},
+                       {"bench/b.cpp", "int main() { return bench_api(); }"}}),
+            Hits{"dead"});
 }
 
 }  // namespace

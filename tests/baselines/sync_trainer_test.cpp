@@ -99,13 +99,5 @@ TEST(SyncTrainer, MoreLearnersShrinkLearnerPhase) {
   EXPECT_LT(four.total_time_s, one.total_time_s);
 }
 
-TEST(SyncTrainer, VariantNames) {
-  EXPECT_STREQ(sync_variant_name(SyncVariant::kVanillaPpo), "vanilla");
-  EXPECT_STREQ(sync_variant_name(SyncVariant::kRllibLike), "rllib-like");
-  EXPECT_STREQ(sync_variant_name(SyncVariant::kMinionsLike),
-               "minionsrl-like");
-  EXPECT_STREQ(sync_variant_name(SyncVariant::kParRl), "par-rl-like");
-}
-
 }  // namespace
 }  // namespace stellaris::baselines

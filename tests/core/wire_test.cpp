@@ -34,9 +34,9 @@ TEST(GradientMsg, EmptyGradientSurvives) {
 TEST(PolicyIo, EncodeDecodeRoundTrip) {
   std::vector<float> params = {0.1f, 0.2f, -0.3f};
   auto bytes = encode_policy(params, 99);
-  auto [decoded, version] = decode_policy(bytes);
+  std::vector<float> decoded;
+  EXPECT_EQ(decode_policy_into(bytes, decoded), 99u);
   EXPECT_EQ(decoded, params);
-  EXPECT_EQ(version, 99u);
 }
 
 TEST(PolicyIo, KeyNamingConventions) {
@@ -48,7 +48,8 @@ TEST(PolicyIo, KeyNamingConventions) {
 
 TEST(PolicyIo, CorruptBytesThrow) {
   std::vector<std::uint8_t> garbage = {0xff, 0x00, 0x12};
-  EXPECT_THROW(decode_policy(garbage), Error);
+  std::vector<float> params;
+  EXPECT_THROW(decode_policy_into(garbage, params), Error);
 }
 
 TEST(PolicyIo, DecodeIntoReusesTheParamsBuffer) {

@@ -83,7 +83,6 @@ TEST(FaultPlan, NamesAreStable) {
   EXPECT_STREQ(error_kind_name(ErrorKind::kCrash), "crash");
   EXPECT_STREQ(error_kind_name(ErrorKind::kVmReclaim), "vm_reclaim");
   EXPECT_STREQ(error_kind_name(ErrorKind::kDeadline), "deadline");
-  EXPECT_STREQ(fault_kind_name(FaultKind::kCacheFail), "cache_fail");
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 // a zero-fault plan leaves results bit-identical to a plan-free run.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "baselines/sync_trainer.hpp"
 #include "core/stellaris_trainer.hpp"
+#include "obs/obs.hpp"
+#include "util/mini_json.hpp"
 
 namespace stellaris::core {
 namespace {
@@ -109,6 +113,50 @@ TEST(TrainerFault, ParameterFunctionCrashRestoresFromCheckpoint) {
   EXPECT_EQ(result.faults.giveups, 1u);
   EXPECT_EQ(result.faults.restores, 1u);
   EXPECT_GT(result.faults.checkpoints, 0u);
+}
+
+// Every cache entry the trainer publishes is erased under the key it was
+// put under: a merged learner erases its trajectories, and a settled
+// aggregation erases its group's gradients, applied or dropped on restore.
+// Stragglers make learners settle out of launch order, and with no retries
+// some learners give up and some aggregations drop their group, so a skew
+// between the put and erase keys would leave gradient entries behind.
+TEST(TrainerFault, EraseCountMatchesMergedTrajectoriesAndSettledGradients) {
+  auto cfg = faulty_config();
+  cfg.retry.max_retries = 0;
+  cfg.checkpoint_interval = 1;
+  cfg.faults.schedule.push_back(
+      {0.2, fault::FaultKind::kCrash,
+       int(serverless::FnKind::kParameter), 0.5});
+  obs::LedgerRecorder ledger;
+  obs::install_ledger(&ledger);
+  const obs::Counter& erases = obs::metrics().counter("cache.erases");
+  const std::uint64_t erases_before = erases.value();
+  const auto result = run_training(cfg);
+  const std::uint64_t erased = erases.value() - erases_before;
+  obs::install_ledger(nullptr);
+
+  std::map<std::uint64_t, std::size_t> claimed;  // learner_id -> trajs
+  std::size_t merged_trajs = 0, grads = 0, settled_grads = 0;
+  for (const auto& line : ledger.lines()) {
+    const minijson::Value v = minijson::parse(line);
+    const std::string& ev = v.at("ev").str;
+    if (ev == "learner_claim") {
+      claimed[std::uint64_t(v.at("learner_id").number())] =
+          v.at("trajs").arr.size();
+    } else if (ev == "grad") {
+      ++grads;
+      merged_trajs += claimed.at(std::uint64_t(v.at("learner_id").number()));
+    } else if (ev == "agg_end") {
+      settled_grads += std::size_t(v.at("group_size").number());
+    } else if (ev == "restore") {
+      settled_grads += std::size_t(v.at("dropped").number());
+    }
+  }
+  EXPECT_GT(result.faults.giveups, result.faults.restores);
+  EXPECT_GT(result.faults.restores, 0u);
+  EXPECT_GE(grads, settled_grads);
+  EXPECT_EQ(erased, merged_trajs + settled_grads);
 }
 
 TEST(SyncTrainerFault, BarrierStallsUnderFaults) {

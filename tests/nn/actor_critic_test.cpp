@@ -64,17 +64,6 @@ TEST(ActorCritic, SetFlatWrongSizeThrows) {
   EXPECT_THROW(m.set_flat_params(bad), Error);
 }
 
-TEST(ActorCritic, CloneIsDeepAndEqual) {
-  auto m = make_mujoco_model(9);
-  auto c = m.clone();
-  EXPECT_EQ(c->flat_params(), m.flat_params());
-  // Mutating the clone does not touch the original.
-  auto p = c->flat_params();
-  p[0] += 1.0f;
-  c->set_flat_params(p);
-  EXPECT_NE(c->flat_params(), m.flat_params());
-}
-
 TEST(ActorCritic, SameSeedSameInit) {
   auto a = make_mujoco_model(5);
   auto b = make_mujoco_model(5);
@@ -112,9 +101,9 @@ TEST(ActorCritic, ZeroGradClearsAccumulators) {
   Rng rng(4);
   Tensor obs = Tensor::randn({3, 8}, rng);
   Tensor out = m.policy_forward(obs);
-  m.policy_backward(Tensor::ones(out.shape()));
+  m.policy_backward(Tensor::full(out.shape(), 1.0f));
   Tensor v = m.value_forward(obs);
-  m.value_backward(Tensor::ones({3}));
+  m.value_backward(Tensor::full({3}, 1.0f));
   double norm = 0.0;
   for (float g : m.flat_grads()) norm += std::abs(g);
   EXPECT_GT(norm, 0.0);
@@ -159,7 +148,7 @@ TEST(ActorCritic, PolicyAndValueNetsAreIndependent) {
   Tensor v_before = m.value_forward(obs);
   // Backprop only through the policy; value outputs must be unchanged.
   Tensor out = m.policy_forward(obs);
-  m.policy_backward(Tensor::ones(out.shape()));
+  m.policy_backward(Tensor::full(out.shape(), 1.0f));
   Tensor v_after = m.value_forward(obs);
   for (std::size_t i = 0; i < 2; ++i)
     EXPECT_FLOAT_EQ(v_before[i], v_after[i]);
@@ -193,9 +182,10 @@ void expect_same_grads(const ActorCritic& a, const ActorCritic& b) {
   EXPECT_EQ(std::memcmp(ga.data(), gb.data(), ga.size() * sizeof(float)), 0);
 }
 
-Tensor random_obs(const ActorCritic& m, std::size_t rows, Rng& rng) {
-  return Tensor::rand_uniform({rows, m.obs_spec().flat_dim}, rng, -1.0f,
-                              1.0f);
+/// Observations for make_atari_model (3×20×20 planes) or make_mujoco_model.
+Tensor random_obs(bool atari, std::size_t rows, Rng& rng) {
+  const std::size_t dim = atari ? 3 * 20 * 20 : 8;
+  return Tensor::rand_uniform({rows, dim}, rng, -1.0f, 1.0f);
 }
 
 TEST(ActorCritic, ForwardMatchesSeparateHeadsAndGradients) {
@@ -203,7 +193,7 @@ TEST(ActorCritic, ForwardMatchesSeparateHeadsAndGradients) {
     auto both = atari ? make_atari_model(21) : make_mujoco_model(21);
     auto separate = atari ? make_atari_model(21) : make_mujoco_model(21);
     Rng rng(22);
-    const Tensor obs = random_obs(both, 6, rng);
+    const Tensor obs = random_obs(atari, 6, rng);
     const Tensor dpolicy = Tensor::randn({6, both.act_dim()}, rng);
     const Tensor dvalues = Tensor::randn({6}, rng);
 
@@ -226,8 +216,8 @@ TEST(ActorCritic, SingleHeadForwardAfterForwardKeepsTheOtherHeadsLowering) {
     auto mixed = atari ? make_atari_model(23) : make_mujoco_model(23);
     auto ref = atari ? make_atari_model(23) : make_mujoco_model(23);
     Rng rng(24);
-    const Tensor a = random_obs(mixed, 5, rng);
-    const Tensor b = random_obs(mixed, 3, rng);
+    const Tensor a = random_obs(atari, 5, rng);
+    const Tensor b = random_obs(atari, 3, rng);
     const Tensor dpolicy = Tensor::randn({3, mixed.act_dim()}, rng);
     const Tensor dvalues = Tensor::randn({5}, rng);
 
@@ -249,9 +239,9 @@ TEST(ActorCritic, SteadyStateForwardBackwardDoesNotAllocate) {
   for (bool atari : {false, true}) {
     auto m = atari ? make_atari_model(25) : make_mujoco_model(25);
     Rng rng(26);
-    const Tensor obs = random_obs(m, 4, rng);
-    const Tensor dpolicy = Tensor::ones({4, m.act_dim()});
-    const Tensor dvalues = Tensor::ones({4});
+    const Tensor obs = random_obs(atari, 4, rng);
+    const Tensor dpolicy = Tensor::full({4, m.act_dim()}, 1.0f);
+    const Tensor dvalues = Tensor::full({4}, 1.0f);
     auto step = [&] {
       (void)m.forward(obs);
       m.policy_backward(dpolicy);

@@ -7,15 +7,30 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "test_tensors.hpp"
 
 namespace stellaris::nn {
 namespace {
+
+// Allocating forms of the samplers, for building test inputs.
+Tensor gaussian_sample(const Tensor& mean, const Tensor& log_std, Rng& rng) {
+  Tensor out;
+  gaussian_sample_into(out, mean, log_std, rng);
+  return out;
+}
+
+std::vector<std::size_t> categorical_sample(const Tensor& logits, Rng& rng) {
+  std::vector<std::size_t> actions;
+  Tensor probs;
+  categorical_sample_into(actions, probs, logits, rng);
+  return actions;
+}
 
 constexpr double kLog2Pi = 1.8378770664093453;
 
 TEST(Gaussian, LogProbMatchesClosedForm) {
   Tensor mean({1, 2}, {0.0f, 1.0f});
-  Tensor log_std = Tensor::of({0.0f, std::log(2.0f)});
+  Tensor log_std = tensor_of({0.0f, std::log(2.0f)});
   Tensor actions({1, 2}, {1.0f, 1.0f});
   Tensor lp = gaussian_log_prob(mean, log_std, actions);
   // dim0: z=1, logp = -0.5 - 0 - 0.5·log2π; dim1: z=0, logp = -log2 - 0.5·log2π
@@ -27,7 +42,7 @@ TEST(Gaussian, LogProbMatchesClosedForm) {
 TEST(Gaussian, SampleMomentsMatch) {
   Rng rng(1);
   Tensor mean = Tensor::full({2000, 1}, 3.0f);
-  Tensor log_std = Tensor::of({std::log(0.5f)});
+  Tensor log_std = tensor_of({std::log(0.5f)});
   Tensor s = gaussian_sample(mean, log_std, rng);
   double sum = 0.0, sq = 0.0;
   for (float v : s.vec()) {
@@ -41,7 +56,7 @@ TEST(Gaussian, SampleMomentsMatch) {
 TEST(Gaussian, LogProbBackwardMatchesFiniteDifference) {
   Rng rng(2);
   Tensor mean = Tensor::randn({4, 3}, rng);
-  Tensor log_std = Tensor::of({-0.3f, 0.1f, 0.4f});
+  Tensor log_std = tensor_of({-0.3f, 0.1f, 0.4f});
   Tensor actions = Tensor::randn({4, 3}, rng);
   Tensor coeff = Tensor::randn({4}, rng);
 
@@ -73,7 +88,7 @@ TEST(Gaussian, LogProbBackwardMatchesFiniteDifference) {
 }
 
 TEST(Gaussian, EntropyClosedForm) {
-  Tensor log_std = Tensor::of({0.0f, 1.0f});
+  Tensor log_std = tensor_of({0.0f, 1.0f});
   // H = Σ (logσ + ½log(2πe))
   const double expected = (0.0 + 0.5 * (kLog2Pi + 1.0)) +
                           (1.0 + 0.5 * (kLog2Pi + 1.0));
@@ -83,7 +98,7 @@ TEST(Gaussian, EntropyClosedForm) {
 TEST(Gaussian, KlZeroForIdenticalPolicies) {
   Rng rng(3);
   Tensor mean = Tensor::randn({5, 2}, rng);
-  Tensor log_std = Tensor::of({0.2f, -0.3f});
+  Tensor log_std = tensor_of({0.2f, -0.3f});
   Tensor kl = gaussian_kl(mean, log_std, mean, log_std);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(kl[i], 0.0f, 1e-6f);
 }
@@ -92,7 +107,7 @@ TEST(Gaussian, KlIsNonnegativeAndGrowsWithDistance) {
   Tensor m1({1, 1}, {0.0f});
   Tensor m2({1, 1}, {1.0f});
   Tensor m3({1, 1}, {2.0f});
-  Tensor ls = Tensor::of({0.0f});
+  Tensor ls = tensor_of({0.0f});
   const float kl_near = gaussian_kl(m1, ls, m2, ls)[0];
   const float kl_far = gaussian_kl(m1, ls, m3, ls)[0];
   EXPECT_GT(kl_near, 0.0f);
@@ -126,7 +141,7 @@ TEST(Categorical, LogProbBackwardMatchesFiniteDifference) {
   Rng rng(5);
   Tensor logits = Tensor::randn({3, 4}, rng);
   std::vector<std::size_t> actions = {1, 3, 0};
-  Tensor coeff = Tensor::of({0.5f, -1.0f, 2.0f});
+  Tensor coeff = tensor_of({0.5f, -1.0f, 2.0f});
 
   auto weighted = [&](const Tensor& l) {
     Tensor lp = categorical_log_prob(l, actions);
@@ -154,7 +169,7 @@ TEST(Categorical, EntropyUniformIsLogN) {
 TEST(Categorical, EntropyBackwardMatchesFiniteDifference) {
   Rng rng(6);
   Tensor logits = Tensor::randn({2, 3}, rng);
-  Tensor coeff = Tensor::of({1.0f, -0.5f});
+  Tensor coeff = tensor_of({1.0f, -0.5f});
   auto weighted = [&](const Tensor& l) {
     Tensor h = categorical_entropy(l);
     return coeff[0] * h[0] + coeff[1] * h[1];
@@ -191,7 +206,7 @@ TEST(GaussianInto, SampleAndLogProbBitIdenticalToAllocatingForms) {
   Tensor mean = Tensor::randn({8, 3}, r1);
   Tensor mean2 = Tensor::randn({8, 3}, r2);  // keep streams aligned
   ASSERT_EQ(mean.vec(), mean2.vec());
-  Tensor log_std = Tensor::of({-0.2f, 0.0f, 0.3f});
+  Tensor log_std = tensor_of({-0.2f, 0.0f, 0.3f});
   Tensor a = gaussian_sample(mean, log_std, r1);
   Tensor b;
   gaussian_sample_into(b, mean, log_std, r2);
@@ -205,7 +220,7 @@ TEST(GaussianInto, SampleAndLogProbBitIdenticalToAllocatingForms) {
 TEST(GaussianInto, ReusesCapacityAcrossCalls) {
   Rng rng(12);
   Tensor mean = Tensor::randn({4, 2}, rng);
-  Tensor log_std = Tensor::of({0.0f, 0.1f});
+  Tensor log_std = tensor_of({0.0f, 0.1f});
   Tensor out, lp;
   gaussian_sample_into(out, mean, log_std, rng);
   gaussian_log_prob_into(lp, mean, log_std, out);

@@ -102,18 +102,6 @@ TEST(Optimizers, FactoryCreatesAllKinds) {
   EXPECT_THROW(make_optimizer("adagrad", 0.1), ConfigError);
 }
 
-TEST(Optimizers, CloneIsIndependent) {
-  AdamOptimizer opt(0.1);
-  std::vector<float> p = {1.0f};
-  std::vector<float> g = {1.0f};
-  opt.step(p, g);
-  auto copy = opt.clone();
-  std::vector<float> p1 = p, p2 = p;
-  opt.step(p1, g);
-  copy->step_with_lr(p2, g, 0.1);
-  EXPECT_FLOAT_EQ(p1[0], p2[0]);  // same internal state after clone
-}
-
 TEST(ClipGradNorm, ScalesOnlyWhenAboveLimit) {
   std::vector<float> g = {3.0f, 4.0f};  // norm 5
   const double pre = clip_grad_norm(g, 10.0);

@@ -87,9 +87,9 @@ TEST(LedgerEvent, RawArraysRoundTrip) {
           .raw("group", render_id_array({7, 8}))
           .finish();
   const minijson::Value v = parse_line(line);
-  ASSERT_TRUE(v.at("staleness").is_array());
+  ASSERT_TRUE(v.at("staleness").kind == minijson::Value::Kind::kArray);
   EXPECT_DOUBLE_EQ(v.at("staleness").arr[1].number(), 1.5);
-  ASSERT_TRUE(v.at("group").is_array());
+  ASSERT_TRUE(v.at("group").kind == minijson::Value::Kind::kArray);
   EXPECT_DOUBLE_EQ(v.at("group").arr[0].number(), 7.0);
   EXPECT_DOUBLE_EQ(v.at("group").arr[1].number(), 8.0);
 }

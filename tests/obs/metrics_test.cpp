@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "util/mini_json.hpp"
+#include "util/percentile.hpp"
 #include "util/stats.hpp"
 
 namespace stellaris::obs {
@@ -89,7 +90,7 @@ TEST(Metrics, HistogramQuantilesMatchPercentile) {
   }
   for (double x : xs) h.observe(x);
   for (double q : {0.1, 0.25, 0.5, 0.9, 0.95, 0.99})
-    EXPECT_NEAR(h.quantile(q), percentile(xs, q), 2.0 * width)
+    EXPECT_NEAR(h.quantile(q), nearest_rank_sorted(xs, q), 2.0 * width)
         << "q=" << q;
   // Extremes clamp to the exact observed bounds.
   EXPECT_DOUBLE_EQ(h.quantile(0.0), h.min());
@@ -162,7 +163,7 @@ TEST(Metrics, JsonSnapshotRoundTrips) {
   EXPECT_DOUBLE_EQ(hist.at("min").number(), 0.0);
   EXPECT_DOUBLE_EQ(hist.at("max").number(), 7.5);
   const minijson::Value& buckets = hist.at("buckets");
-  ASSERT_TRUE(buckets.is_array());
+  ASSERT_TRUE(buckets.kind == minijson::Value::Kind::kArray);
   ASSERT_EQ(buckets.arr.size(), 8u);
   double total = 0.0;
   for (const auto& b : buckets.arr) total += b.number();

@@ -91,7 +91,7 @@ TEST(TimeSeries, CsvAndJsonExports) {
   const minijson::Value root = minijson::parse(json.str());
   EXPECT_DOUBLE_EQ(root.at("window_s").number(), 0.5);
   const auto& series = root.at("series").at("s");
-  ASSERT_TRUE(series.is_array());
+  ASSERT_TRUE(series.kind == minijson::Value::Kind::kArray);
   ASSERT_EQ(series.arr.size(), 1u);
   EXPECT_DOUBLE_EQ(series.arr[0].at("last").number(), 4.0);
 }

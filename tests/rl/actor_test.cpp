@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "rl/vec_actor.hpp"
+#include "test_tensors.hpp"
 
 namespace stellaris::rl {
 namespace {
@@ -33,8 +34,8 @@ TEST(Actor, SampleProducesFullHorizon) {
   EXPECT_EQ(batch.actions_cont.dim(0), 50u);
   EXPECT_EQ(batch.action_kind, nn::ActionKind::kContinuous);
   EXPECT_TRUE(batch.segments.empty()) << "K=1 keeps the implicit segment";
-  EXPECT_TRUE(batch.obs.all_finite());
-  EXPECT_TRUE(batch.behaviour_log_probs.all_finite());
+  EXPECT_TRUE(all_finite(batch.obs));
+  EXPECT_TRUE(all_finite(batch.behaviour_log_probs));
 }
 
 TEST(Actor, DiscreteEnvFillsDiscreteActions) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/rng.hpp"
+#include "test_tensors.hpp"
 
 namespace stellaris::rl {
 namespace {
@@ -146,7 +147,7 @@ TEST_P(GaeSweep, InvariantsHold) {
     b.dones[i] = rng.bernoulli(0.1) ? 1.0f : 0.0f;
   b.bootstrap_value = 0.5f;
   compute_gae(b, gamma, lambda);
-  EXPECT_TRUE(b.advantages.all_finite());
+  EXPECT_TRUE(all_finite(b.advantages));
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(b.value_targets[i], b.advantages[i] + b.values[i], 1e-4);
 }

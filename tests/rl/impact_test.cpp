@@ -29,7 +29,7 @@ SampleBatch sample_batch(nn::ActorCritic& behaviour, Rng& rng,
   b.action_kind = nn::ActionKind::kContinuous;
   b.obs = Tensor::randn({n, 4}, rng);
   Tensor mean = behaviour.policy_forward(b.obs);
-  b.actions_cont = nn::gaussian_sample(mean, *behaviour.log_std(), rng);
+  nn::gaussian_sample_into(b.actions_cont, mean, *behaviour.log_std(), rng);
   b.behaviour_log_probs =
       nn::gaussian_log_prob(mean, *behaviour.log_std(), b.actions_cont);
   b.rewards = Tensor::randn({n}, rng);

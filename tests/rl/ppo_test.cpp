@@ -22,7 +22,7 @@ SampleBatch make_batch(nn::ActorCritic& policy, Rng& rng, std::size_t n,
   b.action_kind = nn::ActionKind::kContinuous;
   b.obs = Tensor::randn({n, 4}, rng);
   Tensor mean = policy.policy_forward(b.obs);
-  b.actions_cont = nn::gaussian_sample(mean, *policy.log_std(), rng);
+  nn::gaussian_sample_into(b.actions_cont, mean, *policy.log_std(), rng);
   b.behaviour_log_probs =
       nn::gaussian_log_prob(mean, *policy.log_std(), b.actions_cont);
   b.rewards = Tensor({n});
@@ -147,12 +147,6 @@ TEST(Ppo, StatsPolicyLossIsNegatedSurrogate) {
   auto stats = ppo_compute_gradients(model, batch, PpoConfig{});
   // On-policy, unit advantages: surrogate = mean(1·1) = 1 → loss = −1.
   EXPECT_NEAR(stats.policy_loss, -1.0, 1e-4);
-}
-
-TEST(AdaptKlCoeff, MovesTowardTarget) {
-  EXPECT_GT(adapt_kl_coeff(0.2, 0.1, 0.01), 0.2);   // way over target
-  EXPECT_LT(adapt_kl_coeff(0.2, 0.001, 0.01), 0.2); // way under target
-  EXPECT_DOUBLE_EQ(adapt_kl_coeff(0.2, 0.01, 0.01), 0.2);
 }
 
 // Property: the gradient is finite for any ratio cap.

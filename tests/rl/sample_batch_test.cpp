@@ -120,18 +120,6 @@ TEST(SampleBatch, ConcatEmptyListThrows) {
   EXPECT_THROW(SampleBatch::concat({}), Error);
 }
 
-TEST(SampleBatch, SelectExtractsRows) {
-  SampleBatch a = make_batch(5, 2, 0.0f);
-  a.advantages = Tensor({5}, {0, 1, 2, 3, 4});
-  a.value_targets = Tensor({5}, {5, 6, 7, 8, 9});
-  SampleBatch s = a.select({4, 0, 2});
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_FLOAT_EQ(s.obs.at(0, 0), 4.0f);
-  EXPECT_FLOAT_EQ(s.obs.at(1, 0), 0.0f);
-  EXPECT_FLOAT_EQ(s.advantages[2], 2.0f);
-  EXPECT_FLOAT_EQ(s.value_targets[0], 9.0f);
-}
-
 TEST(SampleBatch, RoundTripThroughBytesPreservesAdvantages) {
   SampleBatch a = make_batch(3, 1, 0.0f);
   a.advantages = Tensor({3}, {1, 2, 3});

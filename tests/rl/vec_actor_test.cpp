@@ -18,6 +18,7 @@
 
 #include "nn/distributions.hpp"
 #include "sim/driver.hpp"
+#include "test_tensors.hpp"
 
 namespace stellaris::rl {
 namespace {
@@ -364,8 +365,8 @@ TEST(VecActorBatch, EnvMajorLayoutAndSegments) {
     EXPECT_EQ(views[e].start, e * h);
     EXPECT_EQ(views[e].end, (e + 1) * h);
   }
-  EXPECT_TRUE(batch.obs.all_finite());
-  EXPECT_TRUE(batch.behaviour_log_probs.all_finite());
+  EXPECT_TRUE(all_finite(batch.obs));
+  EXPECT_TRUE(all_finite(batch.behaviour_log_probs));
 }
 
 TEST(VecActorBatch, SegmentBootstrapZeroOnDoneSeam) {
@@ -448,7 +449,6 @@ TEST(VecActorBatch, TotalEnvStepsAdvances) {
   VecActorScratch scratch;
   vec.sample(policy, scratch, 16, 0);
   EXPECT_EQ(vec.total_env_steps(), 64u);
-  EXPECT_EQ(vec.num_envs(), 4u);
 }
 
 TEST(VecActorBatch, ZeroHorizonThrows) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/rng.hpp"
+#include "test_tensors.hpp"
 
 namespace stellaris::rl {
 namespace {
@@ -38,11 +39,11 @@ TEST(Vtrace, DoneBlocksPropagation) {
 
 TEST(Vtrace, TruncatesLargeRatios) {
   // Behaviour logp much smaller than target → raw ratio huge, ρ̄ caps it.
-  Tensor behaviour = Tensor::of({-10.0f});
-  Tensor target = Tensor::of({0.0f});
-  Tensor rewards = Tensor::of({1.0f});
-  Tensor dones = Tensor::of({0.0f});
-  Tensor values = Tensor::of({0.0f});
+  Tensor behaviour = tensor_of({-10.0f});
+  Tensor target = tensor_of({0.0f});
+  Tensor rewards = tensor_of({1.0f});
+  Tensor dones = tensor_of({0.0f});
+  Tensor values = tensor_of({0.0f});
   auto vt =
       compute_vtrace(behaviour, target, rewards, dones, values, 0.0f, 0.99,
                      /*rho_bar=*/1.0, /*c_bar=*/1.0);
@@ -52,11 +53,11 @@ TEST(Vtrace, TruncatesLargeRatios) {
 
 TEST(Vtrace, SmallRatiosShrinkCorrections) {
   // Target much less likely than behaviour → ρ ≈ 0, vs ≈ V.
-  Tensor behaviour = Tensor::of({0.0f});
-  Tensor target = Tensor::of({-10.0f});
-  Tensor rewards = Tensor::of({5.0f});
-  Tensor dones = Tensor::of({0.0f});
-  Tensor values = Tensor::of({3.0f});
+  Tensor behaviour = tensor_of({0.0f});
+  Tensor target = tensor_of({-10.0f});
+  Tensor rewards = tensor_of({5.0f});
+  Tensor dones = tensor_of({0.0f});
+  Tensor values = tensor_of({3.0f});
   auto vt = compute_vtrace(behaviour, target, rewards, dones, values, 0.0f,
                            0.99);
   EXPECT_NEAR(vt.vs[0], 3.0, 1e-3);
@@ -84,8 +85,8 @@ TEST_P(VtraceSweep, OutputsFinite) {
   Tensor values = Tensor::randn({n}, rng);
   auto vt = compute_vtrace(behaviour, target, rewards, dones, values, 0.3f,
                            GetParam());
-  EXPECT_TRUE(vt.vs.all_finite());
-  EXPECT_TRUE(vt.pg_advantages.all_finite());
+  EXPECT_TRUE(all_finite(vt.vs));
+  EXPECT_TRUE(all_finite(vt.pg_advantages));
 }
 
 INSTANTIATE_TEST_SUITE_P(Gammas, VtraceSweep,

@@ -80,15 +80,5 @@ TEST(Batcher, TakePopsFifoUpToMaxBatch) {
   EXPECT_FALSE(b.head_arrival(1).has_value());
 }
 
-TEST(Batcher, PendingVersionsAscending) {
-  Batcher b(BatchConfig{8, 10.0});
-  b.enqueue(req(1, 5, 0.0));
-  b.enqueue(req(2, 2, 0.0));
-  const auto versions = b.pending_versions();
-  ASSERT_EQ(versions.size(), 2u);
-  EXPECT_EQ(versions[0], 2u);
-  EXPECT_EQ(versions[1], 5u);
-}
-
 }  // namespace
 }  // namespace stellaris::serve

@@ -74,11 +74,5 @@ TEST(Latency, JitterIsBoundedAndCentered) {
   EXPECT_NEAR(sum / n, 1.0, 0.01);
 }
 
-TEST(Latency, TierNames) {
-  EXPECT_STREQ(data_tier_name(DataTier::kSharedMemory), "shared-memory");
-  EXPECT_STREQ(data_tier_name(DataTier::kRpc), "rpc");
-  EXPECT_STREQ(data_tier_name(DataTier::kCache), "cache");
-}
-
 }  // namespace
 }  // namespace stellaris::serverless

@@ -72,7 +72,6 @@ TEST(Engine, RunUntilStopsAtDeadline) {
     engine.schedule_at(t, [&fired, &engine] { fired.push_back(engine.now()); });
   engine.run_until(2.5);
   EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0}));
-  EXPECT_EQ(engine.pending_events(), 2u);
   engine.run();
   EXPECT_EQ(fired.size(), 4u);
 }
@@ -81,13 +80,6 @@ TEST(Engine, RunUntilAdvancesClockWhenIdle) {
   Engine engine;
   engine.run_until(7.0);
   EXPECT_DOUBLE_EQ(engine.now(), 7.0);
-}
-
-TEST(Engine, CountsExecutedEvents) {
-  Engine engine;
-  for (int i = 0; i < 7; ++i) engine.schedule_at(i, [] {});
-  engine.run();
-  EXPECT_EQ(engine.executed_events(), 7u);
 }
 
 TEST(Engine, CancelledEventIsDiscardedWithoutAdvancingClock) {

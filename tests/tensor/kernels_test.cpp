@@ -169,7 +169,7 @@ TEST(BlockedGemm, ZeroInnerDimYieldsZeros) {
   // Every tier overwrites a dirty output with exact zeros, in all three
   // variants (m = 20 takes the row lanes at n = 2).
   const Tensor zeros({20, 2});
-  const auto dirty = [] { return Tensor::ones({20, 2}); };
+  const auto dirty = [] { return Tensor::full({20, 2}, 1.0f); };
   expect_tiers_agree(
       [&](const KernelTable& kt) {
         Tensor out = dirty();
@@ -259,8 +259,8 @@ TEST(BlockedGemm, IntoVariantsMatchValueVariants) {
 }
 
 TEST(BlockedGemm, IntoRejectsAliasedOutput) {
-  Tensor a = Tensor::ones({4, 4});
-  Tensor b = Tensor::ones({4, 4});
+  Tensor a = Tensor::full({4, 4}, 1.0f);
+  Tensor b = Tensor::full({4, 4}, 1.0f);
   EXPECT_THROW(ops::matmul_into(a, a, b), Error);
   EXPECT_THROW(ops::matmul_into(b, a, b), Error);
   EXPECT_THROW(ops::matmul_tn_into(a, a, b), Error);
@@ -554,7 +554,7 @@ TEST(TanhRational, BackwardSlopeIsNonNegative) {
   const Tensor x = strided_tanh_inputs();
   Tensor y, dx;
   ops::tanh_forward_into(y, x);
-  ops::tanh_backward_into(dx, y, Tensor::ones(y.shape()));
+  ops::tanh_backward_into(dx, y, Tensor::full(y.shape(), 1.0f));
   // |y| <= 1, so 1 - y² reaches zero where |y| = 1 and never goes below.
   for (std::size_t i = 0; i < y.numel(); ++i) {
     ASSERT_GE(dx[i], 0.0f) << x[i];

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/rng.hpp"
+#include "test_tensors.hpp"
 
 namespace stellaris {
 namespace {
@@ -39,7 +40,7 @@ TEST(Tensor, BracedSizesMeanShapeNotValues) {
 }
 
 TEST(Tensor, OfMakesA1DTensor) {
-  Tensor t = Tensor::of({1.0f, 2.0f, 3.0f});
+  Tensor t = tensor_of({1.0f, 2.0f, 3.0f});
   EXPECT_EQ(t.rank(), 1u);
   EXPECT_EQ(t.numel(), 3u);
   EXPECT_EQ(t[1], 2.0f);
@@ -51,7 +52,7 @@ TEST(Tensor, DataSizeMismatchThrows) {
 
 TEST(Tensor, FullAndOnes) {
   EXPECT_EQ(Tensor::full({3}, 2.5f)[2], 2.5f);
-  EXPECT_EQ(Tensor::ones({2, 2}).sum(), 4.0f);
+  EXPECT_EQ(Tensor::full({2, 2}, 1.0f).sum(), 4.0f);
 }
 
 TEST(Tensor, RandnHasRoughlyRightMoments) {
@@ -81,17 +82,11 @@ TEST(Tensor, At2DAndRow) {
   EXPECT_EQ(t.row(1)[1], 50.0f);
 }
 
-TEST(Tensor, At3D) {
-  Tensor t({2, 2, 2}, {0, 1, 2, 3, 4, 5, 6, 7});
-  EXPECT_EQ(t.at3(1, 0, 1), 5.0f);
-  EXPECT_EQ(t.at3(0, 1, 0), 2.0f);
-}
-
 TEST(Tensor, ReshapePreservesData) {
   Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor r = t.reshaped({3, 2});
-  EXPECT_EQ(r.at(2, 1), 6.0f);
-  EXPECT_THROW(t.reshaped({4, 2}), Error);
+  t.reshape({3, 2});
+  EXPECT_EQ(t.at(2, 1), 6.0f);
+  EXPECT_THROW(t.reshape({4, 2}), Error);
 }
 
 TEST(Tensor, ArithmeticOps) {
@@ -109,8 +104,6 @@ TEST(Tensor, ArithmeticOps) {
   EXPECT_EQ(a[0], 11.0f);
   a -= b;
   EXPECT_EQ(a[0], 1.0f);
-  a.add_scaled(b, 0.5f);
-  EXPECT_EQ(a[1], 12.0f);
 }
 
 TEST(Tensor, ShapeMismatchThrows) {
@@ -118,7 +111,6 @@ TEST(Tensor, ShapeMismatchThrows) {
   Tensor b({3});
   EXPECT_THROW(a += b, Error);
   EXPECT_THROW(a -= b, Error);
-  EXPECT_THROW(a.add_scaled(b, 1.0f), Error);
 }
 
 TEST(Tensor, Reductions) {
@@ -140,11 +132,11 @@ TEST(Tensor, KahanSumIsAccurate) {
 
 TEST(Tensor, AllFinite) {
   Tensor t({2}, {1.0f, 2.0f});
-  EXPECT_TRUE(t.all_finite());
+  EXPECT_TRUE(all_finite(t));
   t[1] = std::numeric_limits<float>::infinity();
-  EXPECT_FALSE(t.all_finite());
+  EXPECT_FALSE(all_finite(t));
   t[1] = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_FALSE(t.all_finite());
+  EXPECT_FALSE(all_finite(t));
 }
 
 TEST(Tensor, FillAndZero) {

@@ -69,13 +69,5 @@ TEST(Table, NumericFormatting) {
   EXPECT_EQ(os.str(), "x\n3.14\n");
 }
 
-TEST(Table, CountsRowsAndColumns) {
-  Table t({"a", "b", "c"});
-  EXPECT_EQ(t.num_columns(), 3u);
-  EXPECT_EQ(t.num_rows(), 0u);
-  t.row().add("1").add("2").add("3");
-  EXPECT_EQ(t.num_rows(), 1u);
-}
-
 }  // namespace
 }  // namespace stellaris

@@ -9,36 +9,36 @@ namespace stellaris {
 namespace {
 
 TEST(Logging, ParseLevelNames) {
-  const LogLevel fb = LogLevel::kOff;
-  EXPECT_EQ(parse_log_level("debug", fb), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("info", fb), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("warn", fb), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("warning", fb), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("error", fb), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("off", fb), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("none", fb), LogLevel::kOff);
+  EXPECT_EQ(try_parse_log_level("debug"), LogLevel::kDebug);
+  EXPECT_EQ(try_parse_log_level("info"), LogLevel::kInfo);
+  EXPECT_EQ(try_parse_log_level("warn"), LogLevel::kWarn);
+  EXPECT_EQ(try_parse_log_level("warning"), LogLevel::kWarn);
+  EXPECT_EQ(try_parse_log_level("error"), LogLevel::kError);
+  EXPECT_EQ(try_parse_log_level("off"), LogLevel::kOff);
+  EXPECT_EQ(try_parse_log_level("none"), LogLevel::kOff);
 }
 
 TEST(Logging, ParseLevelIsCaseInsensitive) {
-  const LogLevel fb = LogLevel::kOff;
-  EXPECT_EQ(parse_log_level("DEBUG", fb), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("Warn", fb), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("ERROR", fb), LogLevel::kError);
+  EXPECT_EQ(try_parse_log_level("DEBUG"), LogLevel::kDebug);
+  EXPECT_EQ(try_parse_log_level("Warn"), LogLevel::kWarn);
+  EXPECT_EQ(try_parse_log_level("ERROR"), LogLevel::kError);
 }
 
 TEST(Logging, ParseLevelDigits) {
-  const LogLevel fb = LogLevel::kInfo;
-  EXPECT_EQ(parse_log_level("0", fb), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("1", fb), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("2", fb), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("3", fb), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("4", fb), LogLevel::kOff);
+  EXPECT_EQ(try_parse_log_level("0"), LogLevel::kDebug);
+  EXPECT_EQ(try_parse_log_level("1"), LogLevel::kInfo);
+  EXPECT_EQ(try_parse_log_level("2"), LogLevel::kWarn);
+  EXPECT_EQ(try_parse_log_level("3"), LogLevel::kError);
+  EXPECT_EQ(try_parse_log_level("4"), LogLevel::kOff);
 }
 
 TEST(Logging, ParseLevelFallsBackOnGarbage) {
-  EXPECT_EQ(parse_log_level("", LogLevel::kWarn), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("verbose", LogLevel::kInfo), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("42", LogLevel::kError), LogLevel::kError);
+  // Unrecognized input yields no level, so the caller's default stands.
+  EXPECT_EQ(try_parse_log_level("").value_or(LogLevel::kWarn), LogLevel::kWarn);
+  EXPECT_EQ(try_parse_log_level("verbose").value_or(LogLevel::kInfo),
+            LogLevel::kInfo);
+  EXPECT_EQ(try_parse_log_level("42").value_or(LogLevel::kError),
+            LogLevel::kError);
 }
 
 TEST(Logging, TryParseDistinguishesUnknownFromKnown) {

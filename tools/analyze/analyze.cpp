@@ -1,4 +1,4 @@
-// analyze_tree: run all five passes over a tree; baseline-file parsing.
+// analyze_tree: run all six passes over a tree; baseline-file parsing.
 #include "analyzer.hpp"
 
 #include <algorithm>
@@ -30,6 +30,7 @@ std::vector<Finding> analyze_tree(const std::string& root,
   check_purity(project, findings);
   check_ledger(project, findings);
   check_lint(project, findings);
+  check_test_only(project, findings);
 
   std::stable_sort(findings.begin(), findings.end(),
                    [](const Finding& a, const Finding& b) {

@@ -24,9 +24,13 @@
 //                   (randomness, wall-clock, raw-thread, raw-mutex,
 //                   unordered, shard-iter, serve-sleep, driver-engine)
 //                   over src/, tools/report/ and examples/ (lint.cpp).
+//   test-only       a function defined in src/ whose name appears in no
+//                   function body but its own in src/, tools/, bench/ or
+//                   examples/ has no production caller (test_only.cpp).
 //
 // Findings are suppressed per line with `analyze:<rule>-ok` markers (a
-// marker covers its own line and the next) or per finding id via the
+// marker covers its own line and the next; a test-only marker needs a
+// reason after it) or per finding id via the
 // commented baseline file tools/analyze/baseline.txt. Determinism note:
 // the analyzer itself only uses ordered containers, so its output order
 // is stable.
@@ -136,8 +140,9 @@ void check_purity(const Project& project, std::vector<Finding>& out);
 void check_ledger(const Project& project, std::vector<Finding>& out);
 /// The eight lint rules (rule name = finding rule; see lint.cpp).
 void check_lint(const Project& project, std::vector<Finding>& out);
+void check_test_only(const Project& project, std::vector<Finding>& out);
 
-/// All five passes over a tree rooted at `root` (uses `root/DESIGN.md` and
+/// All six passes over a tree rooted at `root` (uses `root/DESIGN.md` and
 /// `layers_path` for configuration). Layer-graph config errors surface as
 /// findings against the layers file itself.
 std::vector<Finding> analyze_tree(const std::string& root,

@@ -21,6 +21,19 @@ const std::set<std::string>& post_signature_words() {
   return words;
 }
 
+/// An all-caps name is a macro: after a signature it is an attribute
+/// (ACQUIRE(), REQUIRES(mu_)), and it never names a definition.
+bool is_macro_name(const std::string& s) {
+  bool upper = false;
+  for (char c : s) {
+    if (c >= 'A' && c <= 'Z')
+      upper = true;
+    else if (!(c >= '0' && c <= '9') && c != '_')
+      return false;
+  }
+  return upper;
+}
+
 bool punct_is(const Token& t, const char* s) {
   return t.kind == Token::Kind::kPunct && t.text == s;
 }
@@ -95,7 +108,7 @@ std::vector<FuncDef> extract_functions(const SourceFile& file) {
   std::size_t i = 0;
   while (i + 1 < n) {
     if (toks[i].kind != Token::Kind::kIdent || !punct_is(toks[i + 1], "(") ||
-        is_call_keyword(toks[i].text)) {
+        is_call_keyword(toks[i].text) || is_macro_name(toks[i].text)) {
       ++i;
       continue;
     }
@@ -110,7 +123,8 @@ std::vector<FuncDef> extract_functions(const SourceFile& file) {
         body = k;
         break;
       }
-      if (t.kind == Token::Kind::kIdent && post_signature_words().count(t.text)) {
+      if (t.kind == Token::Kind::kIdent &&
+          (post_signature_words().count(t.text) || is_macro_name(t.text))) {
         ++k;
         continue;
       }
@@ -138,14 +152,16 @@ std::vector<FuncDef> extract_functions(const SourceFile& file) {
     FuncDef def;
     def.name = toks[i].text;
     def.file = &file;
+    def.args_end = after_args;
     def.body_begin = body;
     def.body_end = match_group(toks, body);
     def.line = toks[i].line;
     out.push_back(def);
     // Continue scanning *inside* the body too: local lambdas and nested
     // classes still contain interesting constructs, and the per-function
-    // passes tolerate overlapping ranges.
-    i += 2;
+    // passes tolerate overlapping ranges. Constructor initializers
+    // (`v_(x) {`) are skipped: they are not definitions.
+    i = body + 1;
   }
   return out;
 }

@@ -2,7 +2,8 @@
 // lock-rank (single-function nesting) and driver-purity (call-graph
 // reachability) passes. Not a parser: it recognizes the shape
 //
-//   name ( ...args... ) [const|noexcept|override|...]* [: ctor-inits] {
+//   name ( ...args... ) [const|noexcept|override|MACRO(...)|...]*
+//        [: ctor-inits] {
 //
 // which covers free functions, member definitions, and constructors in
 // this codebase's style. Anything it cannot recognize is simply not
@@ -22,6 +23,7 @@ namespace stellaris::analyze {
 struct FuncDef {
   std::string name;           // unqualified spelling
   const SourceFile* file = nullptr;
+  std::size_t args_end = 0;    // index one past the parameter list's ')'
   std::size_t body_begin = 0;  // index of the '{' token
   std::size_t body_end = 0;    // index one past the matching '}'
   int line = 0;

@@ -23,7 +23,7 @@ void usage(std::ostream& os) {
         "                         [--baseline FILE] [--self-test[=RULE]]\n"
         "rules: layer-dag lock-rank driver-purity ledger-schema\n"
         "       randomness wall-clock raw-thread raw-mutex unordered\n"
-        "       shard-iter serve-sleep driver-engine\n";
+        "       shard-iter serve-sleep driver-engine test-only\n";
 }
 
 }  // namespace
@@ -116,6 +116,6 @@ int main(int argc, char** argv) {
 
   if (exit_code == 0)
     std::cout << "stellaris_analyze: clean (layer-dag lock-rank "
-                 "driver-purity ledger-schema lint)\n";
+                 "driver-purity ledger-schema lint test-only)\n";
   return exit_code;
 }

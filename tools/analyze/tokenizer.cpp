@@ -157,7 +157,8 @@ void scan_lines(const std::string& text, SourceFile& file) {
   int line = 0;
   while (std::getline(in, raw)) {
     ++line;
-    // analyze:<rule>-ok markers (one or more per line).
+    // analyze:<rule>-ok markers (one or more per line). A test-only marker
+    // counts only with a reason after it on the same line.
     std::size_t pos = 0;
     while ((pos = raw.find("analyze:", pos)) != std::string::npos) {
       const std::size_t start = pos + 8;
@@ -167,8 +168,11 @@ void scan_lines(const std::string& text, SourceFile& file) {
         ++end;
       std::string tag = raw.substr(start, end - start);
       const std::string suffix = "-ok";
+      const bool bare =
+          raw.find_first_not_of(" \t\r", end) == std::string::npos;
       if (tag.size() > suffix.size() &&
-          tag.compare(tag.size() - suffix.size(), suffix.size(), suffix) == 0)
+          tag.compare(tag.size() - suffix.size(), suffix.size(), suffix) == 0 &&
+          !(tag == "test-only-ok" && bare))
         file.markers[line].insert(tag.substr(0, tag.size() - suffix.size()));
       pos = end;
     }
