@@ -240,9 +240,9 @@ std::vector<KernelResult> run_kernel_benches() {
 
   // Square and prime shapes time all three products. The learner's narrow
   // shapes time only the product the learner issues there: the policy-head
-  // forward (nn, 512 rows × 3 actions), its dW (tn) and the first
-  // convolution's 8-channel dW (tn, k = 6144 im2col rows: an eighth of an
-  // arcade learner batch).
+  // forward (nn, 512 rows × 3 actions), its dW (tn), and the first
+  // convolution's 8-channel forward (nn) and dW (tn) over 6144 im2col rows,
+  // an eighth of an arcade learner batch.
   struct GemmShape {
     std::size_t m, k, n;
     bool nn = true, tn = true, nt = true;
@@ -254,6 +254,7 @@ std::vector<KernelResult> run_kernel_benches() {
       {67, 43, 129},
       {.m = 512, .k = 32, .n = 3, .tn = false, .nt = false},
       {.m = 32, .k = 512, .n = 3, .nn = false, .nt = false},
+      {.m = 6144, .k = 75, .n = 8, .tn = false, .nt = false},
       {.m = 75, .k = 6144, .n = 8, .nn = false, .nt = false}};
   for (const auto& s : gemm_shapes) {
     std::ostringstream shape;
@@ -311,6 +312,35 @@ std::vector<KernelResult> run_kernel_benches() {
   out.push_back({"sum_rows", eshape, "gelems", elems,
                  measure_rate(elems, [&] { ops::sum_rows_into(y, x); }),
                  measure_rate(elems, [&] { ops::reference::sum_rows(x); })});
+
+  // The first convolution's lowering and its scatter over the same eighth
+  // of an arcade learner batch: 96 3×20×20 frames, kernel 5, stride 2, the
+  // (6144, 75) operand of the 6144x75x8 product. Rates count lowered
+  // elements.
+  ops::Conv2dSpec conv1;
+  conv1.in_channels = 3;
+  conv1.in_h = conv1.in_w = 20;
+  conv1.kernel = 5;
+  conv1.stride = 2;
+  const std::size_t frames = 96;
+  const Tensor frames_in = Tensor::randn({frames, 3 * 20 * 20}, rng);
+  Tensor lowered;
+  ops::im2col_into(lowered, frames_in, conv1);
+  const double lelems = static_cast<double>(lowered.numel());
+  const std::string lshape = "96x3x20x20:k5s2";
+  Tensor scattered;
+  out.push_back(
+      {"im2col", lshape, "gelems", lelems,
+       measure_rate(lelems, [&] { ops::im2col_into(y, frames_in, conv1); }),
+       measure_rate(lelems,
+                    [&] { ops::reference::im2col(frames_in, conv1); })});
+  out.push_back(
+      {"col2im", lshape, "gelems", lelems, measure_rate(lelems, [&] {
+         ops::col2im_into(scattered, lowered, conv1, frames);
+       }),
+       measure_rate(lelems, [&] {
+         ops::reference::col2im(lowered, conv1, frames);
+       })});
   return out;
 }
 
@@ -333,6 +363,7 @@ int run_tier_table() {
       {"matmul", 1, 32, 32},       // actor single-row forward
       {"matmul", 512, 32, 3},      // policy head: row lanes
       {"matmul_tn", 32, 512, 3},   // policy-head dW: row lanes
+      {"matmul", 6144, 75, 8},     // first conv forward: row lanes
       {"matmul_tn", 75, 6144, 8},  // first conv dW: row lanes
       {"tanh_forward", 512, 0, 32},
   };

@@ -79,8 +79,6 @@ Sequential ActorCritic::build_torso(std::size_t out_dim, Rng& rng) const {
       spec.kernel = cl.kernel;
       spec.stride = cl.stride;
       spec.padding = 0;
-      STELLARIS_CHECK_MSG(h >= cl.kernel && w >= cl.kernel,
-                          "conv kernel larger than feature map");
       auto conv = std::make_unique<Conv2d>(spec, rng);
       c = cl.out_channels;
       h = spec.out_h();

@@ -19,18 +19,18 @@ const Tensor& Linear::forward(const Tensor& x) {
   STELLARIS_CHECK_MSG(x.rank() == 2 && x.dim(1) == w_.dim(0),
                       "Linear forward: " << shape_str(x.shape()) << " into "
                                          << shape_str(w_.shape()));
-  cached_input_ = x;
+  input_ = &x;
   ops::matmul_into(out_, x, w_);
   ops::add_bias_rows(out_, b_);
   return out_;
 }
 
 void Linear::backward_params(const Tensor& dy) {
-  STELLARIS_CHECK_MSG(!cached_input_.empty(), "backward before forward");
+  STELLARIS_CHECK_MSG(input_ != nullptr, "backward before forward");
   // Compute the step gradient into its own buffer, then fold it in with +=:
   // accumulating directly inside the GEMM would reorder the additions
   // against the pre-existing dw_ value and change the rounding.
-  ops::matmul_tn_into(dw_step_, cached_input_, dy);
+  ops::matmul_tn_into(dw_step_, *input_, dy);
   dw_ += dw_step_;
   ops::sum_rows_into(db_step_, dy);
   db_ += db_step_;
@@ -43,6 +43,7 @@ const Tensor& Linear::backward(const Tensor& dy) {
 }
 
 Conv2d::Conv2d(ops::Conv2dSpec spec, Rng& rng) : spec_(spec) {
+  ops::check_conv_spec(spec_);
   const std::size_t patch = spec_.in_channels * spec_.kernel * spec_.kernel;
   const float stddev = std::sqrt(2.0f / static_cast<float>(patch));
   w_ = Tensor::randn({patch, spec_.out_channels}, rng, stddev);

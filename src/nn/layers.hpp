@@ -56,6 +56,12 @@ class Layer {
 };
 
 /// Fully-connected layer: y = x·W + b, W is (in, out).
+///
+/// forward borrows its input instead of copying it: backward reads the
+/// input of the last forward for the weight gradient, so that input must
+/// stay alive and unchanged until the matching backward (the contract of
+/// Conv2d::forward_lowered). Inside a Sequential the input is the previous
+/// layer's output buffer, which lives until that layer's next call.
 class Linear final : public Layer {
  public:
   Linear(std::size_t in, std::size_t out, Rng& rng);
@@ -70,7 +76,7 @@ class Linear final : public Layer {
  private:
   Tensor w_, b_;
   Tensor dw_, db_;
-  Tensor cached_input_;
+  const Tensor* input_ = nullptr;  // the last forward's input, borrowed
   Tensor out_, dx_;             // persistent forward/backward outputs
   Tensor dw_step_, db_step_;    // per-step grads, folded into dw_/db_ with +=
 };

@@ -29,9 +29,10 @@
 //     contiguous in i). matmul_tn's A already has that layout, so every
 //     matmul_tn with m >= kRL reads it in place; matmul and matmul_nt with
 //     n < kRowLaneMaxN and m >= kRL pack each kRL-row block of A
-//     transposed into scratch (pure data movement). Products with fewer
-//     than kRL rows keep the column tiles; matmul_tn packs A transposed
-//     for them.
+//     transposed into scratch (pure data movement), moving square blocks
+//     through registers rather than one element at a time
+//     (kernel_tier.cpp, pack_rowlane_tile). Products with fewer than kRL
+//     rows keep the column tiles; matmul_tn packs A transposed for them.
 //   * matmul_nt packs Bᵀ once and reuses the nn micro-kernels, since a
 //     dot-product micro-kernel cannot vectorize its k chain without
 //     reassociating float adds.

@@ -23,12 +23,14 @@
 //     rows instead and broadcast single B elements, for outputs narrower
 //     than one 16-column sub-tile. They read the left operand as Aᵀ (k ×
 //     rows, contiguous in i): matmul_tn's A in place, or each kRL-row block
-//     of A packed transposed (pure data movement).
+//     of A packed transposed in register-transposed blocks (pure data
+//     movement).
 //
 // -ffp-contract=off keeps every multiply-add two rounded operations under
 // FMA-capable -march; -fno-trapping-math lets GCC if-convert tanh's clamps
 // and select and vectorize the loop (it changes no value).
 #include <cstring>
+#include <utility>
 
 #include "tensor/kernel_table.hpp"
 #include "tensor/tanh_rational.hpp"
@@ -166,6 +168,65 @@ inline void micro_rowlane(std::size_t k, const float* at, std::size_t lda,
       c[r * ldc + cc] = acc[cc][r / kVL][r % kVL];
 }
 
+// -- row-lane Aᵀ pack ---------------------------------------------------------
+// matmul and matmul_nt feed the row lanes A row-major, so each tile's kRL
+// rows are first packed transposed into a (k × kRL) scratch. The pack
+// moves kTW × kTW blocks: kTW row segments loaded as vectors, transposed
+// in registers by log2(kTW) rounds of two-source zips (after the rounds,
+// vector c holds column c), and stored as kTW pack-row segments; the last
+// k mod kTW columns go one element at a time. Pure data movement, so every
+// tier packs the same bits. Under AVX-512 a block is the whole 16 × 16
+// tile face. The baseline and AVX2 tiers use 4 × 4 blocks: AVX2's 8-lane
+// zips cross the 128-bit halves, and on (256, 75) they measured slower
+// than the per-element pack (4-vCPU Xeon VM, GCC 12).
+#if defined(__AVX512F__)
+constexpr std::size_t kTW = 16;
+#else
+constexpr std::size_t kTW = 4;
+#endif
+static_assert(kRL % kTW == 0, "transpose blocks must tile the lanes");
+using BlockRow = float __attribute__((vector_size(kTW * sizeof(float))));
+
+// zip_lo(a, b) = a0 b0 a1 b1 ... from the lower halves; zip_hi the same
+// from the upper halves.
+template <std::size_t... I>
+inline BlockRow zip_lo(BlockRow a, BlockRow b, std::index_sequence<I...>) {
+  return __builtin_shufflevector(a, b, ((I % 2) * kTW + I / 2)...);
+}
+template <std::size_t... I>
+inline BlockRow zip_hi(BlockRow a, BlockRow b, std::index_sequence<I...>) {
+  return __builtin_shufflevector(a, b, ((I % 2) * kTW + kTW / 2 + I / 2)...);
+}
+
+inline void transpose_block(BlockRow (&v)[kTW]) {
+  constexpr auto lanes = std::make_index_sequence<kTW>{};
+  for (std::size_t round = 1; round < kTW; round *= 2) {
+    BlockRow t[kTW];
+    for (std::size_t i = 0; i < kTW / 2; ++i) {
+      t[2 * i] = zip_lo(v[i], v[i + kTW / 2], lanes);
+      t[2 * i + 1] = zip_hi(v[i], v[i + kTW / 2], lanes);
+    }
+    for (std::size_t i = 0; i < kTW; ++i) v[i] = t[i];
+  }
+}
+
+// pack (k × kRL) = the transpose of the kRL rows of A at `a` (stride k).
+void pack_rowlane_tile(const float* a, std::size_t k, float* pack) {
+  std::size_t kk = 0;
+  for (; kk + kTW <= k; kk += kTW) {
+    for (std::size_t r0 = 0; r0 < kRL; r0 += kTW) {
+      BlockRow v[kTW];
+      for (std::size_t r = 0; r < kTW; ++r)
+        std::memcpy(&v[r], a + (r0 + r) * k + kk, sizeof v[r]);
+      transpose_block(v);
+      for (std::size_t c = 0; c < kTW; ++c)
+        std::memcpy(pack + (kk + c) * kRL + r0, &v[c], sizeof v[c]);
+    }
+  }
+  for (std::size_t r = 0; r < kRL; ++r)
+    for (std::size_t c = kk; c < k; ++c) pack[c * kRL + r] = a[r * k + c];
+}
+
 // One kRL-row tile across all n columns: kNJ-wide column groups, then the
 // remainder dispatched to a compile-time width (cases >= kNJ never occur).
 void rowlane_tile(std::size_t n, std::size_t k, const float* at,
@@ -237,10 +298,7 @@ void rowlane_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
                       std::size_t k, const float* pa, const float* pb,
                       float* pc, float* pack) {
   for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
-    for (std::size_t r = 0; r < kRL; ++r) {
-      const float* arow = pa + (s + r) * k;
-      for (std::size_t kk = 0; kk < k; ++kk) pack[kk * kRL + r] = arow[kk];
-    }
+    pack_rowlane_tile(pa + s * k, k, pack);
     rowlane_tile(n, k, pack, kRL, pb, n, pc + s * n, n, r0);
   });
 }

@@ -28,6 +28,10 @@
 // depend on neither the libm version nor -march; see tanh_rational.hpp.
 // The same holds for the GEMMs: every ISA tier gives the same bits.
 //
+// The convolution lowering copies whole kernel-width runs, and the row-lane
+// GEMM packs its transposed operand block by block (kernel_tier.cpp); both
+// are pure data movement, so neither changes a bit.
+//
 // The naive seed loops are retained under ops::reference (minus a
 // zero-skip branch that broke IEEE NaN/Inf propagation; tanh is the same
 // formula as the kernel, evaluated one element at a time): they are the
@@ -102,13 +106,22 @@ struct Conv2dSpec {
   std::size_t out_w() const { return (in_w + 2 * padding - kernel) / stride + 1; }
 };
 
+/// Throws stellaris::Error unless stride, kernel and in_channels are
+/// positive and the kernel fits the padded input, the conditions under
+/// which out_h() and out_w() are defined. The lowering functions and
+/// nn::Conv2d check this before computing an output size.
+void check_conv_spec(const Conv2dSpec& spec);
+
 /// Lower an input batch (N, C·H·W flattened rows) into the im2col matrix
 /// with shape (N·out_h·out_w, C·k·k): each row is one receptive field.
+/// Copies each (c, ky) run of k input columns whole, with compile-time
+/// run lengths for k = 3 and 5; padding is zero-filled per run.
 Tensor im2col(const Tensor& input, const Conv2dSpec& spec);
 void im2col_into(Tensor& cols, const Tensor& input, const Conv2dSpec& spec);
 
 /// Inverse scatter of im2col — accumulates column gradients back into the
-/// input-gradient layout (N, C·H·W).
+/// input-gradient layout (N, C·H·W), run by run in im2col's order, so each
+/// input element's additions happen in the reference order.
 void col2im_into(Tensor& out, const Tensor& cols, const Conv2dSpec& spec,
                  std::size_t batch);
 
@@ -128,6 +141,9 @@ Tensor tanh_forward(const Tensor& x);
 Tensor relu_forward(const Tensor& x);
 Tensor softmax_rows(const Tensor& logits);
 Tensor log_softmax_rows(const Tensor& logits);
+/// The lowering with one bounds check per element.
+Tensor im2col(const Tensor& input, const Conv2dSpec& spec);
+Tensor col2im(const Tensor& cols, const Conv2dSpec& spec, std::size_t batch);
 
 }  // namespace reference
 

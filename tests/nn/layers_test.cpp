@@ -85,6 +85,36 @@ TEST(Linear, BackwardBeforeForwardThrows) {
   EXPECT_THROW(lin.backward(Tensor({1, 2})), Error);
 }
 
+// forward borrows its input: backward reads the input of the LAST
+// forward, so forward(a), forward(b), backward is forward(b), backward,
+// bit for bit, with a still alive and different.
+TEST(Linear, BackwardUsesTheLastForwardsInput) {
+  Rng rng(21);
+  const Tensor a = Tensor::randn({20, 7}, rng);
+  const Tensor b = Tensor::randn({20, 7}, rng);
+  const Tensor dy = Tensor::randn({20, 3}, rng);
+  auto build = [] {
+    Rng r(9);
+    return std::make_unique<Linear>(7, 3, r);
+  };
+  auto ref = build(), mixed = build();
+  (void)ref->forward(b);
+  const Tensor dx_ref = ref->backward(dy);
+  (void)mixed->forward(a);
+  (void)mixed->forward(b);
+  const Tensor dx_mixed = mixed->backward(dy);
+  ASSERT_EQ(dx_ref.shape(), dx_mixed.shape());
+  EXPECT_EQ(std::memcmp(dx_ref.data().data(), dx_mixed.data().data(),
+                        dx_ref.numel() * sizeof(float)),
+            0);
+  const auto g_ref = ref->gradients(), g_mixed = mixed->gradients();
+  for (std::size_t i = 0; i < g_ref.size(); ++i)
+    EXPECT_EQ(std::memcmp(g_ref[i]->data().data(), g_mixed[i]->data().data(),
+                          g_ref[i]->numel() * sizeof(float)),
+              0)
+        << "gradient " << i;
+}
+
 TEST(Linear, WrongInputWidthThrows) {
   Rng rng(4);
   Linear lin(3, 2, rng);
@@ -132,6 +162,52 @@ TEST(Conv2d, OutputShape) {
   Conv2d conv(spec, rng);
   Tensor y = conv.forward(Tensor({4, 3 * 20 * 20}));
   EXPECT_EQ(y.shape(), (Shape{4, 8 * 8 * 8}));
+}
+
+// A spec out_h()/out_w() cannot describe is rejected with an Error before
+// anything computes an output size: stride 0 used to divide by zero in the
+// first forward, and a kernel wider than the padded input used to wrap
+// out_h() around into a huge lowering buffer.
+TEST(Conv2d, RejectsDegenerateSpec) {
+  const auto spec = [](std::size_t c, std::size_t hw, std::size_t kernel,
+                       std::size_t stride, std::size_t pad) {
+    ops::Conv2dSpec s;
+    s.in_channels = c;
+    s.out_channels = 2;
+    s.in_h = hw;
+    s.in_w = hw;
+    s.kernel = kernel;
+    s.stride = stride;
+    s.padding = pad;
+    return s;
+  };
+  const ops::Conv2dSpec bad[] = {
+      spec(1, 4, 3, 0, 0),  // stride 0
+      spec(1, 4, 0, 1, 0),  // kernel 0
+      spec(0, 4, 3, 1, 0),  // no input channels
+      spec(1, 4, 5, 1, 0),  // kernel wider than the input
+      spec(1, 2, 7, 1, 2),  // kernel wider than the padded input
+  };
+  for (const ops::Conv2dSpec& s : bad) {
+    SCOPED_TRACE(::testing::Message()
+                 << "c " << s.in_channels << " kernel " << s.kernel
+                 << " stride " << s.stride << " pad " << s.padding);
+    Rng rng(22);
+    const Tensor x({1, s.in_channels * s.in_h * s.in_w});
+    EXPECT_THROW(
+        {
+          Conv2d conv(s, rng);
+          (void)conv.forward(x);
+        },
+        Error);
+    Tensor cols, dx;
+    EXPECT_THROW(ops::im2col_into(cols, x, s), Error);
+    EXPECT_THROW(ops::col2im_into(dx, Tensor({1, 9}), s, 1), Error);
+  }
+  // The largest kernel the padded input admits is accepted.
+  Rng rng(23);
+  Conv2d conv(spec(1, 2, 6, 1, 2), rng);
+  EXPECT_EQ(conv.forward(Tensor({1, 4})).shape(), (Shape{1, 2}));
 }
 
 TEST(Sequential, ComposesAndBackpropagates) {

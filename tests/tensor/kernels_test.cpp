@@ -155,6 +155,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmDims{37, 29, 5},          // row-lane edge tile
                       GemmDims{16, 300, 15},        // one tile, column remainder
                       GemmDims{75, 700, 8},         // conv1 dW shape, edge
+                      GemmDims{40, 5, 8},           // pack: k < one block
+                      GemmDims{33, 16, 3},          // pack: k = one block
+                      GemmDims{256, 75, 8},         // conv1 inference forward
                       GemmDims{1, 32, 3},           // m < 16: column path
                       GemmDims{0, 4, 5},            // zero rows
                       GemmDims{4, 0, 5},            // zero inner dim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "util/rng.hpp"
 #include "test_tensors.hpp"
@@ -206,6 +207,41 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(3, 1, 0), std::make_tuple(3, 2, 0),
                       std::make_tuple(2, 1, 1), std::make_tuple(3, 2, 1),
                       std::make_tuple(5, 1, 2)));
+
+void expect_same_bits(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                        got.numel() * sizeof(float)),
+            0);
+}
+
+// The run-copying lowering and scatter against the per-element reference
+// loops, bit for bit, over kernels 1–6 (3 and 5 take the compile-time
+// runs), strides 1–3 and padding 0–2 on a non-square 2-channel input,
+// three images, with -0.0 and NaN among the values.
+TEST(Im2col, SweepMatchesReferenceBitwise) {
+  Rng rng(31);
+  const std::size_t batch = 3, c = 2, h = 7, w = 6;
+  Tensor x = Tensor::randn({batch, c * h * w}, rng);
+  x[1] = -0.0f;
+  x[c * h * w + 5] = std::nanf("");
+  for (std::size_t k = 1; k <= 6; ++k)
+    for (std::size_t stride = 1; stride <= 3; ++stride)
+      for (std::size_t pad = 0; pad <= 2; ++pad) {
+        SCOPED_TRACE(::testing::Message() << "kernel " << k << " stride "
+                                          << stride << " pad " << pad);
+        const auto spec = make_spec(c, h, w, k, stride, pad);
+        Tensor cols = Tensor::full({1, 1}, 7.0f);  // reshaped, overwritten
+        im2col_into(cols, x, spec);
+        expect_same_bits(cols, reference::im2col(x, spec));
+
+        Tensor dcols = Tensor::randn(cols.shape(), rng);
+        dcols[0] = -0.0f;
+        Tensor dx = Tensor::full({1, 1}, 7.0f);
+        col2im_into(dx, dcols, spec, batch);
+        expect_same_bits(dx, reference::col2im(dcols, spec, batch));
+      }
+}
 
 TEST(Conv2dSpecTest, OutputGeometry) {
   auto spec = make_spec(3, 20, 20, 5, 2, 0);
