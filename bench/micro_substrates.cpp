@@ -242,7 +242,10 @@ std::vector<KernelResult> run_kernel_benches() {
   // shapes time only the product the learner issues there: the policy-head
   // forward (nn, 512 rows × 3 actions), its dW (tn), and the first
   // convolution's 8-channel forward (nn) and dW (tn) over 6144 im2col rows,
-  // an eighth of an arcade learner batch.
+  // an eighth of an arcade learner batch. The serving shapes are a
+  // 10-request batch through the walker tenant's policy head (3 actions)
+  // and hidden layer (16 wide), and a 4-request batch through the arcade
+  // tenant's 6-action head: fewer rows than one row-lane tile.
   struct GemmShape {
     std::size_t m, k, n;
     bool nn = true, tn = true, nt = true;
@@ -255,7 +258,10 @@ std::vector<KernelResult> run_kernel_benches() {
       {.m = 512, .k = 32, .n = 3, .tn = false, .nt = false},
       {.m = 32, .k = 512, .n = 3, .nn = false, .nt = false},
       {.m = 6144, .k = 75, .n = 8, .tn = false, .nt = false},
-      {.m = 75, .k = 6144, .n = 8, .nn = false, .nt = false}};
+      {.m = 75, .k = 6144, .n = 8, .nn = false, .nt = false},
+      {.m = 10, .k = 16, .n = 3, .tn = false, .nt = false},
+      {.m = 4, .k = 16, .n = 6, .tn = false, .nt = false},
+      {.m = 10, .k = 16, .n = 16, .tn = false, .nt = false}};
   for (const auto& s : gemm_shapes) {
     std::ostringstream shape;
     shape << s.m << "x" << s.k << "x" << s.n;
@@ -365,6 +371,9 @@ int run_tier_table() {
       {"matmul_tn", 32, 512, 3},   // policy-head dW: row lanes
       {"matmul", 6144, 75, 8},     // first conv forward: row lanes
       {"matmul_tn", 75, 6144, 8},  // first conv dW: row lanes
+      {"matmul", 10, 16, 3},       // serving policy head: padded row lanes
+      {"matmul", 4, 16, 6},        // serving 6-action head, 4 rows
+      {"matmul", 10, 16, 16},      // serving hidden layer: 4-row 16-wide
       {"tanh_forward", 512, 0, 32},
   };
   const auto tiers = ops::detail::host_kernel_tiers();

@@ -164,11 +164,10 @@ void FaultInjector::fire_reclaim() {
 
 void FaultInjector::disarm() {
   armed_ = false;
-  for (auto& handle : reclaim_timers_)
-    if (handle) *handle = true;
+  for (const auto handle : reclaim_timers_) engine_.cancel(handle);
   reclaim_timers_.clear();
-  if (reclaim_arrival_) *reclaim_arrival_ = true;
-  reclaim_arrival_.reset();
+  engine_.cancel(reclaim_arrival_);
+  reclaim_arrival_ = {};
 }
 
 RetrySimOutcome simulate_retries(double base_duration_s,

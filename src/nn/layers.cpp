@@ -70,15 +70,10 @@ const Tensor& Conv2d::forward_lowered(const Tensor& cols, std::size_t batch) {
   ops::matmul_into(y_, cols, w_);
   ops::add_bias_rows(y_, b_);
   // Reorder to channel-major rows (N, oc·oh·ow) so downstream layers see the
-  // conventional CHW flattening.
+  // conventional CHW flattening: each frame's (oh·ow, oc) block transposed.
   out_.ensure_shape({batch, oc * oh * ow});
-  const float* py = y_.data().data();
-  float* po = out_.data().data();
-  for (std::size_t n = 0; n < batch; ++n)
-    for (std::size_t p = 0; p < oh * ow; ++p)
-      for (std::size_t c = 0; c < oc; ++c)
-        po[n * oc * oh * ow + c * oh * ow + p] =
-            py[(n * oh * ow + p) * oc + c];
+  ops::transpose_each(y_.data().data(), batch, oh * ow, oc,
+                      out_.data().data());
   return out_;
 }
 
@@ -89,15 +84,11 @@ void Conv2d::backward_params(const Tensor& dy) {
   STELLARIS_CHECK_MSG(dy.rank() == 2 && dy.dim(0) == cached_batch_ &&
                           dy.dim(1) == oc * oh * ow,
                       "Conv2d backward shape " << shape_str(dy.shape()));
-  // Undo the channel-major reorder.
+  // Undo the channel-major reorder: each frame's (oc, oh·ow) block
+  // transposed back.
   dys_.ensure_shape({cached_batch_ * oh * ow, oc});
-  const float* pd = dy.data().data();
-  float* ps = dys_.data().data();
-  for (std::size_t n = 0; n < cached_batch_; ++n)
-    for (std::size_t p = 0; p < oh * ow; ++p)
-      for (std::size_t c = 0; c < oc; ++c)
-        ps[(n * oh * ow + p) * oc + c] =
-            pd[n * oc * oh * ow + c * oh * ow + p];
+  ops::transpose_each(dy.data().data(), cached_batch_, oc, oh * ow,
+                      dys_.data().data());
 
   ops::matmul_tn_into(dw_step_, *cols_, dys_);
   dw_ += dw_step_;

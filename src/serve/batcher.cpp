@@ -1,8 +1,28 @@
 #include "serve/batcher.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace stellaris::serve {
+
+void Batcher::Lane::push_back(ServeRequest req) {
+  if (size_ == buf_.size()) {
+    // Full: re-lay the ring out in FIFO order in a buffer twice the size.
+    std::vector<ServeRequest> grown(size_ == 0 ? 8 : 2 * size_);
+    for (std::size_t i = 0; i < size_; ++i)
+      grown[i] = std::move(buf_[(head_ + i) % buf_.size()]);
+    buf_.swap(grown);
+    head_ = 0;
+  }
+  buf_[(head_ + size_) % buf_.size()] = std::move(req);
+  ++size_;
+}
+
+void Batcher::Lane::pop_front() {
+  head_ = (head_ + 1) % buf_.size();
+  --size_;
+}
 
 bool Batcher::enqueue(ServeRequest req) {
   auto& lane = lanes_[req.version];
@@ -12,8 +32,7 @@ bool Batcher::enqueue(ServeRequest req) {
   return was_empty;
 }
 
-bool Batcher::lane_ready(const std::deque<ServeRequest>& lane,
-                         double now) const {
+bool Batcher::lane_ready(const Lane& lane, double now) const {
   if (lane.empty()) return false;
   if (lane.size() >= cfg_.max_batch) return true;
   // The cutoff timer fires exactly at head + max_wait, so >= is the timer's
@@ -42,21 +61,18 @@ std::optional<double> Batcher::ready_head_arrival(double now) const {
   return lanes_.at(*version).front().arrival_s;
 }
 
-std::vector<ServeRequest> Batcher::take(std::uint64_t version) {
+void Batcher::take(std::uint64_t version, std::vector<ServeRequest>& out) {
   auto it = lanes_.find(version);
   STELLARIS_CHECK_MSG(it != lanes_.end() && !it->second.empty(),
                       "take() from an empty lane");
   auto& lane = it->second;
   const std::size_t n = std::min(cfg_.max_batch, lane.size());
-  std::vector<ServeRequest> batch;
-  batch.reserve(n);
+  out.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    batch.push_back(std::move(lane.front()));
+    out.push_back(std::move(lane.front()));
     lane.pop_front();
   }
   queued_ -= n;
-  if (lane.empty()) lanes_.erase(it);
-  return batch;
 }
 
 std::optional<double> Batcher::head_arrival(std::uint64_t version) const {

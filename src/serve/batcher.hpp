@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
@@ -50,18 +49,38 @@ class Batcher {
   /// cross-tenant fairness key ServeEngine sorts on). nullopt when none.
   std::optional<double> ready_head_arrival(double now) const;
 
-  /// Pop up to `max_batch` requests from lane `version`, FIFO.
-  std::vector<ServeRequest> take(std::uint64_t version);
+  /// Move up to `max_batch` requests from lane `version`, FIFO, into `out`
+  /// (cleared first; its capacity is reused).
+  void take(std::uint64_t version, std::vector<ServeRequest>& out);
 
   /// Head arrival time of a lane, if it still holds requests — used to
   /// re-arm the cutoff for the remainder after a take().
   std::optional<double> head_arrival(std::uint64_t version) const;
 
  private:
-  bool lane_ready(const std::deque<ServeRequest>& lane, double now) const;
+  /// A FIFO ring over a grow-only buffer. A lane that empties keeps its
+  /// storage (and its map node), so once every lane has reached its peak
+  /// depth, queueing allocates nothing.
+  class Lane {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    ServeRequest& front() { return buf_[head_]; }
+    const ServeRequest& front() const { return buf_[head_]; }
+    void push_back(ServeRequest req);
+    /// Drop the front slot (its request was moved out).
+    void pop_front();
+
+   private:
+    std::vector<ServeRequest> buf_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  bool lane_ready(const Lane& lane, double now) const;
 
   BatchConfig cfg_;
-  std::map<std::uint64_t, std::deque<ServeRequest>> lanes_;
+  std::map<std::uint64_t, Lane> lanes_;  ///< every version seen; never erased
   std::size_t queued_ = 0;
 };
 

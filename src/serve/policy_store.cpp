@@ -28,15 +28,13 @@ void PolicyStore::publish(const std::string& tenant,
   decoded_[key].cost_mult = cost_mult;
 }
 
-PolicyRef PolicyStore::load(const std::string& tenant,
-                            std::uint64_t version) {
-  const std::string key = keys::policy(tenant, version);
+PolicyStore::Loaded PolicyStore::load(const std::string& key) {
   const cache::CacheValue value = cache_.get_or_throw(key);
   Decoded& slot = decoded_[key];
   if (slot.snap && slot.cache_version == value.version) {
     ++reuses_;
     m_reuses_->add();
-    return slot.snap;
+    return {slot.snap, slot.cost_mult};
   }
   auto snap = std::make_shared<PolicySnapshot>();
   snap->version = core::decode_policy_into(value.bytes(), snap->params);
@@ -44,13 +42,7 @@ PolicyRef PolicyStore::load(const std::string& tenant,
   slot.cache_version = value.version;
   ++decodes_;
   m_decodes_->add();
-  return slot.snap;
-}
-
-double PolicyStore::cost_mult(const std::string& tenant,
-                              std::uint64_t version) const {
-  const auto it = decoded_.find(keys::policy(tenant, version));
-  return it == decoded_.end() ? 1.0 : it->second.cost_mult;
+  return {slot.snap, slot.cost_mult};
 }
 
 }  // namespace stellaris::serve

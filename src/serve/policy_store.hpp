@@ -47,13 +47,19 @@ class PolicyStore {
   void publish(const std::string& tenant, const std::vector<float>& params,
                std::uint64_t version, double cost_mult = 1.0);
 
-  /// The decoded snapshot for (tenant, version). Decodes on first load and
-  /// whenever the cache entry was republished; otherwise reuses the shared
-  /// snapshot. Throws cache::CacheError if the version was never published.
-  PolicyRef load(const std::string& tenant, std::uint64_t version);
+  /// A loaded version: its decoded snapshot and its serving-compute
+  /// multiplier (1.0 unless published with another).
+  struct Loaded {
+    PolicyRef snap;
+    double cost_mult = 1.0;
+  };
 
-  /// Serving-compute multiplier of a published version (1.0 by default).
-  double cost_mult(const std::string& tenant, std::uint64_t version) const;
+  /// The version behind cache key `key` (keys::policy). Reads the cache
+  /// entry on every call (the cache's hit and byte counters see each
+  /// load), decodes on first load and whenever the entry was republished,
+  /// and otherwise reuses the shared snapshot. Throws cache::CacheError if
+  /// the key was never published. Callers build `key` once per version.
+  Loaded load(const std::string& key);
 
   std::uint64_t decodes() const { return decodes_; }
   std::uint64_t reuses() const { return reuses_; }

@@ -21,6 +21,7 @@
 #include "nn/actor_critic.hpp"
 #include "serve/policy_store.hpp"
 #include "serve/serve_config.hpp"
+#include "tensor/tensor.hpp"
 #include "util/annotated_mutex.hpp"
 
 namespace stellaris::serve {
@@ -53,6 +54,10 @@ struct ServeContext {
 
   nn::ActorCritic model;  ///< scratch; its weights are `loaded`'s
   PolicyRef loaded;       ///< snapshot `model` holds; null before the first load
+  /// The batch's (n, obs_dim) observation matrix, refilled by every body:
+  /// its buffer persists, so a batch no larger than the largest before it
+  /// allocates nothing.
+  Tensor obs;
 };
 
 class ServeContextPool {

@@ -37,17 +37,23 @@ struct ServeEngine::BatchResult {
   bool loaded = false;  ///< the body copied weights into its context
 };
 
-/// Everything the virtual completion event needs to settle one batch.
+/// Everything one batch carries from capture to settle. The body reads
+/// `reqs`, `snap`, `contexts` and `obs_dim` and writes `box` through a raw
+/// pointer to the batch; the engine thread leaves the batch alone between
+/// dispatch and the settle event's join, and refills it only after that.
 struct ServeEngine::InflightBatch {
   std::size_t tenant = 0;
   std::uint64_t version = 0;
   std::uint64_t lid = 0;
   std::size_t container = 0;
   bool cold = false;
-  std::vector<ServeRequest> reqs;  ///< obs moved out into the body capture
-  sim::Driver::Job job;            ///< null when the batch is doomed
-  /// Written by the body through a raw pointer: safe because settle_batch
-  /// joins every submitted job before the batch can be freed.
+  /// The requests, obs buffers included: the body gathers them into its
+  /// context's obs tensor, and settle returns the buffers to the tenant.
+  std::vector<ServeRequest> reqs;
+  PolicyRef snap;
+  ServeContextPool* contexts = nullptr;
+  std::size_t obs_dim = 0;
+  sim::Driver::Job job;  ///< null when the batch is doomed
   BatchResult box;
   bool ok = true;
   fault::ErrorKind error = fault::ErrorKind::kNone;
@@ -65,6 +71,40 @@ ServeEngine::TenantState::TenantState(const TenantConfig& tenant_cfg,
       contexts(tenant_cfg, sub_seed(seed, 1)),
       obs_rng(sub_seed(seed, 2)),
       assign_rng(sub_seed(seed, 3)) {}
+
+ServeEngine::TenantState::~TenantState() = default;
+
+const std::string& ServeEngine::TenantState::policy_key(
+    std::uint64_t version) {
+  for (const auto& [v, key] : policy_keys)
+    if (v == version) return key;
+  return policy_keys.emplace_back(version, keys::policy(cfg.name, version))
+      .second;
+}
+
+ServeEngine::Cutoff* ServeEngine::TenantState::find_cutoff(
+    std::uint64_t version) {
+  for (auto& c : cutoffs)
+    if (c.version == version) return &c;
+  return nullptr;
+}
+
+void ServeEngine::TenantState::erase_cutoff(std::uint64_t version) {
+  Cutoff* c = find_cutoff(version);
+  if (c == nullptr) return;
+  *c = cutoffs.back();
+  cutoffs.pop_back();
+}
+
+ServeEngine::InflightBatch& ServeEngine::TenantState::take_batch() {
+  if (free_batches.empty()) {
+    batch_pool.push_back(std::make_unique<InflightBatch>());
+    return *batch_pool.back();
+  }
+  InflightBatch* b = free_batches.back();
+  free_batches.pop_back();
+  return *b;
+}
 
 ServeEngine::ServeEngine(ServeConfig cfg)
     : cfg_(std::move(cfg)),
@@ -88,6 +128,8 @@ ServeEngine::ServeEngine(ServeConfig cfg)
     tenants_.push_back(std::make_unique<TenantState>(
         cfg_.tenants[t], engine_, sub_seed(cfg_.seed, 0x10000 + t)));
 }
+
+ServeEngine::~ServeEngine() { driver_->drain(); }
 
 void ServeEngine::publish_policy(std::size_t t,
                                  const std::vector<float>& params,
@@ -173,8 +215,9 @@ void ServeEngine::pump() {
 void ServeEngine::dispatch_batch(std::size_t t, std::uint64_t version) {
   auto& ts = *tenants_[t];
   const double now = engine_.now();
-  auto batch = ts.batcher.take(version);
-  const std::size_t n = batch.size();
+  InflightBatch& b = ts.take_batch();
+  ts.batcher.take(version, b.reqs);
+  const std::size_t n = b.reqs.size();
   // The remainder lane (if any) has a new head; move its cutoff.
   arm_lane_cutoff(t, version);
 
@@ -185,11 +228,10 @@ void ServeEngine::dispatch_batch(std::size_t t, std::uint64_t version) {
   ++ts.batches;
   ts.batched_requests += n;
 
-  // -- capture (engine thread): fate, snapshot, flattened inputs -----------
+  // -- capture (engine thread): fate, snapshot, inputs ---------------------
   const auto fate =
       injector_.on_invocation(static_cast<int>(serverless::FnKind::kServe));
-  auto snap = store_.load(ts.cfg.name, version);
-  const double cost_mult = store_.cost_mult(ts.cfg.name, version);
+  auto policy = store_.load(ts.policy_key(version));
 
   const auto& lat = cfg_.latency;
   const double transfer_s =
@@ -199,83 +241,79 @@ void ServeEngine::dispatch_batch(std::size_t t, std::uint64_t version) {
                      n * ts.cfg.act_dim * sizeof(float)) +
       fate.cache_delay_s;
   const double compute_s =
-      lat.jittered(lat.serve_compute_s(n, snap->params.size()) * cost_mult,
+      lat.jittered(lat.serve_compute_s(n, policy.snap->params.size()) *
+                       policy.cost_mult,
                    jitter_rng_) *
       fate.straggler_mult;
   const double full_s = lat.invoke_overhead_s + acq->start_latency_s +
                         transfer_s + compute_s;
 
-  auto b = std::make_shared<InflightBatch>();
-  b->tenant = t;
-  b->version = version;
-  b->lid = next_lid_++;
-  b->container = acq->container_id;
-  b->cold = acq->cold;
-  b->ok = fate.fail == fault::ErrorKind::kNone;
-  b->error = fate.fail;
-  b->compute_s = compute_s;
+  b.tenant = t;
+  b.version = version;
+  b.lid = next_lid_++;
+  b.container = acq->container_id;
+  b.cold = acq->cold;
+  b.ok = fate.fail == fault::ErrorKind::kNone;
+  b.error = fate.fail;
+  b.compute_s = compute_s;
   // Crashes bill the fraction of the work done before dying; everything
   // else (including cache errors, discovered at the end) bills in full.
-  b->billed_s = fate.fail == fault::ErrorKind::kCrash ? full_s * fate.fail_frac
-                                                      : full_s;
-  b->reqs = std::move(batch);
+  b.billed_s = fate.fail == fault::ErrorKind::kCrash ? full_s * fate.fail_frac
+                                                     : full_s;
 
-  if (b->ok) {
-    // Flatten the batch's observations into one (n, obs_dim) matrix.
-    // Each emptied request buffer goes back to the tenant for reuse.
-    std::vector<float> flat;
-    flat.reserve(n * ts.cfg.obs_dim);
-    for (auto& req : b->reqs) {
-      flat.insert(flat.end(), req.obs.begin(), req.obs.end());
-      req.obs.clear();
-      ts.spare_obs.push_back(std::move(req.obs));
-    }
-    auto* contexts = &ts.contexts;
-    const std::size_t obs_dim = ts.cfg.obs_dim;
+  if (b.ok) {
+    b.snap = std::move(policy.snap);
+    b.contexts = &ts.contexts;
+    b.obs_dim = ts.cfg.obs_dim;
     // -- body: pure function of the capture; runs wherever the driver says.
-    b->job = engine_.driver().submit(
-        [contexts, snap, flat = std::move(flat), n, obs_dim,
-         box = &b->box]() mutable {
-          auto ctx = contexts->lease();
-          box->loaded = ctx->load(snap);
-          Tensor obs({n, obs_dim}, std::move(flat));
-          const Tensor& acts = ctx->model.policy_forward(obs);
-          double checksum = 0.0;
-          for (const float a : acts.vec()) checksum += static_cast<double>(a);
-          const Tensor& values = ctx->model.value_forward(obs);
-          box->values.assign(values.vec().begin(), values.vec().end());
-          box->checksum = checksum;
-        });
+    b.job = engine_.driver().submit([batch = &b] {
+      auto ctx = batch->contexts->lease();
+      batch->box.loaded = ctx->load(batch->snap);
+      // Gather the requests' observations into one (n, obs_dim) matrix.
+      Tensor& obs = ctx->obs;
+      obs.ensure_shape({batch->reqs.size(), batch->obs_dim});
+      float* row = obs.data().data();
+      for (const auto& req : batch->reqs)
+        row = std::copy(req.obs.begin(), req.obs.end(), row);
+      const Tensor& acts = ctx->model.policy_forward(obs);
+      double checksum = 0.0;
+      for (const float a : acts.vec()) checksum += static_cast<double>(a);
+      const Tensor& values = ctx->model.value_forward(obs);
+      batch->box.values.assign(values.vec().begin(), values.vec().end());
+      batch->box.checksum = checksum;
+    });
   }
 
-  engine_.schedule_after(b->billed_s, [this, b] { settle_batch(b); });
+  engine_.schedule_after(b.billed_s, [this, batch = &b] {
+    settle_batch(*batch);
+  });
 }
 
-void ServeEngine::settle_batch(const std::shared_ptr<InflightBatch>& b) {
-  auto& ts = *tenants_[b->tenant];
+void ServeEngine::settle_batch(InflightBatch& b) {
+  auto& ts = *tenants_[b.tenant];
   const double now = engine_.now();
 
-  if (b->error == fault::ErrorKind::kCrash) {
+  if (b.error == fault::ErrorKind::kCrash) {
     // The runtime died; its in-flight requests die with it (and only them).
-    pool_.kill(b->container);
+    pool_.kill(b.container);
   } else {
-    pool_.release(b->container, now);
+    pool_.release(b.container, now);
   }
-  costs_.record(serverless::FnKind::kServe, unit_price_, b->billed_s, !b->ok);
+  costs_.record(serverless::FnKind::kServe, unit_price_, b.billed_s, !b.ok);
 
-  const std::size_t n = b->reqs.size();
-  if (b->ok) {
+  const std::size_t n = b.reqs.size();
+  if (b.ok) {
     // -- merge (engine thread): join the body, publish its outputs.
-    sim::Driver::join(b->job);
+    sim::Driver::join(b.job);
     for (std::size_t i = 0; i < n; ++i) {
-      const double latency = now - b->reqs[i].arrival_s;
+      const double latency = now - b.reqs[i].arrival_s;
       ts.latencies.push_back(latency);
       ts.latency_sum_s += latency;
-      ts.rollout.observe(b->version, latency, b->box.values[i]);
+      ts.rollout.observe(b.version, latency, b.box.values[i]);
     }
     ts.completed += n;
-    ts.value_checksum += b->box.checksum;
-    if (b->box.loaded) ++model_loads_;
+    ts.value_checksum += b.box.checksum;
+    if (b.box.loaded) ++model_loads_;
   } else {
     ts.failed += n;
   }
@@ -284,26 +322,36 @@ void ServeEngine::settle_batch(const std::shared_ptr<InflightBatch>& b) {
     // An ok batch's latencies are the last n appended above; a failed one
     // has none.
     const std::vector<double> latencies(
-        ts.latencies.end() - static_cast<std::ptrdiff_t>(b->ok ? n : 0),
+        ts.latencies.end() - static_cast<std::ptrdiff_t>(b.ok ? n : 0),
         ts.latencies.end());
     led->append(obs::LedgerEvent("serve_batch", now)
                     .field("tenant", ts.cfg.name)
-                    .field("lid", b->lid)
-                    .field("container", b->container)
-                    .field("version", b->version)
+                    .field("lid", b.lid)
+                    .field("container", b.container)
+                    .field("version", b.version)
                     .field("n", n)
-                    .field("cold", b->cold)
-                    .field("compute_s", b->compute_s)
-                    .field("billed_s", b->billed_s)
-                    .field("cost_usd", unit_price_ * b->billed_s)
-                    .field("ok", b->ok)
-                    .field("error", fault::error_kind_name(b->error))
+                    .field("cold", b.cold)
+                    .field("compute_s", b.compute_s)
+                    .field("billed_s", b.billed_s)
+                    .field("cost_usd", unit_price_ * b.billed_s)
+                    .field("ok", b.ok)
+                    .field("error", fault::error_kind_name(b.error))
                     .raw("lat", obs::render_number_array(latencies))
                     .finish());
   }
 
   // Closed-loop clients continue whether their request succeeded or died.
-  for (const auto& req : b->reqs) ts.traffic.on_complete(req.client);
+  // Each emptied obs buffer goes back to the tenant for reuse, and the
+  // batch goes back for the next dispatch.
+  for (auto& req : b.reqs) {
+    ts.traffic.on_complete(req.client);
+    req.obs.clear();
+    ts.spare_obs.push_back(std::move(req.obs));
+  }
+  b.reqs.clear();
+  b.snap.reset();
+  b.job.reset();
+  ts.free_batches.push_back(&b);
 
   --busy_workers_;
   pump();
@@ -324,13 +372,18 @@ void ServeEngine::arm_lane_cutoff(std::size_t t, std::uint64_t version) {
     cancel_lane_cutoff(ts, version);
     return;
   }
-  auto& timer = ts.cutoffs[version];
-  if (timer.handle && timer.head_arrival == *head) return;  // still right
-  if (timer.handle) timer.handle->store(true);
-  timer.head_arrival = *head;
-  timer.handle = engine_.schedule_cancellable_at(deadline, [this, t, version] {
-    auto& state = *tenants_[t];
-    state.cutoffs.erase(version);
+  Cutoff* timer = ts.find_cutoff(version);
+  if (timer == nullptr) {
+    timer = &ts.cutoffs.emplace_back();
+    timer->version = version;
+  } else if (timer->head_arrival == *head) {
+    return;  // still right
+  } else {
+    engine_.cancel(timer->handle);
+  }
+  timer->head_arrival = *head;
+  timer->handle = engine_.schedule_cancellable_at(deadline, [this, t, version] {
+    tenants_[t]->erase_cutoff(version);
     pump();
     // If no worker was free the lane stays expired; the next worker-free or
     // scale-up pump dispatches it (no re-arm at a past deadline).
@@ -338,10 +391,8 @@ void ServeEngine::arm_lane_cutoff(std::size_t t, std::uint64_t version) {
 }
 
 void ServeEngine::cancel_lane_cutoff(TenantState& ts, std::uint64_t version) {
-  auto it = ts.cutoffs.find(version);
-  if (it == ts.cutoffs.end()) return;
-  if (it->second.handle) it->second.handle->store(true);
-  ts.cutoffs.erase(it);
+  if (Cutoff* c = ts.find_cutoff(version)) engine_.cancel(c->handle);
+  ts.erase_cutoff(version);
 }
 
 void ServeEngine::arm_autoscale_timer() {
@@ -404,11 +455,10 @@ void ServeEngine::maybe_finish() {
   finished_ = true;
   // Cancel every pending timer so dead periodic events do not stretch the
   // run's virtual makespan (DESIGN.md §14 teardown discipline).
-  if (autoscale_timer_) autoscale_timer_->store(true);
+  engine_.cancel(autoscale_timer_);
   for (auto& ts : tenants_) {
-    if (ts->rollout_timer) ts->rollout_timer->store(true);
-    for (auto& [version, timer] : ts->cutoffs)
-      if (timer.handle) timer.handle->store(true);
+    engine_.cancel(ts->rollout_timer);
+    for (const auto& cutoff : ts->cutoffs) engine_.cancel(cutoff.handle);
     ts->cutoffs.clear();
   }
   injector_.disarm();

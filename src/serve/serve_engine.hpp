@@ -23,10 +23,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/distributed_cache.hpp"
@@ -103,6 +103,11 @@ struct ServeResult {
 class ServeEngine {
  public:
   explicit ServeEngine(ServeConfig cfg);
+  /// Waits out any body still running on the driver: bodies read batches
+  /// and contexts that the tenants own.
+  ~ServeEngine();
+  ServeEngine(const ServeEngine&) = delete;
+  ServeEngine& operator=(const ServeEngine&) = delete;
 
   /// Publish `params` as `version` of tenant `t`'s policy (cache write
   /// through the normal wire format). `cost_mult` scales that version's
@@ -134,10 +139,12 @@ class ServeEngine {
   }
 
  private:
-  /// Everything the merge event needs to settle one dispatched batch.
-  struct BatchResult;   // body output box (values + checksum)
+  struct BatchResult;  // body output box (values + checksum)
+  /// One dispatched batch, from capture to settle. Recycled per tenant.
   struct InflightBatch;
-  struct Timer {
+  /// A lane's armed wait cutoff (DESIGN.md §15.2).
+  struct Cutoff {
+    std::uint64_t version = 0;
     sim::Engine::CancelHandle handle;
     double head_arrival = -1.0;
   };
@@ -145,6 +152,16 @@ class ServeEngine {
   struct TenantState {
     TenantState(const TenantConfig& cfg, sim::Engine& engine,
                 std::uint64_t seed);
+    ~TenantState();
+
+    /// The cache key of `version`'s policy, built on the version's first
+    /// dispatch and reused by every later one.
+    const std::string& policy_key(std::uint64_t version);
+    Cutoff* find_cutoff(std::uint64_t version);
+    void erase_cutoff(std::uint64_t version);
+    /// A settled batch to refill, or a new one; its buffers keep their
+    /// capacity across uses.
+    InflightBatch& take_batch();
 
     TenantConfig cfg;
     Batcher batcher;
@@ -155,10 +172,15 @@ class ServeEngine {
     Rng obs_rng;     ///< observation synthesis stream
     Rng assign_rng;  ///< canary bernoulli stream
     /// Emptied request obs buffers, reused by the next arrivals. Every
-    /// buffer is either queued in a request or here, so the list is
-    /// bounded by the tenant's peak queue depth.
+    /// buffer is queued in a request, in flight in a batch, or here, so the
+    /// list is bounded by the tenant's peak queued-plus-in-flight count.
     std::vector<std::vector<float>> spare_obs;
-    std::map<std::uint64_t, Timer> cutoffs;  ///< per-lane cutoff timers
+    /// Armed per-lane cutoff timers, at most one per version; unordered
+    /// (nothing iterates them in an order that matters).
+    std::vector<Cutoff> cutoffs;
+    std::vector<std::pair<std::uint64_t, std::string>> policy_keys;
+    std::vector<std::unique_ptr<InflightBatch>> batch_pool;  ///< every batch made
+    std::vector<InflightBatch*> free_batches;  ///< settled ones, to refill
     sim::Engine::CancelHandle rollout_timer;
     // Settled-request accounting.
     std::vector<double> latencies;
@@ -173,7 +195,7 @@ class ServeEngine {
   void on_arrival(std::size_t t, std::uint64_t client);
   void pump();
   void dispatch_batch(std::size_t t, std::uint64_t version);
-  void settle_batch(const std::shared_ptr<InflightBatch>& b);
+  void settle_batch(InflightBatch& b);
   void arm_lane_cutoff(std::size_t t, std::uint64_t version);
   void cancel_lane_cutoff(TenantState& ts, std::uint64_t version);
   void arm_autoscale_timer();

@@ -41,6 +41,9 @@ Driver::JobState::JobState(std::function<void()> body,
   STELLARIS_CHECK(body_ != nullptr);
 }
 
+Driver::JobState::JobState(std::exception_ptr error)
+    : finished_(true), error_(std::move(error)) {}
+
 Driver::JobState::~JobState() {
   // A job abandoned by the platform (its invocation was reclaim-killed, so
   // the merge never ran) drops here with its error unread. The result was
@@ -110,10 +113,17 @@ void Driver::join(const Job& job) {
 // ---------------------------------------------------------------------------
 
 Driver::Job InlineDriver::submit(std::function<void()> body,
-                                 const Job& after) {
-  auto job = std::make_shared<JobState>(std::move(body), after);
-  job->run();  // the predecessor already ran at ITS submit; the wait is free
-  return job;
+                                 const Job& /*after*/) {
+  // The predecessor already ran at ITS submit, so the body runs now. Only a
+  // throw needs a job of its own, to carry the exception to join().
+  STELLARIS_CHECK(body != nullptr);
+  try {
+    body();
+  } catch (...) {
+    return std::make_shared<JobState>(std::current_exception());
+  }
+  static const Job finished = std::make_shared<JobState>(nullptr);
+  return finished;
 }
 
 Driver& inline_driver() {

@@ -62,6 +62,9 @@ class Driver {
   class JobState {
    public:
     JobState(std::function<void()> body, std::shared_ptr<JobState> after);
+    /// A job that has already finished, carrying `error` (null: it
+    /// returned normally).
+    explicit JobState(std::exception_ptr error);
     ~JobState();
     JobState(const JobState&) = delete;
     JobState& operator=(const JobState&) = delete;
@@ -114,7 +117,9 @@ class Driver {
 /// Runs bodies inline at submit(): the virtual-clock driver, semantically
 /// identical to pre-driver builds (the body just runs a little earlier in
 /// the same event — capture and body see the same state either way, since
-/// both happen before the dispatch event returns).
+/// both happen before the dispatch event returns). Every body that returns
+/// normally gets the same shared finished job, so a submit allocates only
+/// when its body throws.
 class InlineDriver final : public Driver {
  public:
   const char* name() const override { return "virtual"; }

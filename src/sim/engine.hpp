@@ -7,13 +7,20 @@
 // timestamps execute in schedule order (a monotone sequence number breaks
 // ties), which pins the interleaving of concurrent learner completions —
 // exactly the source of staleness the paper studies.
+//
+// Events allocate nothing in steady state (DESIGN.md §14). The heap holds
+// `{t, seq, slot}` records; each event's callable is constructed in place
+// in a slot of a chunked pool, whose storage never moves, and runs there.
+// A freed slot goes on a free list, so after warm-up the pool and the heap
+// have reached the run's peak pending-event count and stop growing.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace stellaris::sim {
@@ -25,28 +32,65 @@ class Driver;
 
 class Engine {
  public:
-  /// Cancellation handle for events scheduled via the *_cancellable
-  /// variants: setting `*handle = true` before the event's timestamp makes
+  /// Largest capture an event callable may hold. A callable that needs more
+  /// state captures a pointer to it.
+  static constexpr std::size_t kEventCapture = 48;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Cancellation token for events scheduled via the *_cancellable
+  /// variants: Engine::cancel(handle) before the event's timestamp makes
   /// the engine discard it WITHOUT advancing virtual time to it. This is
   /// how periodic timers (fault reclamation arrivals, retry deadlines) are
   /// torn down when a run finishes — a dead timer far in the future must
-  /// not stretch the run's measured makespan. Atomic so a cancellation can
-  /// be requested from outside the engine thread when a concurrent
-  /// execution driver is active (sim/driver.hpp).
-  using CancelHandle = std::shared_ptr<std::atomic<bool>>;
+  /// not stretch the run's measured makespan. The token names a slot and
+  /// the slot's generation at scheduling; the generation moves on when the
+  /// slot is freed, so a stale token (its event fired or was cancelled,
+  /// and the slot now holds another event) cancels nothing. Engine-thread
+  /// only: bodies on a driver's workers never reach the engine (the
+  /// driver-purity rule, DESIGN.md §16.3), so nothing cancels from
+  /// another thread.
+  struct CancelHandle {
+    std::uint32_t slot = kNoSlot;
+    std::uint32_t generation = 0;
+    explicit operator bool() const { return slot != kNoSlot; }
+  };
+
+  Engine() = default;
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+  /// Destroys the callables of every event still pending.
+  ~Engine();
 
   SimTime now() const { return now_; }
 
-  /// Schedule `fn` at absolute virtual time `t` (>= now).
-  void schedule_at(SimTime t, std::function<void()> fn);
+  /// Schedule `fn` at absolute virtual time `t` (>= now). `fn` is any
+  /// `void()` callable, move-only ones included, of at most kEventCapture
+  /// bytes.
+  template <typename F>
+  void schedule_at(SimTime t, F&& fn) {
+    emplace(t, std::forward<F>(fn));
+  }
 
   /// Schedule `fn` `delay` seconds from now.
-  void schedule_after(SimTime delay, std::function<void()> fn);
+  template <typename F>
+  void schedule_after(SimTime delay, F&& fn) {
+    emplace(after(delay), std::forward<F>(fn));
+  }
 
-  /// Like schedule_at, but returns a handle that cancels the event.
-  CancelHandle schedule_cancellable_at(SimTime t, std::function<void()> fn);
-  CancelHandle schedule_cancellable_after(SimTime delay,
-                                          std::function<void()> fn);
+  /// Like schedule_at, but returns a token that cancels the event.
+  template <typename F>
+  CancelHandle schedule_cancellable_at(SimTime t, F&& fn) {
+    return emplace(t, std::forward<F>(fn));
+  }
+  template <typename F>
+  CancelHandle schedule_cancellable_after(SimTime delay, F&& fn) {
+    return emplace(after(delay), std::forward<F>(fn));
+  }
+
+  /// Cancel the event `handle` names, destroying its callable now. Returns
+  /// false, and does nothing, when the event already ran, is running or
+  /// was cancelled, or when `handle` is empty.
+  bool cancel(CancelHandle handle);
 
   /// Execute the earliest live event (cancelled events are discarded
   /// silently, without advancing the clock); returns false if none remain.
@@ -67,23 +111,68 @@ class Engine {
   Driver& driver() const;
 
  private:
-  struct Event {
+  static constexpr std::size_t kChunkSlots = 256;
+
+  enum class SlotState : std::uint8_t { kFree, kPending, kCancelled, kRunning };
+
+  /// One event's callable, constructed in place in `storage`.
+  struct Slot {
+    alignas(std::max_align_t) unsigned char storage[kEventCapture];
+    void (*invoke)(void*) = nullptr;
+    void (*destroy)(void*) = nullptr;
+    std::uint32_t generation = 0;
+    SlotState state = SlotState::kFree;
+  };
+
+  /// A heap record: ordered by (t, seq); `slot` holds the callable.
+  struct Entry {
     SimTime t;
     std::uint64_t seq;
-    std::function<void()> fn;
-    CancelHandle cancelled;  ///< null for ordinary (non-cancellable) events
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
+
+  template <typename F>
+  CancelHandle emplace(SimTime t, F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= kEventCapture,
+                  "event capture exceeds Engine::kEventCapture; capture a "
+                  "pointer to the state instead");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "over-aligned event capture");
+    static_assert(std::is_invocable_r_v<void, Fn&>,
+                  "an event is a void() callable");
+    const std::uint32_t s = acquire(t);
+    Slot& slot = slot_at(s);
+    try {
+      ::new (static_cast<void*>(slot.storage)) Fn(std::forward<F>(fn));
+    } catch (...) {
+      release(s);
+      throw;
     }
-  };
+    slot.invoke = [](void* p) { (*static_cast<Fn*>(p))(); };
+    slot.destroy = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
+    return push(t, s);
+  }
+
+  SimTime after(SimTime delay) const;
+  /// Check `t` and take a free slot for an event at `t`.
+  std::uint32_t acquire(SimTime t);
+  /// Mark the slot pending and push its heap record.
+  CancelHandle push(SimTime t, std::uint32_t s);
+  /// Destroy the slot's callable, if any, and return it to the free list.
+  void release(std::uint32_t s);
+  Slot& slot_at(std::uint32_t s) {
+    return chunks_[s / kChunkSlots][s % kChunkSlots];
+  }
+  Entry pop();
 
   Driver* driver_ = nullptr;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Entry> heap_;  ///< min-heap on (t, seq)
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::uint32_t> free_;
+  std::uint32_t slots_ = 0;  ///< slots allocated across chunks_
 };
 
 }  // namespace stellaris::sim

@@ -126,6 +126,11 @@ void add_bias_rows(Tensor& x, const Tensor& bias) {
   detail::add_bias_rows(detail::active_kernels(), x, bias);
 }
 
+void transpose_each(const float* src, std::size_t count, std::size_t rows,
+                    std::size_t cols, float* dst) {
+  detail::active_kernels().transpose_each(src, count, rows, cols, dst);
+}
+
 void sum_rows_into(Tensor& out, const Tensor& x) {
   detail::sum_rows_into(detail::active_kernels(), out, x);
 }

@@ -31,8 +31,11 @@
 //     n < kRowLaneMaxN and m >= kRL pack each kRL-row block of A
 //     transposed into scratch (pure data movement), moving square blocks
 //     through registers rather than one element at a time
-//     (kernel_tier.cpp, pack_rowlane_tile). Products with fewer than kRL
-//     rows keep the column tiles; matmul_tn packs A transposed for them.
+//     (kernel_tier.cpp, pack_rowlane_tile). matmul and matmul_nt with
+//     fewer than kRL rows (the serving and actor heads) run one tile whose
+//     missing rows are packed as zeros and never stored, once the product
+//     is big enough to pay for it; smaller ones keep the column tiles, and
+//     matmul_tn packs A transposed for them.
 //   * matmul_nt packs Bᵀ once and reuses the nn micro-kernels, since a
 //     dot-product micro-kernel cannot vectorize its k chain without
 //     reassociating float adds.
@@ -58,9 +61,15 @@ constexpr std::size_t kRL = detail::kRowLaneRows;
 // (2048, 32, 1), so n = 1 takes them too. matmul_tn takes them at every n
 // once m >= kRL: at n >= 16 they measured level with or up to 2.5x faster
 // than the packed column tiles it used before, in both builds. Below kRL
-// rows a tile padded with zero lanes lost to the column tiles by 25% at
-// (11, 512, 64) and 10x at (1, 512, 64), so m < kRL keeps them.
+// rows matmul_tn keeps the column tiles: a tile padded with zero lanes
+// lost to them by 25% at (11, 512, 64) and 10x at (1, 512, 64).
 constexpr std::size_t kRowLaneMaxN = 16;
+// matmul and matmul_nt with n < kRowLaneMaxN and fewer than kRL rows run
+// one row-lane tile padded with zero rows once m >= kPadMinRows and
+// m·n >= kPadMinOutputs. Below that the column tiles' scalar chains are as
+// fast: a padded tile costs a whole tile's pack and k sweep whatever m is.
+constexpr std::size_t kPadMinRows = 4;
+constexpr std::size_t kPadMinOutputs = 8;
 
 obs::Counter& gemm_calls() {
   static obs::Counter& c =
@@ -105,7 +114,9 @@ void dispatch_row_panels(std::size_t m, std::uint64_t flops,
 void gemm_nn(const detail::KernelTable& kt, std::size_t m, std::size_t n,
              std::size_t k, const float* pa, const float* pb, float* pc,
              std::uint64_t flops) {
-  const bool rowlane = m >= kRL && n < kRowLaneMaxN;
+  const bool rowlane =
+      n < kRowLaneMaxN &&
+      (m >= kRL || (m >= kPadMinRows && m * n >= kPadMinOutputs));
   dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
     if (rowlane) {
       auto pack = ScratchPool::local().take({k, kRL});

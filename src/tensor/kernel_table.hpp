@@ -31,9 +31,10 @@ struct KernelTable {
   void (*gemm_nn_panel)(std::size_t i0, std::size_t i1, std::size_t n,
                         std::size_t k, const float* a, const float* b,
                         float* c);
-  /// C = A·B through the row-lane tiles; i1 >= kRowLaneRows (a panel's
-  /// last tile is shifted back to end at i1). Each tile's rows of A are
-  /// packed transposed into `pack` (k × kRowLaneRows floats) first.
+  /// C = A·B through the row-lane tiles (a panel's last tile is shifted
+  /// back to end at i1; a panel shorter than a tile runs one tile padded
+  /// with zero rows). Each tile's rows of A are packed transposed into
+  /// `pack` (k × kRowLaneRows floats) first.
   void (*rowlane_nn_panel)(std::size_t i0, std::size_t i1, std::size_t n,
                            std::size_t k, const float* a, const float* b,
                            float* c, float* pack);
@@ -42,6 +43,12 @@ struct KernelTable {
   void (*rowlane_tn_panel)(std::size_t i0, std::size_t i1, std::size_t m,
                            std::size_t n, std::size_t k, const float* a,
                            const float* b, float* c);
+
+  /// Each of `count` row-major (rows × cols) matrices stored back to back
+  /// at `src`, transposed to (cols × rows) at `dst` (no overlap). Pure
+  /// data movement.
+  void (*transpose_each)(const float* src, std::size_t count,
+                         std::size_t rows, std::size_t cols, float* dst);
 
   // -- elementwise: n floats, outputs may alias inputs --------------------
   void (*tanh_forward)(const float* x, float* y, std::size_t n);

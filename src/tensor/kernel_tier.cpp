@@ -130,15 +130,54 @@ inline void micro_nn_scalar(std::size_t mr, std::size_t nr, std::size_t k,
   }
 }
 
+// The 16-wide column sub-tile as explicit vectors of the tier's width:
+// MR rows × 16 / kVL vectors of accumulators. The AVX2 and AVX-512 tiers
+// run it four rows at a time, four independent add chains per B-row load
+// where one row at a time is latency-bound; each output element is still
+// its own k-ascending chain. The baseline tier keeps micro_nn<1, 16>:
+// four rows would need 16 SSE accumulators, its whole register file.
+using Lanes = float __attribute__((vector_size(kVL * sizeof(float))));
+constexpr std::size_t kV16 = 16 / kVL;
+
+// The stores copy each accumulator by value in fully unrolled loops, which
+// keeps the array in registers: a rolled memcpy from &acc[r][v] makes it
+// addressable, and GCC then zeroes it in memory with `rep stos` on every
+// call and spills every accumulator to store it (~25% of a 4×16×16 call).
+inline void store_lanes(float* dst, Lanes v) {
+  std::memcpy(dst, &v, sizeof v);
+}
+
+template <std::size_t MR>
+inline void micro_nn16(std::size_t k, const float* a, std::size_t lda,
+                       const float* b, std::size_t ldb, float* c,
+                       std::size_t ldc) {
+  Lanes acc[MR][kV16] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    Lanes bv[kV16];
+    for (std::size_t v = 0; v < kV16; ++v)
+      std::memcpy(&bv[v], b + kk * ldb + v * kVL, sizeof bv[v]);
+    for (std::size_t r = 0; r < MR; ++r) {
+      const float ar = a[r * lda + kk];
+      for (std::size_t v = 0; v < kV16; ++v) acc[r][v] += ar * bv[v];
+    }
+  }
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < MR; ++r)
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < kV16; ++v)
+      store_lanes(c + r * ldc + v * kVL, acc[r][v]);
+}
+
 // -- row-lane micro-kernel -----------------------------------------------------
 // The SIMD lanes run over kRL consecutive output rows i and single B
 // elements are broadcast, so a product whose n is too narrow for a column
 // tile still vectorizes. `at` points at Aᵀ[0][i] (row stride lda; each of
 // the k rows holds the tile's kRL row values contiguously), b at B[0][j]
 // (row stride ldb), c at C[i][j] (row stride ldc). Each output element is
-// still one k-ascending chain from 0.0f. Tile rows below r0 are computed
-// but not stored: a panel's edge tile is shifted back to end at the
-// panel's last row, and its overlap rows belong to the tile before.
+// still one k-ascending chain from 0.0f. Only tile rows [r0, r1) are
+// stored: a panel's edge tile is shifted back to end at the panel's last
+// row, and its rows below r0 belong to the tile before; a product shorter
+// than a tile runs one tile whose lanes from r1 on are zero padding.
 //
 // The lanes are GCC/Clang vector types of the tier's SIMD width (kVL
 // floats, see above), kRL / kVL of them per column, not a float[kRL] loop:
@@ -146,13 +185,12 @@ inline void micro_nn_scalar(std::size_t mr, std::size_t nr, std::size_t k,
 // instead of the rows, shuffling every step, and a vector type wider than
 // the target's registers is lowered through the stack. Vector arithmetic
 // is lane-wise IEEE multiply then add, exactly the scalar code's.
-using Lanes = float __attribute__((vector_size(kVL * sizeof(float))));
 constexpr std::size_t kRV = kRL / kVL;
 
 template <std::size_t NJ>
 inline void micro_rowlane(std::size_t k, const float* at, std::size_t lda,
                           const float* b, std::size_t ldb, float* c,
-                          std::size_t ldc, std::size_t r0) {
+                          std::size_t ldc, std::size_t r0, std::size_t r1) {
   Lanes acc[NJ][kRV] = {};
   for (std::size_t kk = 0; kk < k; ++kk) {
     const float* arow = at + kk * lda;
@@ -163,7 +201,7 @@ inline void micro_rowlane(std::size_t k, const float* at, std::size_t lda,
       for (std::size_t cc = 0; cc < NJ; ++cc) acc[cc][v] += a * brow[cc];
     }
   }
-  for (std::size_t r = r0; r < kRL; ++r)
+  for (std::size_t r = r0; r < r1; ++r)
     for (std::size_t cc = 0; cc < NJ; ++cc)
       c[r * ldc + cc] = acc[cc][r / kVL][r % kVL];
 }
@@ -185,66 +223,87 @@ constexpr std::size_t kTW = 16;
 constexpr std::size_t kTW = 4;
 #endif
 static_assert(kRL % kTW == 0, "transpose blocks must tile the lanes");
-using BlockRow = float __attribute__((vector_size(kTW * sizeof(float))));
+
+// One W-float row of a W × W block.
+template <std::size_t W>
+struct Block {
+  typedef float type __attribute__((vector_size(W * sizeof(float))));
+};
+using BlockRow = Block<kTW>::type;
 
 // zip_lo(a, b) = a0 b0 a1 b1 ... from the lower halves; zip_hi the same
 // from the upper halves.
-template <std::size_t... I>
-inline BlockRow zip_lo(BlockRow a, BlockRow b, std::index_sequence<I...>) {
-  return __builtin_shufflevector(a, b, ((I % 2) * kTW + I / 2)...);
+template <std::size_t W, std::size_t... I>
+inline typename Block<W>::type zip_lo(typename Block<W>::type a,
+                                      typename Block<W>::type b,
+                                      std::index_sequence<I...>) {
+  return __builtin_shufflevector(a, b, ((I % 2) * W + I / 2)...);
 }
-template <std::size_t... I>
-inline BlockRow zip_hi(BlockRow a, BlockRow b, std::index_sequence<I...>) {
-  return __builtin_shufflevector(a, b, ((I % 2) * kTW + kTW / 2 + I / 2)...);
+template <std::size_t W, std::size_t... I>
+inline typename Block<W>::type zip_hi(typename Block<W>::type a,
+                                      typename Block<W>::type b,
+                                      std::index_sequence<I...>) {
+  return __builtin_shufflevector(a, b, ((I % 2) * W + W / 2 + I / 2)...);
 }
 
-inline void transpose_block(BlockRow (&v)[kTW]) {
-  constexpr auto lanes = std::make_index_sequence<kTW>{};
-  for (std::size_t round = 1; round < kTW; round *= 2) {
-    BlockRow t[kTW];
-    for (std::size_t i = 0; i < kTW / 2; ++i) {
-      t[2 * i] = zip_lo(v[i], v[i + kTW / 2], lanes);
-      t[2 * i + 1] = zip_hi(v[i], v[i + kTW / 2], lanes);
+template <std::size_t W>
+inline void transpose_block(typename Block<W>::type (&v)[W]) {
+  constexpr auto lanes = std::make_index_sequence<W>{};
+  for (std::size_t round = 1; round < W; round *= 2) {
+    typename Block<W>::type t[W];
+    for (std::size_t i = 0; i < W / 2; ++i) {
+      t[2 * i] = zip_lo<W>(v[i], v[i + W / 2], lanes);
+      t[2 * i + 1] = zip_hi<W>(v[i], v[i + W / 2], lanes);
     }
-    for (std::size_t i = 0; i < kTW; ++i) v[i] = t[i];
+    for (std::size_t i = 0; i < W; ++i) v[i] = t[i];
   }
 }
 
 // pack (k × kRL) = the transpose of the kRL rows of A at `a` (stride k).
-void pack_rowlane_tile(const float* a, std::size_t k, float* pack) {
+// A Padded pack reads only the first `rows` rows and packs zero rows in
+// place of the missing ones; an unpadded pack reads all kRL.
+template <bool Padded>
+void pack_rowlane_tile(const float* a, std::size_t rows, std::size_t k,
+                       float* pack) {
+  const auto live = [&](std::size_t r) { return !Padded || r < rows; };
   std::size_t kk = 0;
   for (; kk + kTW <= k; kk += kTW) {
     for (std::size_t r0 = 0; r0 < kRL; r0 += kTW) {
       BlockRow v[kTW];
-      for (std::size_t r = 0; r < kTW; ++r)
-        std::memcpy(&v[r], a + (r0 + r) * k + kk, sizeof v[r]);
-      transpose_block(v);
+      for (std::size_t r = 0; r < kTW; ++r) {
+        if (live(r0 + r))
+          std::memcpy(&v[r], a + (r0 + r) * k + kk, sizeof v[r]);
+        else
+          v[r] = BlockRow{};
+      }
+      transpose_block<kTW>(v);
       for (std::size_t c = 0; c < kTW; ++c)
         std::memcpy(pack + (kk + c) * kRL + r0, &v[c], sizeof v[c]);
     }
   }
   for (std::size_t r = 0; r < kRL; ++r)
-    for (std::size_t c = kk; c < k; ++c) pack[c * kRL + r] = a[r * k + c];
+    for (std::size_t c = kk; c < k; ++c)
+      pack[c * kRL + r] = live(r) ? a[r * k + c] : 0.0f;
 }
 
 // One kRL-row tile across all n columns: kNJ-wide column groups, then the
 // remainder dispatched to a compile-time width (cases >= kNJ never occur).
 void rowlane_tile(std::size_t n, std::size_t k, const float* at,
                   std::size_t lda, const float* b, std::size_t ldb, float* c,
-                  std::size_t ldc, std::size_t r0) {
+                  std::size_t ldc, std::size_t r0, std::size_t r1) {
   std::size_t j = 0;
   for (; j + kNJ <= n; j += kNJ)
-    micro_rowlane<kNJ>(k, at, lda, b + j, ldb, c + j, ldc, r0);
+    micro_rowlane<kNJ>(k, at, lda, b + j, ldb, c + j, ldc, r0, r1);
   const float* bj = b + j;
   float* cj = c + j;
   switch (n - j) {
-    case 7: micro_rowlane<7>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 6: micro_rowlane<6>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 5: micro_rowlane<5>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 4: micro_rowlane<4>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 3: micro_rowlane<3>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 2: micro_rowlane<2>(k, at, lda, bj, ldb, cj, ldc, r0); break;
-    case 1: micro_rowlane<1>(k, at, lda, bj, ldb, cj, ldc, r0); break;
+    case 7: micro_rowlane<7>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
+    case 6: micro_rowlane<6>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
+    case 5: micro_rowlane<5>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
+    case 4: micro_rowlane<4>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
+    case 3: micro_rowlane<3>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
+    case 2: micro_rowlane<2>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
+    case 1: micro_rowlane<1>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
     default: break;
   }
 }
@@ -279,11 +338,18 @@ void gemm_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
         j += 32;
       }
       if (j + 16 <= j1) {
-        // One row at a time: a multi-row 16-wide accumulator tile spills
-        // the baseline register file (measured ~4x slower than 1×16).
         // Row grouping is irrelevant to exactness — each output element
         // still runs its own ascending k sweep.
-        for (std::size_t r = 0; r < mr; ++r)
+        std::size_t r = 0;
+#if defined(__AVX__)
+        if (mr == kMR) {
+          micro_nn16<kMR>(k, arow, k, pb + j, n, crow + j, n);
+          r = kMR;
+        }
+#endif
+        // One row at a time: a multi-row 16-wide accumulator tile spills
+        // the baseline register file (measured ~4x slower than 1×16).
+        for (; r < mr; ++r)
           micro_nn<1, 16>(k, arow + r * k, k, pb + j, n,
                           crow + r * n + j, n);
         j += 16;
@@ -297,9 +363,18 @@ void gemm_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
 void rowlane_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
                       std::size_t k, const float* pa, const float* pb,
                       float* pc, float* pack) {
+  if (i1 - i0 < kRL) {
+    // A panel shorter than a tile (a small product, or a threaded
+    // product's last panel): one tile, its missing rows packed as zeros
+    // and left unstored.
+    const std::size_t rows = i1 - i0;
+    pack_rowlane_tile<true>(pa + i0 * k, rows, k, pack);
+    rowlane_tile(n, k, pack, kRL, pb, n, pc + i0 * n, n, 0, rows);
+    return;
+  }
   for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
-    pack_rowlane_tile(pa + s * k, k, pack);
-    rowlane_tile(n, k, pack, kRL, pb, n, pc + s * n, n, r0);
+    pack_rowlane_tile<false>(pa + s * k, kRL, k, pack);
+    rowlane_tile(n, k, pack, kRL, pb, n, pc + s * n, n, r0, kRL);
   });
 }
 
@@ -307,8 +382,43 @@ void rowlane_tn_panel(std::size_t i0, std::size_t i1, std::size_t m,
                       std::size_t n, std::size_t k, const float* pa,
                       const float* pb, float* pc) {
   for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
-    rowlane_tile(n, k, pa + s, m, pb, n, pc + s * n, n, r0);
+    rowlane_tile(n, k, pa + s, m, pb, n, pc + s * n, n, r0, kRL);
   });
+}
+
+// Each of `count` row-major (rows × cols) matrices, back to back, to its
+// (cols × rows) transpose: the convolution's reorder between (N·oh·ow, oc)
+// and channel-major (N, oc·oh·ow). 4 × 4 register-transposed blocks in
+// every tier, since the channel counts (8, 16) and conv1's 64 positions
+// are multiples of 4 but not of 16; the last rows mod 4 rows (conv2's
+// 9th position) and cols mod 4 columns go one element at a time. Pure
+// data movement.
+constexpr std::size_t kXW = 4;
+using XRow = Block<kXW>::type;
+
+void transpose_each(const float* src, std::size_t count, std::size_t rows,
+                    std::size_t cols, float* dst) {
+  for (std::size_t m = 0; m < count; ++m) {
+    const float* s = src + m * rows * cols;
+    float* d = dst + m * rows * cols;
+    std::size_t i = 0;
+    for (; i + kXW <= rows; i += kXW) {
+      std::size_t j = 0;
+      for (; j + kXW <= cols; j += kXW) {
+        XRow v[kXW];
+        for (std::size_t r = 0; r < kXW; ++r)
+          std::memcpy(&v[r], s + (i + r) * cols + j, sizeof v[r]);
+        transpose_block<kXW>(v);
+        for (std::size_t c = 0; c < kXW; ++c)
+          std::memcpy(d + (j + c) * rows + i, &v[c], sizeof v[c]);
+      }
+      for (; j < cols; ++j)
+        for (std::size_t r = 0; r < kXW; ++r)
+          d[j * rows + i + r] = s[(i + r) * cols + j];
+    }
+    for (; i < rows; ++i)
+      for (std::size_t j = 0; j < cols; ++j) d[j * rows + i] = s[i * cols + j];
+  }
 }
 
 void tanh_forward(const float* x, float* y, std::size_t n) {
@@ -347,9 +457,9 @@ void sum_rows(const float* x, float* out, std::size_t m, std::size_t n) {
 
 const KernelTable& kernels() {
   static constexpr KernelTable kTable{
-      gemm_nn_panel, rowlane_nn_panel, rowlane_tn_panel,
-      tanh_forward,  tanh_backward,    relu_forward,
-      relu_backward, add_bias_rows,    sum_rows,
+      gemm_nn_panel, rowlane_nn_panel, rowlane_tn_panel, transpose_each,
+      tanh_forward,  tanh_backward,    relu_forward,     relu_backward,
+      add_bias_rows, sum_rows,
   };
   return kTable;
 }

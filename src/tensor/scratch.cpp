@@ -25,8 +25,9 @@ ScratchPool::Lease::~Lease() {
   if (pool_ != nullptr && t_ != nullptr) pool_->give_back(std::move(t_));
 }
 
-ScratchPool::Lease ScratchPool::take(const Shape& shape) {
-  const std::size_t n = shape_numel(shape);
+ScratchPool::Lease ScratchPool::take(std::initializer_list<std::size_t> shape) {
+  std::size_t n = shape.size() == 0 ? 0 : 1;
+  for (const std::size_t d : shape) n *= d;
   // Smallest sufficient buffer, so one oversized lease doesn't get pinned
   // to every small request.
   std::size_t best = free_.size();

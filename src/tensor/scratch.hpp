@@ -13,6 +13,8 @@
 // "kernel.scratch_bytes_allocated" metrics counters.
 #pragma once
 
+#include <cstddef>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -49,8 +51,9 @@ class ScratchPool {
 
   /// Borrow a tensor of `shape` with unspecified contents. Prefers the
   /// smallest pooled buffer whose capacity already fits; allocates only
-  /// when none does.
-  Lease take(const Shape& shape);
+  /// when none does. The braced shape is assigned in place, so a take
+  /// served from the pool builds no heap temporary either.
+  Lease take(std::initializer_list<std::size_t> shape);
 
   /// Buffers currently parked in the pool.
   // analyze:test-only-ok tests observe buffer reuse through it

@@ -98,11 +98,13 @@ float Tensor::at(std::size_t i, std::size_t j) const {
   return data_[i * shape_[1] + j];
 }
 
-Tensor& Tensor::reshape(Shape shape) {
-  STELLARIS_CHECK_MSG(shape_numel(shape) == numel(),
-                      "reshape " << shape_str(shape_) << " -> "
-                                 << shape_str(shape) << " changes numel");
-  shape_ = std::move(shape);
+Tensor& Tensor::reshape(std::initializer_list<std::size_t> shape) {
+  std::size_t n = shape.size() == 0 ? 0 : 1;
+  for (const std::size_t d : shape) n *= d;
+  STELLARIS_CHECK_MSG(n == numel(), "reshape " << shape_str(shape_) << " -> "
+                                               << shape_str(Shape(shape))
+                                               << " changes numel");
+  shape_.assign(shape);
   return *this;
 }
 

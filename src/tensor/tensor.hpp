@@ -81,8 +81,10 @@ class Tensor {
   float& at(std::size_t i, std::size_t j);
   float at(std::size_t i, std::size_t j) const;
 
-  /// In-place reinterpretation to a new shape with identical numel.
-  Tensor& reshape(Shape shape);
+  /// In-place reinterpretation to a new shape with identical numel. Like
+  /// the braced ensure_shape, it assigns the extents in place: no heap
+  /// temporary.
+  Tensor& reshape(std::initializer_list<std::size_t> shape);
 
   /// Adopt `shape`, reusing the existing buffer when its capacity fits
   /// (contents are then unspecified, not zeroed). The workhorse of the

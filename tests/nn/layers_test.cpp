@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 
+#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace stellaris::nn {
@@ -148,6 +149,90 @@ TEST(Conv2d, GradientsMatchFiniteDifferences) {
   spec.stride = 2;
   Conv2d conv(spec, rng);
   check_gradients(conv, Tensor::randn({2, 2 * 5 * 5}, rng));
+}
+
+// The scalar reorders Conv2d ran before it moved register-transposed
+// blocks, kept as the oracle: (N·P, oc) rows to channel-major (N, oc·P)
+// rows and back, P = oh·ow.
+Tensor scalar_to_channel_major(const Tensor& y, std::size_t batch,
+                               std::size_t p_count, std::size_t oc) {
+  Tensor out({batch, oc * p_count});
+  for (std::size_t n = 0; n < batch; ++n)
+    for (std::size_t p = 0; p < p_count; ++p)
+      for (std::size_t c = 0; c < oc; ++c)
+        out[n * oc * p_count + c * p_count + p] = y[(n * p_count + p) * oc + c];
+  return out;
+}
+
+Tensor scalar_from_channel_major(const Tensor& dy, std::size_t batch,
+                                 std::size_t p_count, std::size_t oc) {
+  Tensor out({batch * p_count, oc});
+  for (std::size_t n = 0; n < batch; ++n)
+    for (std::size_t p = 0; p < p_count; ++p)
+      for (std::size_t c = 0; c < oc; ++c)
+        out[(n * p_count + p) * oc + c] = dy[n * oc * p_count + c * p_count + p];
+  return out;
+}
+
+void expect_same_bits(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        a.numel() * sizeof(float)),
+            0)
+      << what;
+}
+
+TEST(Conv2d, BlockReorderBitIdenticalToScalarAtAtariShapes) {
+  // NetworkSpec::atari()'s two convolutions on its 3×20×20 frames: conv1
+  // has 8 channels over 8×8 positions, conv2 16 channels over 3×3 (9
+  // positions, one past a whole 4-block).
+  ops::Conv2dSpec conv1;
+  conv1.in_channels = 3;
+  conv1.out_channels = 8;
+  conv1.in_h = conv1.in_w = 20;
+  conv1.kernel = 5;
+  conv1.stride = 2;
+  ops::Conv2dSpec conv2;
+  conv2.in_channels = 8;
+  conv2.out_channels = 16;
+  conv2.in_h = conv2.in_w = 8;
+  conv2.kernel = 3;
+  conv2.stride = 2;
+  for (const ops::Conv2dSpec& spec : {conv1, conv2}) {
+    SCOPED_TRACE(testing::Message() << "out_channels " << spec.out_channels);
+    Rng rng(spec.out_channels);
+    Conv2d conv(spec, rng);
+    *conv.parameters()[1] = Tensor::randn({spec.out_channels}, rng);
+    const std::size_t batch = 5;
+    const std::size_t p_count = spec.out_h() * spec.out_w();
+    const Tensor x = Tensor::randn(
+        {batch, spec.in_channels * spec.in_h * spec.in_w}, rng);
+    const Tensor& w = *conv.parameters()[0];
+
+    const Tensor cols = ops::im2col(x, spec);
+    Tensor y = ops::matmul(cols, w);
+    ops::add_bias_rows(y, *conv.parameters()[1]);
+    expect_same_bits(conv.forward(x),
+                     scalar_to_channel_major(y, batch, p_count,
+                                             spec.out_channels),
+                     "forward");
+
+    zero_gradients(conv);
+    const Tensor dy =
+        Tensor::randn({batch, spec.out_channels * p_count}, rng);
+    const Tensor& dx = conv.backward(dy);
+    const Tensor dys =
+        scalar_from_channel_major(dy, batch, p_count, spec.out_channels);
+    Tensor dw({w.dim(0), w.dim(1)});
+    dw += ops::matmul_tn(cols, dys);
+    Tensor db({spec.out_channels});
+    db += ops::sum_rows(dys);
+    Tensor dx_ref;
+    ops::col2im_into(dx_ref, ops::matmul_nt(dys, w), spec, batch);
+    expect_same_bits(*conv.gradients()[0], dw, "dW");
+    expect_same_bits(*conv.gradients()[1], db, "db");
+    expect_same_bits(dx, dx_ref, "dx");
+  }
 }
 
 TEST(Conv2d, OutputShape) {

@@ -66,16 +66,17 @@ TEST(Batcher, TakePopsFifoUpToMaxBatch) {
   b.enqueue(req(1, 1, 0.0));
   b.enqueue(req(2, 1, 0.1));
   b.enqueue(req(3, 1, 0.2));
-  auto batch = b.take(1);
+  std::vector<ServeRequest> batch;
+  b.take(1, batch);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].id, 1u);
   EXPECT_EQ(batch[1].id, 2u);
   EXPECT_EQ(b.queued(), 1u);
   ASSERT_TRUE(b.head_arrival(1).has_value());
   EXPECT_DOUBLE_EQ(*b.head_arrival(1), 0.2);
-  auto rest = b.take(1);
-  ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].id, 3u);
+  b.take(1, batch);  // reuses the batch vector
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].id, 3u);
   EXPECT_EQ(b.queued(), 0u);
   EXPECT_FALSE(b.head_arrival(1).has_value());
 }

@@ -158,7 +158,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmDims{40, 5, 8},           // pack: k < one block
                       GemmDims{33, 16, 3},          // pack: k = one block
                       GemmDims{256, 75, 8},         // conv1 inference forward
-                      GemmDims{1, 32, 3},           // m < 16: column path
+                      GemmDims{1, 32, 3},           // m < 4: column path
                       GemmDims{0, 4, 5},            // zero rows
                       GemmDims{4, 0, 5},            // zero inner dim
                       GemmDims{4, 5, 0}));          // zero columns
@@ -232,6 +232,110 @@ TEST(BlockedGemm, ThreadedBitIdenticalToSerial) {
       expect_bit_identical(par_nt, serial_nt, "nt threaded");
       expect_bit_identical(serial_nn, ops::reference::matmul(a, b), "nn");
     }
+  }
+}
+
+TEST(BlockedGemm, SmallRowCountsBitIdenticalInEveryTier) {
+  // Fewer rows than one row-lane tile: below the padded-tile thresholds
+  // the column tiles' scalar chains, above them one tile with zero rows
+  // packed for the missing ones and only the live rows stored. Covers both
+  // sides of the thresholds, k below, at and past one transpose block, and
+  // an output that already holds other values.
+  for (std::size_t m = 1; m < 16; ++m) {
+    for (const std::size_t n : {1u, 3u, 6u, 8u, 15u}) {
+      for (const std::size_t k : {1u, 5u, 16u, 17u, 33u}) {
+        SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+        Rng rng(m * 10007 + k * 101 + n);
+        for (const bool specials : {false, true}) {
+          SCOPED_TRACE(specials ? "with NaN/Inf/-0" : "finite");
+          Tensor a = Tensor::randn({m, k}, rng);
+          Tensor b = Tensor::randn({k, n}, rng);
+          Tensor bt = Tensor::randn({n, k}, rng);
+          if (specials) {
+            a = with_specials(a);
+            b = with_specials(b);
+            bt = with_specials(bt);
+          }
+          const Tensor ref_nn = ops::reference::matmul(a, b);
+          const Tensor ref_nt = ops::reference::matmul_nt(a, bt);
+          expect_tiers_agree(
+              [&](const KernelTable& kt) {
+                Tensor c = Tensor::full({m, n}, 7.0f);
+                ops::detail::matmul_into(kt, c, a, b);
+                return c;
+              },
+              &ref_nn, "matmul");
+          expect_tiers_agree(
+              [&](const KernelTable& kt) {
+                Tensor c = Tensor::full({m, n}, 7.0f);
+                ops::detail::matmul_nt_into(kt, c, a, bt);
+                return c;
+              },
+              &ref_nt, "matmul_nt");
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedGemm, ThreadedShortLastPanelBitIdentical) {
+  // m = 70 splits into row panels of 64 and 6 rows: the 6-row panel is
+  // shorter than one row-lane tile, so matmul and matmul_nt run it as one
+  // zero-padded tile and matmul_tn shifts its tile back into the panel
+  // before. Every tier, two kernel threads, against the reference.
+  for (const KernelTier& tier : ops::detail::host_kernel_tiers()) {
+    SCOPED_TRACE(tier.name);
+    const KernelTable& kt = tier.kernels();
+    for (const std::size_t n : {1u, 3u, 15u}) {
+      SCOPED_TRACE(testing::Message() << "n = " << n);
+      Rng rng(70 + n);
+      const Tensor a = Tensor::randn({70, 33}, rng);
+      const Tensor b = Tensor::randn({33, n}, rng);
+      const Tensor a_t = Tensor::randn({33, 70}, rng);
+      const Tensor b_t = Tensor::randn({n, 33}, rng);
+      Tensor nn, tn, nt;
+      ops::set_kernel_threads(2);
+      const std::uint64_t saved_min = ops::kernel_parallel_min_flops();
+      ops::set_kernel_parallel_min_flops(0);  // force the parallel path
+      ops::detail::matmul_into(kt, nn, a, b);
+      ops::detail::matmul_tn_into(kt, tn, a_t, b);
+      ops::detail::matmul_nt_into(kt, nt, a, b_t);
+      ops::set_kernel_parallel_min_flops(saved_min);
+      ops::set_kernel_threads(1);
+      expect_bit_identical(nn, ops::reference::matmul(a, b), "nn threaded");
+      expect_bit_identical(tn, ops::reference::matmul_tn(a_t, b),
+                           "tn threaded");
+      expect_bit_identical(nt, ops::reference::matmul_nt(a, b_t),
+                           "nt threaded");
+    }
+  }
+}
+
+TEST(TransposeEach, BitIdenticalToScalarInEveryTier) {
+  // Whole 4 × 4 blocks, a rows tail (conv2's 9 positions), a columns
+  // tail, both, and degenerate sizes; NaN, ±Inf and −0 move unchanged.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {64, 8}, {8, 64}, {9, 16}, {16, 9}, {7, 5}, {4, 4}, {1, 1}, {3, 1},
+      {0, 4}};
+  for (const auto& [rows, cols] : shapes) {
+    SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+    const std::size_t count = 3;
+    Rng rng(rows * 31 + cols);
+    const Tensor src = with_specials(Tensor::randn({count, rows * cols}, rng));
+    Tensor expected({count, rows * cols});
+    for (std::size_t m = 0; m < count; ++m)
+      for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = 0; j < cols; ++j)
+          expected[m * rows * cols + j * rows + i] =
+              src[m * rows * cols + i * cols + j];
+    expect_tiers_agree(
+        [&](const KernelTable& kt) {
+          Tensor dst = Tensor::full({count, rows * cols}, 7.0f);
+          kt.transpose_each(src.data().data(), count, rows, cols,
+                            dst.data().data());
+          return dst;
+        },
+        &expected, "transpose_each");
   }
 }
 
