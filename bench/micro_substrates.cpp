@@ -242,7 +242,9 @@ std::vector<KernelResult> run_kernel_benches() {
   // shapes time only the product the learner issues there: the policy-head
   // forward (nn, 512 rows × 3 actions), its dW (tn), and the first
   // convolution's 8-channel forward (nn) and dW (tn) over 6144 im2col rows,
-  // an eighth of an arcade learner batch. The serving shapes are a
+  // an eighth of an arcade learner batch. The whole batch's 49 152 rows
+  // time the conv1 dW out of L2 (matmul_tn's k blocks) and the joint
+  // forward of both torsos' first convs, 16 wide. The serving shapes are a
   // 10-request batch through the walker tenant's policy head (3 actions)
   // and hidden layer (16 wide), and a 4-request batch through the arcade
   // tenant's 6-action head: fewer rows than one row-lane tile.
@@ -259,6 +261,8 @@ std::vector<KernelResult> run_kernel_benches() {
       {.m = 32, .k = 512, .n = 3, .nn = false, .nt = false},
       {.m = 6144, .k = 75, .n = 8, .tn = false, .nt = false},
       {.m = 75, .k = 6144, .n = 8, .nn = false, .nt = false},
+      {.m = 75, .k = 49152, .n = 8, .nn = false, .nt = false},
+      {.m = 49152, .k = 75, .n = 16, .tn = false, .nt = false},
       {.m = 10, .k = 16, .n = 3, .tn = false, .nt = false},
       {.m = 4, .k = 16, .n = 6, .tn = false, .nt = false},
       {.m = 10, .k = 16, .n = 16, .tn = false, .nt = false}};
@@ -371,6 +375,8 @@ int run_tier_table() {
       {"matmul_tn", 32, 512, 3},   // policy-head dW: row lanes
       {"matmul", 6144, 75, 8},     // first conv forward: row lanes
       {"matmul_tn", 75, 6144, 8},  // first conv dW: row lanes
+      {"matmul_tn", 75, 49152, 8},   // learner conv1 dW: k blocks
+      {"matmul", 49152, 75, 16},     // both torsos' conv1 forward, joint
       {"matmul", 10, 16, 3},       // serving policy head: padded row lanes
       {"matmul", 4, 16, 6},        // serving 6-action head, 4 rows
       {"matmul", 10, 16, 16},      // serving hidden layer: 4-row 16-wide

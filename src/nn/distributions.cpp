@@ -13,13 +13,14 @@ namespace {
 constexpr double kLog2Pi = 1.8378770664093453;  // log(2π)
 
 /// exp(scale · log_std[j]) for every column j, computed once per call
-/// instead of once per element. Each value is the double an inline
-/// std::exp(scale * log_std[j]) gives, so hoisting changes no result bit.
-/// Up to kInline columns (every env's act_dim) live on the stack, so the
-/// `_into` forms stay allocation-free.
+/// instead of once per element. Each value is the T an inline
+/// std::exp(scale * log_std[j]) gives (the float overload for T = float),
+/// so hoisting changes no result bit. Up to kInline columns (every env's
+/// act_dim) live on the stack, so the `_into` forms stay allocation-free.
+template <typename T>
 class ColumnExp {
  public:
-  ColumnExp(const Tensor& log_std, double scale) {
+  ColumnExp(const Tensor& log_std, T scale) {
     const std::size_t d = log_std.numel();
     if (d > kInline) {
       heap_.resize(d);
@@ -31,13 +32,13 @@ class ColumnExp {
   ColumnExp(const ColumnExp&) = delete;
   ColumnExp& operator=(const ColumnExp&) = delete;
 
-  double operator[](std::size_t j) const { return values_[j]; }
+  T operator[](std::size_t j) const { return values_[j]; }
 
  private:
   static constexpr std::size_t kInline = 32;
-  std::array<double, kInline> inline_{};
-  std::vector<double> heap_;
-  double* values_ = inline_.data();  // points into *this: no copies
+  std::array<T, kInline> inline_{};
+  std::vector<T> heap_;
+  T* values_ = inline_.data();  // points into *this: no copies
 };
 
 }  // namespace
@@ -49,10 +50,14 @@ void gaussian_sample_into(Tensor& out, const Tensor& mean,
                       "gaussian_sample shape mismatch");
   const std::size_t m = mean.dim(0), d = mean.dim(1);
   out.ensure_shape(mean.shape());
-  for (std::size_t i = 0; i < m; ++i)
+  // σ_j in float, as the per-element std::exp(log_std[j]) gave it.
+  const ColumnExp<float> sigma(log_std, 1.0f);
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* mrow = mean.data().data() + i * d;
+    float* orow = out.data().data() + i * d;
     for (std::size_t j = 0; j < d; ++j)
-      out.at(i, j) = mean.at(i, j) +
-                     std::exp(log_std[j]) * static_cast<float>(rng.normal());
+      orow[j] = mrow[j] + sigma[j] * static_cast<float>(rng.normal());
+  }
 }
 
 Tensor gaussian_log_prob(const Tensor& mean, const Tensor& log_std,
@@ -67,7 +72,7 @@ void gaussian_log_prob_into(Tensor& out, const Tensor& mean,
   STELLARIS_CHECK_MSG(mean.same_shape(actions), "log_prob shape mismatch");
   const std::size_t m = mean.dim(0), d = mean.dim(1);
   out.ensure_shape({m});
-  const ColumnExp sigma(log_std, 1.0);
+  const ColumnExp<double> sigma(log_std, 1.0);
   for (std::size_t i = 0; i < m; ++i) {
     double lp = 0.0;
     for (std::size_t j = 0; j < d; ++j) {
@@ -87,7 +92,7 @@ GaussianLogProbGrad gaussian_log_prob_backward(const Tensor& mean,
                       "coeff must be (batch)");
   const std::size_t m = mean.dim(0), d = mean.dim(1);
   GaussianLogProbGrad g{Tensor({m, d}), Tensor({d})};
-  const ColumnExp inv_var(log_std, -2.0);  // 1/σ²
+  const ColumnExp<double> inv_var(log_std, -2.0);  // 1/σ²
   for (std::size_t i = 0; i < m; ++i) {
     const float c = coeff[i];
     for (std::size_t j = 0; j < d; ++j) {
@@ -113,7 +118,7 @@ Tensor gaussian_kl(const Tensor& mean_p, const Tensor& log_std_p,
   STELLARIS_CHECK_MSG(mean_p.same_shape(mean_q), "kl shape mismatch");
   const std::size_t m = mean_p.dim(0), d = mean_p.dim(1);
   Tensor out({m});
-  const ColumnExp vp(log_std_p, 2.0), vq(log_std_q, 2.0);  // σ²
+  const ColumnExp<double> vp(log_std_p, 2.0), vq(log_std_q, 2.0);  // σ²
   for (std::size_t i = 0; i < m; ++i) {
     double kl = 0.0;
     for (std::size_t j = 0; j < d; ++j) {

@@ -58,21 +58,31 @@ const Tensor& Conv2d::forward(const Tensor& x) {
 }
 
 const Tensor& Conv2d::forward_lowered(const Tensor& cols, std::size_t batch) {
+  // (N·oh·ow, patch) x (patch, oc) -> (N·oh·ow, oc); matmul_into checks
+  // the inner dimension, forward_product the rest.
+  ops::matmul_into(y_, cols, w_);
+  ops::add_bias_rows(y_, b_);
+  return forward_product(cols, batch, y_, 0);
+}
+
+const Tensor& Conv2d::forward_product(const Tensor& cols, std::size_t batch,
+                                      const Tensor& y, std::size_t col) {
   const std::size_t oh = spec_.out_h(), ow = spec_.out_w(),
                     oc = spec_.out_channels;
   STELLARIS_CHECK_MSG(cols.rank() == 2 && cols.dim(0) == batch * oh * ow &&
                           cols.dim(1) == w_.dim(0),
                       "Conv2d lowering " << shape_str(cols.shape())
                                          << " for batch " << batch);
+  STELLARIS_CHECK_MSG(y.rank() == 2 && y.dim(0) == cols.dim(0) &&
+                          col + oc <= y.dim(1),
+                      "Conv2d product " << shape_str(y.shape())
+                                        << " at column " << col);
   cols_ = &cols;
   cached_batch_ = batch;
-  // (N·oh·ow, patch) x (patch, oc) -> (N·oh·ow, oc)
-  ops::matmul_into(y_, cols, w_);
-  ops::add_bias_rows(y_, b_);
   // Reorder to channel-major rows (N, oc·oh·ow) so downstream layers see the
   // conventional CHW flattening: each frame's (oh·ow, oc) block transposed.
   out_.ensure_shape({batch, oc * oh * ow});
-  ops::transpose_each(y_.data().data(), batch, oh * ow, oc,
+  ops::transpose_each(y.data().data() + col, batch, oh * ow, oc, y.dim(1),
                       out_.data().data());
   return out_;
 }
@@ -87,7 +97,7 @@ void Conv2d::backward_params(const Tensor& dy) {
   // Undo the channel-major reorder: each frame's (oc, oh·ow) block
   // transposed back.
   dys_.ensure_shape({cached_batch_ * oh * ow, oc});
-  ops::transpose_each(dy.data().data(), cached_batch_, oc, oh * ow,
+  ops::transpose_each(dy.data().data(), cached_batch_, oc, oh * ow, oh * ow,
                       dys_.data().data());
 
   ops::matmul_tn_into(dw_step_, *cols_, dys_);

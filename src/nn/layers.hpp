@@ -84,10 +84,13 @@ class Linear final : public Layer {
 /// 2-D convolution via im2col lowering; input rows are flattened (C,H,W).
 ///
 /// forward(x) lowers x into the layer's own buffer and calls
-/// forward_lowered on it. A caller that feeds one input to several convs of
-/// the same spec (ActorCritic::forward, for its two torsos) lowers it once
-/// and calls forward_lowered on each. backward uses the lowering the last
-/// forward consumed, so a forward_lowered caller must keep `cols` alive and
+/// forward_lowered on it, which runs the GEMM and bias add and hands the
+/// product to forward_product for the channel-major reorder. A caller that
+/// feeds one input to several convs of the same spec (ActorCritic::forward,
+/// for its two torsos) lowers it once, runs one GEMM against the convs'
+/// weights side by side, and calls forward_product on each with its
+/// columns. backward uses the lowering the last forward consumed, so a
+/// forward_lowered or forward_product caller must keep `cols` alive and
 /// unchanged until the matching backward.
 class Conv2d final : public Layer {
  public:
@@ -101,6 +104,11 @@ class Conv2d final : public Layer {
   /// forward() from `cols`, the ops::im2col_into lowering of a `batch`-row
   /// input under spec(): GEMM, bias add and channel-major reorder.
   const Tensor& forward_lowered(const Tensor& cols, std::size_t batch);
+  /// forward_lowered() from its bias-added GEMM product: columns
+  /// [col, col + out_channels) of `y` hold cols·W + b (y has cols.dim(0)
+  /// rows). Only reorders them into this layer's output.
+  const Tensor& forward_product(const Tensor& cols, std::size_t batch,
+                                const Tensor& y, std::size_t col);
   const Tensor& backward(const Tensor& dy) override;
   void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
@@ -108,6 +116,8 @@ class Conv2d final : public Layer {
   std::string name() const override { return "Conv2d"; }
 
   const ops::Conv2dSpec& spec() const { return spec_; }
+  const Tensor& weight() const { return w_; }
+  const Tensor& bias() const { return b_; }
 
  private:
   ops::Conv2dSpec spec_;

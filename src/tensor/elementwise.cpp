@@ -127,8 +127,8 @@ void add_bias_rows(Tensor& x, const Tensor& bias) {
 }
 
 void transpose_each(const float* src, std::size_t count, std::size_t rows,
-                    std::size_t cols, float* dst) {
-  detail::active_kernels().transpose_each(src, count, rows, cols, dst);
+                    std::size_t cols, std::size_t ld, float* dst) {
+  detail::active_kernels().transpose_each(src, count, rows, cols, ld, dst);
 }
 
 void sum_rows_into(Tensor& out, const Tensor& x) {

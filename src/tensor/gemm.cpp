@@ -12,14 +12,23 @@
 //     that keeps a block of C in accumulator registers for the entire k
 //     sweep — one store per output element instead of one load+store per
 //     (element, k) step, and every B-row load is shared by MR output rows.
-//   * k is deliberately NOT tiled. Each output element accumulates its k
-//     products in ascending order starting from 0.0f, exactly the order of
-//     the naive reference kernel, so blocked results are bit-identical to
-//     ops::reference — the learner stays deterministic across this rewrite.
+//   * Each output element accumulates its k products in ascending order
+//     starting from 0.0f, exactly the order of the naive reference kernel,
+//     so blocked results are bit-identical to ops::reference — the learner
+//     stays deterministic across this rewrite. Only matmul_tn's row lanes
+//     tile k: a panel's tiles sweep kTnKBlockRows (2048) rows of A and B
+//     before any tile moves on, and a later block starts each accumulator
+//     from the float the block before stored in C, so the chain runs on
+//     unchanged, carried through C. In one sweep the arcade learner's
+//     conv1 dW (75, 49 152, 8) streams its 14.7 MB lowering from DRAM
+//     once per 16-row tile; in blocks it reads them from L2 (3.47 → 2.15
+//     ms in the AVX-512 tier; DESIGN.md §9 has the tables). Hopper's learner products
+//     have k ≤ 512 and never reach a second block.
 //   * Threading splits i into panels of kMC rows (ThreadPool::parallel_for).
 //     Panels write disjoint C rows and each element is still accumulated by
 //     exactly one task in the same order, so any thread count produces the
-//     same bits. Gated by kernel_parallel_min_flops() and off by default
+//     same bits; matmul_tn's k blocks run inside each panel. Gated by
+//     kernel_parallel_min_flops() and off by default
 //     (kernel_threads() == 1).
 //   * Outputs narrower than one 16-column sub-tile (the policy and value
 //     heads, the first convolution's 8 channels) would fall through to a

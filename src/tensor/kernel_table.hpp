@@ -25,6 +25,12 @@ namespace stellaris::ops::detail {
 /// by it.
 constexpr std::size_t kRowLaneRows = 16;
 
+/// matmul_tn's k block: the row-lane tiles of a panel sweep this many rows
+/// of A and B together before moving on, each element's chain carried
+/// through C from one block to the next (kernel_tier.cpp,
+/// rowlane_tn_panel). Tests size their k around it.
+constexpr std::size_t kTnKBlockRows = 2048;
+
 struct KernelTable {
   // -- GEMM panels: rows [i0, i1) of C (row stride n) --------------------
   /// C = A·B through the column tiles, A row-major (stride k), B (k, n).
@@ -44,11 +50,12 @@ struct KernelTable {
                            std::size_t n, std::size_t k, const float* a,
                            const float* b, float* c);
 
-  /// Each of `count` row-major (rows × cols) matrices stored back to back
-  /// at `src`, transposed to (cols × rows) at `dst` (no overlap). Pure
-  /// data movement.
+  /// The first `cols` columns of each of `count` row-major (rows × ld)
+  /// matrices stored back to back at `src`, transposed to (cols × rows)
+  /// at `dst` (no overlap). Pure data movement.
   void (*transpose_each)(const float* src, std::size_t count,
-                         std::size_t rows, std::size_t cols, float* dst);
+                         std::size_t rows, std::size_t cols, std::size_t ld,
+                         float* dst);
 
   // -- elementwise: n floats, outputs may alias inputs --------------------
   void (*tanh_forward)(const float* x, float* y, std::size_t n);

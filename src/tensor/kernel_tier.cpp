@@ -15,10 +15,13 @@
 //     micro-kernel that keeps a block of C in accumulator registers for the
 //     entire k sweep — one store per output element, and every B-row load
 //     is shared by MR output rows. Columns are split into kNC panels.
-//   * k is deliberately NOT tiled. Each output element accumulates its k
-//     products in ascending order starting from 0.0f, exactly the order of
-//     the naive reference kernel, so every tier is bit-identical to
-//     ops::reference.
+//   * Each output element accumulates its k products in ascending order
+//     starting from 0.0f, exactly the order of the naive reference kernel,
+//     so every tier is bit-identical to ops::reference. The column tiles
+//     and matmul/matmul_nt's row lanes run the whole k range in one sweep.
+//     matmul_tn's row lanes block k (kKC rows, rowlane_tn_panel): each
+//     block starts from the float the block before stored in C, so an
+//     element is still one chain, carried through C.
 //   * Row-lane tiles (micro_rowlane) run the SIMD lanes over kRL output
 //     rows instead and broadcast single B elements, for outputs narrower
 //     than one 16-column sub-tile. They read the left operand as Aᵀ (k ×
@@ -51,6 +54,9 @@ namespace {
 constexpr std::size_t kMR = 4;
 constexpr std::size_t kNR = 48;
 constexpr std::size_t kNC = 240;  // multiple of kNR: edge tiles only at the true edge
+// matmul_tn's k block (rowlane_tn_panel): kKC rows of Aᵀ and B per sweep
+// of a panel's row-lane tiles.
+constexpr std::size_t kKC = kTnKBlockRows;
 
 // Row-lane tile (micro_rowlane): kRL output rows held as kRL / kVL vectors
 // of the tier's SIMD width, times kNJ columns. kNJ is the widest column
@@ -83,21 +89,58 @@ std::size_t min_size(std::size_t a, std::size_t b) { return b < a ? b : a; }
 // a points at A[i][0] (row stride lda), b at B[0][j] (row stride ldb), c at
 // C[i][j] (row stride ldc). Accumulation runs the full k range in registers
 // and stores once.
+//
+// The accumulators are explicit vectors of the tier's width: MR rows ×
+// NR / kVL vectors. Each output element is still its own k-ascending chain
+// from 0.0f. The AVX2 and AVX-512 tiers run the 16-wide sub-tile four rows
+// at a time, four independent add chains per B-row load where one row at a
+// time is latency-bound; the baseline tier keeps it at one row: four rows
+// would need 16 SSE accumulators, its whole register file.
+using Lanes = float __attribute__((vector_size(kVL * sizeof(float))));
 
+// The loads and stores copy each accumulator by value in fully unrolled
+// loops, which keeps the array in registers: a rolled memcpy from
+// &acc[r][v] (or a float array, or a lane read at a runtime index) makes
+// it addressable, and GCC then zeroes it in memory with `rep stos` on
+// every call and spills every accumulator to store it (~25% of a 4×16×16
+// call).
+inline Lanes load_lanes(const float* src) {
+  Lanes v;
+  std::memcpy(&v, src, sizeof v);
+  return v;
+}
+
+inline void store_lanes(float* dst, Lanes v) {
+  std::memcpy(dst, &v, sizeof v);
+}
+
+// Not inlined: inside gemm_nn_panel the 4×16 tile ran ~5% slower around
+// the same inner loop (AVX-512 tier, (49152, 75, 16)).
 template <std::size_t MR, std::size_t NR>
-inline void micro_nn(std::size_t k, const float* a, std::size_t lda,
-                     const float* b, std::size_t ldb, float* c,
-                     std::size_t ldc) {
-  float acc[MR][NR] = {};
+__attribute__((noinline)) void micro_nn(std::size_t k, const float* a,
+                                        std::size_t lda, const float* b,
+                                        std::size_t ldb, float* c,
+                                        std::size_t ldc) {
+  static_assert(NR % kVL == 0, "a column tile is whole vectors");
+  constexpr std::size_t kV = NR / kVL;
+  Lanes acc[MR][kV] = {};
   for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * ldb;
+    Lanes bv[kV];
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < kV; ++v)
+      bv[v] = load_lanes(b + kk * ldb + v * kVL);
+#pragma GCC unroll 4
     for (std::size_t r = 0; r < MR; ++r) {
       const float ar = a[r * lda + kk];
-      for (std::size_t cc = 0; cc < NR; ++cc) acc[r][cc] += ar * brow[cc];
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < kV; ++v) acc[r][v] += ar * bv[v];
     }
   }
+#pragma GCC unroll 4
   for (std::size_t r = 0; r < MR; ++r)
-    for (std::size_t cc = 0; cc < NR; ++cc) c[r * ldc + cc] = acc[r][cc];
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < kV; ++v)
+      store_lanes(c + r * ldc + v * kVL, acc[r][v]);
 }
 
 // Bottom-edge rows: dispatch the runtime row count to a compile-time MR so
@@ -130,80 +173,71 @@ inline void micro_nn_scalar(std::size_t mr, std::size_t nr, std::size_t k,
   }
 }
 
-// The 16-wide column sub-tile as explicit vectors of the tier's width:
-// MR rows × 16 / kVL vectors of accumulators. The AVX2 and AVX-512 tiers
-// run it four rows at a time, four independent add chains per B-row load
-// where one row at a time is latency-bound; each output element is still
-// its own k-ascending chain. The baseline tier keeps micro_nn<1, 16>:
-// four rows would need 16 SSE accumulators, its whole register file.
-using Lanes = float __attribute__((vector_size(kVL * sizeof(float))));
-constexpr std::size_t kV16 = 16 / kVL;
-
-// The stores copy each accumulator by value in fully unrolled loops, which
-// keeps the array in registers: a rolled memcpy from &acc[r][v] makes it
-// addressable, and GCC then zeroes it in memory with `rep stos` on every
-// call and spills every accumulator to store it (~25% of a 4×16×16 call).
-inline void store_lanes(float* dst, Lanes v) {
-  std::memcpy(dst, &v, sizeof v);
-}
-
-template <std::size_t MR>
-inline void micro_nn16(std::size_t k, const float* a, std::size_t lda,
-                       const float* b, std::size_t ldb, float* c,
-                       std::size_t ldc) {
-  Lanes acc[MR][kV16] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    Lanes bv[kV16];
-    for (std::size_t v = 0; v < kV16; ++v)
-      std::memcpy(&bv[v], b + kk * ldb + v * kVL, sizeof bv[v]);
-    for (std::size_t r = 0; r < MR; ++r) {
-      const float ar = a[r * lda + kk];
-      for (std::size_t v = 0; v < kV16; ++v) acc[r][v] += ar * bv[v];
-    }
-  }
-#pragma GCC unroll 16
-  for (std::size_t r = 0; r < MR; ++r)
-#pragma GCC unroll 4
-    for (std::size_t v = 0; v < kV16; ++v)
-      store_lanes(c + r * ldc + v * kVL, acc[r][v]);
-}
-
 // -- row-lane micro-kernel -----------------------------------------------------
 // The SIMD lanes run over kRL consecutive output rows i and single B
 // elements are broadcast, so a product whose n is too narrow for a column
 // tile still vectorizes. `at` points at Aᵀ[0][i] (row stride lda; each of
 // the k rows holds the tile's kRL row values contiguously), b at B[0][j]
-// (row stride ldb), c at C[i][j] (row stride ldc). Each output element is
-// still one k-ascending chain from 0.0f. Only tile rows [r0, r1) are
-// stored: a panel's edge tile is shifted back to end at the panel's last
-// row, and its rows below r0 belong to the tile before; a product shorter
-// than a tile runs one tile whose lanes from r1 on are zero padding.
+// (row stride ldb), c at C[i][j] (row stride ldc). Only tile rows [r0, r1)
+// are loaded and stored: a panel's edge tile is shifted back to end at the
+// panel's last row, and its rows below r0 belong to the tile before; a
+// product shorter than a tile runs one tile whose lanes from r1 on are
+// zero padding.
+//
+// Each output element is one k-ascending chain. Without Carry it starts
+// from 0.0f; with Carry it starts from the float already in C, the end of
+// the same chain over the k rows before `at` (matmul_tn's k blocks, see
+// rowlane_tn_panel), so the chain and its bits are those of one sweep.
 //
 // The lanes are GCC/Clang vector types of the tier's SIMD width (kVL
 // floats, see above), kRL / kVL of them per column, not a float[kRL] loop:
 // with NJ > 1 GCC's SLP pass vectorizes such a loop across the columns
 // instead of the rows, shuffling every step, and a vector type wider than
 // the target's registers is lowered through the stack. Vector arithmetic
-// is lane-wise IEEE multiply then add, exactly the scalar code's.
+// is lane-wise IEEE multiply then add, exactly the scalar code's. The
+// lanes move to and from C through a (NJ × kRL) float buffer: by value in
+// fully unrolled loops, which keep the accumulators in registers (see
+// load_lanes), then row by row over the live rows. Moving a whole tile's
+// lanes straight to C at constant lane indices measured level with that
+// (0.97–1.03×), so every tile takes the one path.
 constexpr std::size_t kRV = kRL / kVL;
 
-template <std::size_t NJ>
+template <std::size_t NJ, bool Carry>
 inline void micro_rowlane(std::size_t k, const float* at, std::size_t lda,
                           const float* b, std::size_t ldb, float* c,
                           std::size_t ldc, std::size_t r0, std::size_t r1) {
   Lanes acc[NJ][kRV] = {};
+  if constexpr (Carry) {
+    float tile[NJ][kRL];
+    for (std::size_t r = 0; r < kRL; ++r) {
+      const bool live = r >= r0 && r < r1;
+      for (std::size_t cc = 0; cc < NJ; ++cc)
+        tile[cc][r] = live ? c[r * ldc + cc] : 0.0f;
+    }
+#pragma GCC unroll 8
+    for (std::size_t cc = 0; cc < NJ; ++cc)
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < kRV; ++v)
+        acc[cc][v] = load_lanes(&tile[cc][v * kVL]);
+  }
   for (std::size_t kk = 0; kk < k; ++kk) {
     const float* arow = at + kk * lda;
     const float* brow = b + kk * ldb;
+#pragma GCC unroll 4
     for (std::size_t v = 0; v < kRV; ++v) {
-      Lanes a{};
-      std::memcpy(&a, arow + v * kVL, sizeof a);
+      const Lanes a = load_lanes(arow + v * kVL);
+#pragma GCC unroll 8
       for (std::size_t cc = 0; cc < NJ; ++cc) acc[cc][v] += a * brow[cc];
     }
   }
+  float tile[NJ][kRL];
+#pragma GCC unroll 8
+  for (std::size_t cc = 0; cc < NJ; ++cc)
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < kRV; ++v)
+      store_lanes(&tile[cc][v * kVL], acc[cc][v]);
   for (std::size_t r = r0; r < r1; ++r)
-    for (std::size_t cc = 0; cc < NJ; ++cc)
-      c[r * ldc + cc] = acc[cc][r / kVL][r % kVL];
+    for (std::size_t cc = 0; cc < NJ; ++cc) c[r * ldc + cc] = tile[cc][r];
 }
 
 // -- row-lane Aᵀ pack ---------------------------------------------------------
@@ -288,22 +322,30 @@ void pack_rowlane_tile(const float* a, std::size_t rows, std::size_t k,
 
 // One kRL-row tile across all n columns: kNJ-wide column groups, then the
 // remainder dispatched to a compile-time width (cases >= kNJ never occur).
+template <bool Carry>
 void rowlane_tile(std::size_t n, std::size_t k, const float* at,
                   std::size_t lda, const float* b, std::size_t ldb, float* c,
                   std::size_t ldc, std::size_t r0, std::size_t r1) {
   std::size_t j = 0;
   for (; j + kNJ <= n; j += kNJ)
-    micro_rowlane<kNJ>(k, at, lda, b + j, ldb, c + j, ldc, r0, r1);
+    micro_rowlane<kNJ, Carry>(k, at, lda, b + j, ldb, c + j, ldc, r0, r1);
   const float* bj = b + j;
   float* cj = c + j;
   switch (n - j) {
-    case 7: micro_rowlane<7>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
-    case 6: micro_rowlane<6>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
-    case 5: micro_rowlane<5>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
-    case 4: micro_rowlane<4>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
-    case 3: micro_rowlane<3>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
-    case 2: micro_rowlane<2>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
-    case 1: micro_rowlane<1>(k, at, lda, bj, ldb, cj, ldc, r0, r1); break;
+    case 7: micro_rowlane<7, Carry>(k, at, lda, bj, ldb, cj, ldc, r0, r1);
+      break;
+    case 6: micro_rowlane<6, Carry>(k, at, lda, bj, ldb, cj, ldc, r0, r1);
+      break;
+    case 5: micro_rowlane<5, Carry>(k, at, lda, bj, ldb, cj, ldc, r0, r1);
+      break;
+    case 4: micro_rowlane<4, Carry>(k, at, lda, bj, ldb, cj, ldc, r0, r1);
+      break;
+    case 3: micro_rowlane<3, Carry>(k, at, lda, bj, ldb, cj, ldc, r0, r1);
+      break;
+    case 2: micro_rowlane<2, Carry>(k, at, lda, bj, ldb, cj, ldc, r0, r1);
+      break;
+    case 1: micro_rowlane<1, Carry>(k, at, lda, bj, ldb, cj, ldc, r0, r1);
+      break;
     default: break;
   }
 }
@@ -343,7 +385,7 @@ void gemm_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
         std::size_t r = 0;
 #if defined(__AVX__)
         if (mr == kMR) {
-          micro_nn16<kMR>(k, arow, k, pb + j, n, crow + j, n);
+          micro_nn<kMR, 16>(k, arow, k, pb + j, n, crow + j, n);
           r = kMR;
         }
 #endif
@@ -369,26 +411,45 @@ void rowlane_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
     // and left unstored.
     const std::size_t rows = i1 - i0;
     pack_rowlane_tile<true>(pa + i0 * k, rows, k, pack);
-    rowlane_tile(n, k, pack, kRL, pb, n, pc + i0 * n, n, 0, rows);
+    rowlane_tile<false>(n, k, pack, kRL, pb, n, pc + i0 * n, n, 0, rows);
     return;
   }
   for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
     pack_rowlane_tile<false>(pa + s * k, kRL, k, pack);
-    rowlane_tile(n, k, pack, kRL, pb, n, pc + s * n, n, r0, kRL);
+    rowlane_tile<false>(n, k, pack, kRL, pb, n, pc + s * n, n, r0, kRL);
   });
 }
 
+// matmul_tn sweeps k in blocks of kKC rows of A and B, and every tile of
+// the panel runs block b before any tile moves to block b + 1, so the
+// panel's tiles share each block's B rows and the A cache lines they
+// straddle from L2. The first block starts every chain from 0.0f (and
+// zeroes C when k = 0); later blocks carry it on from the float stored in
+// C, so each element is still one k-ascending chain. In one sweep, k =
+// 49 152 (the arcade learner's conv1 dW) would stream 14.7 MB of A and
+// 1.5 MB of B from DRAM once per tile.
 void rowlane_tn_panel(std::size_t i0, std::size_t i1, std::size_t m,
                       std::size_t n, std::size_t k, const float* pa,
                       const float* pb, float* pc) {
+  const std::size_t kc0 = min_size(k, kKC);
   for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
-    rowlane_tile(n, k, pa + s, m, pb, n, pc + s * n, n, r0, kRL);
+    rowlane_tile<false>(n, kc0, pa + s, m, pb, n, pc + s * n, n, r0, kRL);
   });
+  for (std::size_t k0 = kc0; k0 < k; k0 += kKC) {
+    const std::size_t kc = min_size(kKC, k - k0);
+    const float* a0 = pa + k0 * m;
+    const float* b0 = pb + k0 * n;
+    for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
+      rowlane_tile<true>(n, kc, a0 + s, m, b0, n, pc + s * n, n, r0, kRL);
+    });
+  }
 }
 
-// Each of `count` row-major (rows × cols) matrices, back to back, to its
-// (cols × rows) transpose: the convolution's reorder between (N·oh·ow, oc)
-// and channel-major (N, oc·oh·ow). 4 × 4 register-transposed blocks in
+// The first `cols` columns of each of `count` row-major (rows × ld)
+// matrices, back to back, to their (cols × rows) transpose: the
+// convolution's reorder between (N·oh·ow, oc) and channel-major
+// (N, oc·oh·ow); ld > cols reads one torso's columns of the joint
+// first-conv product. 4 × 4 register-transposed blocks in
 // every tier, since the channel counts (8, 16) and conv1's 64 positions
 // are multiples of 4 but not of 16; the last rows mod 4 rows (conv2's
 // 9th position) and cols mod 4 columns go one element at a time. Pure
@@ -397,9 +458,9 @@ constexpr std::size_t kXW = 4;
 using XRow = Block<kXW>::type;
 
 void transpose_each(const float* src, std::size_t count, std::size_t rows,
-                    std::size_t cols, float* dst) {
+                    std::size_t cols, std::size_t ld, float* dst) {
   for (std::size_t m = 0; m < count; ++m) {
-    const float* s = src + m * rows * cols;
+    const float* s = src + m * rows * ld;
     float* d = dst + m * rows * cols;
     std::size_t i = 0;
     for (; i + kXW <= rows; i += kXW) {
@@ -407,17 +468,17 @@ void transpose_each(const float* src, std::size_t count, std::size_t rows,
       for (; j + kXW <= cols; j += kXW) {
         XRow v[kXW];
         for (std::size_t r = 0; r < kXW; ++r)
-          std::memcpy(&v[r], s + (i + r) * cols + j, sizeof v[r]);
+          std::memcpy(&v[r], s + (i + r) * ld + j, sizeof v[r]);
         transpose_block<kXW>(v);
         for (std::size_t c = 0; c < kXW; ++c)
           std::memcpy(d + (j + c) * rows + i, &v[c], sizeof v[c]);
       }
       for (; j < cols; ++j)
         for (std::size_t r = 0; r < kXW; ++r)
-          d[j * rows + i + r] = s[(i + r) * cols + j];
+          d[j * rows + i + r] = s[(i + r) * ld + j];
     }
     for (; i < rows; ++i)
-      for (std::size_t j = 0; j < cols; ++j) d[j * rows + i] = s[i * cols + j];
+      for (std::size_t j = 0; j < cols; ++j) d[j * rows + i] = s[i * ld + j];
   }
 }
 

@@ -65,12 +65,14 @@ void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b);
 /// y = x (m×n) with row-broadcast bias (n) added, in place.
 void add_bias_rows(Tensor& x, const Tensor& bias);
 
-/// Transpose each of `count` row-major (rows × cols) matrices stored back
-/// to back at `src` into (cols × rows) at `dst`, which must not overlap
-/// it: the convolution's reorder to and from channel-major rows. Moves
-/// register-transposed 4 × 4 blocks; pure data movement.
+/// Transpose the first `cols` columns of each of `count` row-major
+/// (rows × ld) matrices stored back to back at `src` into (cols × rows) at
+/// `dst`, which must not overlap it: the convolution's reorder to and from
+/// channel-major rows (ld = cols), or of one torso's columns of a joint
+/// product (ld > cols). Moves register-transposed 4 × 4 blocks; pure data
+/// movement.
 void transpose_each(const float* src, std::size_t count, std::size_t rows,
-                    std::size_t cols, float* dst);
+                    std::size_t cols, std::size_t ld, float* dst);
 
 /// Column-sum of a 2-D tensor -> 1-D (n); the bias gradient.
 Tensor sum_rows(const Tensor& x);

@@ -188,24 +188,32 @@ Tensor random_obs(bool atari, std::size_t rows, Rng& rng) {
   return Tensor::rand_uniform({rows, dim}, rng, -1.0f, 1.0f);
 }
 
+// Batches of 1, 6 and 100 frames: on the CNN torso forward runs one
+// 16-wide product for both first convs where the single heads run 8-wide
+// ones, and at 100 frames (6400 im2col rows) each conv1 dW spans several
+// of matmul_tn's k blocks.
 TEST(ActorCritic, ForwardMatchesSeparateHeadsAndGradients) {
   for (bool atari : {false, true}) {
-    auto both = atari ? make_atari_model(21) : make_mujoco_model(21);
-    auto separate = atari ? make_atari_model(21) : make_mujoco_model(21);
-    Rng rng(22);
-    const Tensor obs = random_obs(atari, 6, rng);
-    const Tensor dpolicy = Tensor::randn({6, both.act_dim()}, rng);
-    const Tensor dvalues = Tensor::randn({6}, rng);
+    for (const std::size_t rows : {1u, 6u, 100u}) {
+      SCOPED_TRACE(testing::Message() << (atari ? "atari " : "mujoco ")
+                                      << rows << " rows");
+      auto both = atari ? make_atari_model(21) : make_mujoco_model(21);
+      auto separate = atari ? make_atari_model(21) : make_mujoco_model(21);
+      Rng rng(22);
+      const Tensor obs = random_obs(atari, rows, rng);
+      const Tensor dpolicy = Tensor::randn({rows, both.act_dim()}, rng);
+      const Tensor dvalues = Tensor::randn({rows}, rng);
 
-    const auto [policy, values] = both.forward(obs);
-    expect_same_bits(policy, separate.policy_forward(obs));
-    expect_same_bits(values, separate.value_forward(obs));
+      const auto [policy, values] = both.forward(obs);
+      expect_same_bits(policy, separate.policy_forward(obs));
+      expect_same_bits(values, separate.value_forward(obs));
 
-    both.policy_backward(dpolicy);
-    both.value_backward(dvalues);
-    separate.policy_backward(dpolicy);
-    separate.value_backward(dvalues);
-    expect_same_grads(both, separate);
+      both.policy_backward(dpolicy);
+      both.value_backward(dvalues);
+      separate.policy_backward(dpolicy);
+      separate.value_backward(dvalues);
+      expect_same_grads(both, separate);
+    }
   }
 }
 
@@ -213,25 +221,29 @@ TEST(ActorCritic, ForwardMatchesSeparateHeadsAndGradients) {
 // its own lowering: the other net still backprops against a's.
 TEST(ActorCritic, SingleHeadForwardAfterForwardKeepsTheOtherHeadsLowering) {
   for (bool atari : {false, true}) {
-    auto mixed = atari ? make_atari_model(23) : make_mujoco_model(23);
-    auto ref = atari ? make_atari_model(23) : make_mujoco_model(23);
-    Rng rng(24);
-    const Tensor a = random_obs(atari, 5, rng);
-    const Tensor b = random_obs(atari, 3, rng);
-    const Tensor dpolicy = Tensor::randn({3, mixed.act_dim()}, rng);
-    const Tensor dvalues = Tensor::randn({5}, rng);
+    for (const std::size_t rows : {1u, 6u, 100u}) {
+      SCOPED_TRACE(testing::Message() << (atari ? "atari " : "mujoco ")
+                                      << rows << " rows");
+      auto mixed = atari ? make_atari_model(23) : make_mujoco_model(23);
+      auto ref = atari ? make_atari_model(23) : make_mujoco_model(23);
+      Rng rng(24);
+      const Tensor a = random_obs(atari, rows, rng);
+      const Tensor b = random_obs(atari, 3, rng);
+      const Tensor dpolicy = Tensor::randn({3, mixed.act_dim()}, rng);
+      const Tensor dvalues = Tensor::randn({rows}, rng);
 
-    (void)mixed.forward(a);
-    (void)mixed.policy_forward(b);
-    mixed.value_backward(dvalues);
-    (void)ref.value_forward(a);
-    ref.value_backward(dvalues);
-    expect_same_grads(mixed, ref);
+      (void)mixed.forward(a);
+      (void)mixed.policy_forward(b);
+      mixed.value_backward(dvalues);
+      (void)ref.value_forward(a);
+      ref.value_backward(dvalues);
+      expect_same_grads(mixed, ref);
 
-    mixed.policy_backward(dpolicy);
-    (void)ref.policy_forward(b);
-    ref.policy_backward(dpolicy);
-    expect_same_grads(mixed, ref);
+      mixed.policy_backward(dpolicy);
+      (void)ref.policy_forward(b);
+      ref.policy_backward(dpolicy);
+      expect_same_grads(mixed, ref);
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -215,6 +216,27 @@ TEST(GaussianInto, SampleAndLogProbBitIdenticalToAllocatingForms) {
   Tensor lp_b;
   gaussian_log_prob_into(lp_b, mean, log_std, b);
   EXPECT_EQ(lp_a.vec(), lp_b.vec());
+}
+
+// σ_j is one float std::exp(log_std[j]) per call, not per element; each
+// draw is still mean + σ_j · (float)normal, in row-major draw order.
+TEST(GaussianInto, SampleMatchesPerElementFormula) {
+  Rng init(14);
+  const Tensor mean = Tensor::randn({5, 4}, init);
+  const Tensor log_std = tensor_of({-0.7f, 0.0f, 0.45f, -2.3f});
+  Rng r1(15), r2(15);
+  Tensor out;
+  gaussian_sample_into(out, mean, log_std, r1);
+  ASSERT_EQ(out.shape(), mean.shape());
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      const float want = mean.at(i, j) + std::exp(log_std[j]) *
+                                             static_cast<float>(r2.normal());
+      const float got = out.at(i, j);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << i << "," << j << ": " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(GaussianInto, ReusesCapacityAcrossCalls) {

@@ -311,31 +311,83 @@ TEST(BlockedGemm, ThreadedShortLastPanelBitIdentical) {
   }
 }
 
+TEST(BlockedGemm, KBlockedTnBitIdenticalInEveryTier) {
+  // matmul_tn sweeps k in blocks of kTnKBlockRows and carries each
+  // element's chain through C from one block to the next. k below, at and
+  // one past a block and three blocks plus a partial one; fewer rows than
+  // a tile (the packed column path), one tile, a tile plus a shifted-back
+  // edge tile, and conv1's 75 rows; n across the row-lane column groups;
+  // and the arcade learner's conv1 dW. Every tier, serial and on two
+  // kernel threads (75 rows: panels of 64 and 11, the 11-row panel's tile
+  // shifted back into the panel before), NaN/Inf/-0 spread over the
+  // blocks, against the reference and into a dirty output.
+  constexpr std::size_t kB = ops::detail::kTnKBlockRows;
+  std::vector<GemmDims> shapes;
+  for (const std::size_t k : {std::size_t{1}, kB - 1, kB, kB + 1, 3 * kB + 17})
+    for (const std::size_t m : {15u, 16u, 17u, 75u})
+      for (const std::size_t n : {1u, 8u, 16u}) shapes.push_back({m, k, n});
+  shapes.push_back({75, 49152, 8});
+  for (const auto& [m, k, n] : shapes) {
+    SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+    Rng rng(m * 7919 + k * 31 + n);
+    for (const bool specials : {false, true}) {
+      SCOPED_TRACE(specials ? "with NaN/Inf/-0" : "finite");
+      Tensor a = Tensor::randn({k, m}, rng);
+      Tensor b = Tensor::randn({k, n}, rng);
+      if (specials) {
+        a = with_specials(a);
+        b = with_specials(b);
+      }
+      const Tensor ref = ops::reference::matmul_tn(a, b);
+      for (const std::size_t threads : {1u, 2u}) {
+        SCOPED_TRACE(testing::Message() << threads << " kernel threads");
+        ops::set_kernel_threads(threads);
+        const std::uint64_t saved_min = ops::kernel_parallel_min_flops();
+        if (threads > 1) ops::set_kernel_parallel_min_flops(0);
+        expect_tiers_agree(
+            [&](const KernelTable& kt) {
+              Tensor c = Tensor::full({m, n}, 7.0f);
+              ops::detail::matmul_tn_into(kt, c, a, b);
+              return c;
+            },
+            &ref, "matmul_tn");
+        ops::set_kernel_parallel_min_flops(saved_min);
+        ops::set_kernel_threads(1);
+      }
+    }
+  }
+}
+
 TEST(TransposeEach, BitIdenticalToScalarInEveryTier) {
   // Whole 4 × 4 blocks, a rows tail (conv2's 9 positions), a columns
   // tail, both, and degenerate sizes; NaN, ±Inf and −0 move unchanged.
+  // A source row stride past `cols` (one torso's columns of the joint
+  // first-conv product) leaves the other columns unread.
   const std::pair<std::size_t, std::size_t> shapes[] = {
       {64, 8}, {8, 64}, {9, 16}, {16, 9}, {7, 5}, {4, 4}, {1, 1}, {3, 1},
       {0, 4}};
   for (const auto& [rows, cols] : shapes) {
-    SCOPED_TRACE(testing::Message() << rows << "x" << cols);
-    const std::size_t count = 3;
-    Rng rng(rows * 31 + cols);
-    const Tensor src = with_specials(Tensor::randn({count, rows * cols}, rng));
-    Tensor expected({count, rows * cols});
-    for (std::size_t m = 0; m < count; ++m)
-      for (std::size_t i = 0; i < rows; ++i)
-        for (std::size_t j = 0; j < cols; ++j)
-          expected[m * rows * cols + j * rows + i] =
-              src[m * rows * cols + i * cols + j];
-    expect_tiers_agree(
-        [&](const KernelTable& kt) {
-          Tensor dst = Tensor::full({count, rows * cols}, 7.0f);
-          kt.transpose_each(src.data().data(), count, rows, cols,
-                            dst.data().data());
-          return dst;
-        },
-        &expected, "transpose_each");
+    for (const std::size_t ld : {cols, cols + 3, 2 * cols}) {
+      SCOPED_TRACE(testing::Message() << rows << "x" << cols << " ld " << ld);
+      const std::size_t count = 3;
+      Rng rng(rows * 31 + cols + ld);
+      const Tensor src =
+          with_specials(Tensor::randn({count, rows * ld}, rng));
+      Tensor expected({count, rows * cols});
+      for (std::size_t m = 0; m < count; ++m)
+        for (std::size_t i = 0; i < rows; ++i)
+          for (std::size_t j = 0; j < cols; ++j)
+            expected[m * rows * cols + j * rows + i] =
+                src[m * rows * ld + i * ld + j];
+      expect_tiers_agree(
+          [&](const KernelTable& kt) {
+            Tensor dst = Tensor::full({count, rows * cols}, 7.0f);
+            kt.transpose_each(src.data().data(), count, rows, cols, ld,
+                              dst.data().data());
+            return dst;
+          },
+          &expected, "transpose_each");
+    }
   }
 }
 
