@@ -40,21 +40,28 @@ LearnerUpdate compute_learner_update(const TrainConfig& cfg,
 
   LearnerUpdate out;
   std::vector<float> local = pulled_params;
+  std::vector<float> grad;  // refilled by every epoch that steps
   nn::AdamOptimizer opt(alpha0);
   const auto [ls_off, ls_len] = model.log_std_span();
   std::vector<float> ls_before(ls_len);
 
   for (std::size_t e = 0; e < iters; ++e) {
+    // Trust-region early stop once the sample KL overshoots (never in the
+    // first epoch). The stopping epoch's stats come from its forward pass;
+    // its backward would be discarded, so the loss skips it.
+    const double stop =
+        e > 0 ? kl_stop : std::numeric_limits<double>::infinity();
     model.set_flat_params(local);
     model.zero_grad();
-    out.stats = is_ppo ? rl::ppo_compute_gradients(model, batch, cfg.ppo, cap)
+    out.stats = is_ppo ? rl::ppo_compute_gradients(model, batch, cfg.ppo,
+                                                   cap, stop)
                        : rl::impact_compute_gradients(model, logp_target,
-                                                      batch, cfg.impact, cap);
+                                                      batch, cfg.impact, cap,
+                                                      stop);
     ++out.epochs_run;
-    // Trust-region early stop once the sample KL overshoots.
-    if (e > 0 && out.stats.kl > kl_stop) break;
+    if (out.stats.kl > stop) break;
 
-    std::vector<float> grad = model.flat_grads();
+    model.flat_grads_into(grad);
     nn::clip_grad_norm(grad, max_norm);
     for (std::size_t i = 0; i < ls_len; ++i)
       ls_before[i] = local[ls_off + i];

@@ -26,6 +26,10 @@ struct LearnerUpdate {
 /// computed once, before the SGD epochs; `pulled_params` is the
 /// policy the learner starts from. Advantage estimation (GAE or V-trace) is
 /// segment-aware. `batch` is modified in place (advantages filled for PPO).
+///
+/// An epoch after the first whose sample KL exceeds 2.5 × kl_target stops
+/// the update: it counts in `epochs_run` and its forward-pass stats are the
+/// returned `stats`, but it runs no backward and takes no step.
 LearnerUpdate compute_learner_update(const TrainConfig& cfg,
                                      nn::ActorCritic& model,
                                      nn::ActorCritic& target,

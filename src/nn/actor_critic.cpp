@@ -65,8 +65,7 @@ Sequential ActorCritic::build_torso(std::size_t out_dim, Rng& rng) const {
   if (!net_spec_.use_cnn) {
     std::size_t in = obs_.flat_dim;
     for (std::size_t h : net_spec_.hidden) {
-      seq.add(std::make_unique<Linear>(in, h, rng));
-      seq.add(std::make_unique<Tanh>());
+      seq.add(std::make_unique<Linear>(in, h, rng, Activation::kTanh));
       in = h;
     }
     seq.add(std::make_unique<Linear>(in, out_dim, rng));
@@ -202,10 +201,15 @@ void ActorCritic::set_flat_params(std::span<const float> flat) {
 
 std::vector<float> ActorCritic::flat_grads() const {
   std::vector<float> out;
-  out.reserve(flat_size());
-  for (const Tensor* g : grads_)
-    out.insert(out.end(), g->vec().begin(), g->vec().end());
+  flat_grads_into(out);
   return out;
+}
+
+void ActorCritic::flat_grads_into(std::vector<float>& out) const {
+  out.resize(flat_size());
+  auto dst = out.begin();
+  for (const Tensor* g : grads_)
+    dst = std::copy(g->vec().begin(), g->vec().end(), dst);
 }
 
 }  // namespace stellaris::nn

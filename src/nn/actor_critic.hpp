@@ -129,6 +129,9 @@ class ActorCritic {
   std::vector<float> flat_params() const;
   void set_flat_params(std::span<const float> flat);
   std::vector<float> flat_grads() const;
+  /// flat_grads() into `out`, resized to flat_size(): a caller that reads
+  /// the gradients every step reuses one buffer.
+  void flat_grads_into(std::vector<float>& out) const;
 
  private:
   Sequential build_torso(std::size_t out_dim, Rng& rng) const;

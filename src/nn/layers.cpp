@@ -6,8 +6,8 @@
 
 namespace stellaris::nn {
 
-Linear::Linear(std::size_t in, std::size_t out, Rng& rng)
-    : w_({in, out}), b_({out}), dw_({in, out}), db_({out}) {
+Linear::Linear(std::size_t in, std::size_t out, Rng& rng, Activation act)
+    : act_(act), w_({in, out}), b_({out}), dw_({in, out}), db_({out}) {
   // Orthogonal-ish fan-in scaling (He/Xavier hybrid used by most PPO
   // implementations): stddev = sqrt(2 / (in + out)).
   const float stddev =
@@ -21,24 +21,34 @@ const Tensor& Linear::forward(const Tensor& x) {
                                          << shape_str(w_.shape()));
   input_ = &x;
   ops::matmul_into(out_, x, w_);
-  ops::add_bias_rows(out_, b_);
+  if (act_ == Activation::kTanh)
+    ops::add_bias_tanh_rows(out_, b_);
+  else
+    ops::add_bias_rows(out_, b_);
   return out_;
 }
 
-void Linear::backward_params(const Tensor& dy) {
+const Tensor& Linear::accumulate_params(const Tensor& dy) {
   STELLARIS_CHECK_MSG(input_ != nullptr, "backward before forward");
+  const Tensor* dz = &dy;
+  if (act_ == Activation::kTanh) {
+    ops::tanh_backward_into(dz_, out_, dy);
+    dz = &dz_;
+  }
   // Compute the step gradient into its own buffer, then fold it in with +=:
   // accumulating directly inside the GEMM would reorder the additions
   // against the pre-existing dw_ value and change the rounding.
-  ops::matmul_tn_into(dw_step_, *input_, dy);
+  ops::matmul_tn_into(dw_step_, *input_, *dz);
   dw_ += dw_step_;
-  ops::sum_rows_into(db_step_, dy);
+  ops::sum_rows_into(db_step_, *dz);
   db_ += db_step_;
+  return *dz;
 }
 
+void Linear::backward_params(const Tensor& dy) { accumulate_params(dy); }
+
 const Tensor& Linear::backward(const Tensor& dy) {
-  backward_params(dy);
-  ops::matmul_nt_into(dx_, dy, w_);
+  ops::matmul_nt_into(dx_, accumulate_params(dy), w_);
   return dx_;
 }
 
@@ -110,17 +120,6 @@ const Tensor& Conv2d::backward(const Tensor& dy) {
   backward_params(dy);  // leaves dy reordered in dys_
   ops::matmul_nt_into(dcols_, dys_, w_);
   ops::col2im_into(dx_, dcols_, spec_, cached_batch_);
-  return dx_;
-}
-
-const Tensor& Tanh::forward(const Tensor& x) {
-  ops::tanh_forward_into(cached_output_, x);
-  return cached_output_;
-}
-
-const Tensor& Tanh::backward(const Tensor& dy) {
-  STELLARIS_CHECK_MSG(!cached_output_.empty(), "backward before forward");
-  ops::tanh_backward_into(dx_, cached_output_, dy);
   return dx_;
 }
 

@@ -55,7 +55,14 @@ class Layer {
   virtual std::string name() const = 0;
 };
 
-/// Fully-connected layer: y = x·W + b, W is (in, out).
+/// What a Linear layer applies to x·W + b.
+enum class Activation { kNone, kTanh };
+
+/// Fully-connected layer: y = act(x·W + b), W is (in, out). With kTanh,
+/// forward adds the bias and applies tanh in one pass over the product
+/// (ops::add_bias_tanh_rows), and backward scales dy by tanh′ = 1 − y²
+/// before the weight and input gradients; the bits are those of a Linear
+/// followed by a separate tanh layer.
 ///
 /// forward borrows its input instead of copying it: backward reads the
 /// input of the last forward for the weight gradient, so that input must
@@ -64,7 +71,8 @@ class Layer {
 /// layer's output buffer, which lives until that layer's next call.
 class Linear final : public Layer {
  public:
-  Linear(std::size_t in, std::size_t out, Rng& rng);
+  Linear(std::size_t in, std::size_t out, Rng& rng,
+         Activation act = Activation::kNone);
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
@@ -74,10 +82,16 @@ class Linear final : public Layer {
   std::string name() const override { return "Linear"; }
 
  private:
+  /// Accumulate the parameter grads for dL/dy and return dL/d(x·W + b):
+  /// dy itself without an activation, tanh′-scaled into dz_ with one.
+  const Tensor& accumulate_params(const Tensor& dy);
+
+  Activation act_;
   Tensor w_, b_;
   Tensor dw_, db_;
   const Tensor* input_ = nullptr;  // the last forward's input, borrowed
   Tensor out_, dx_;             // persistent forward/backward outputs
+  Tensor dz_;                   // tanh′-scaled dy (kTanh only)
   Tensor dw_step_, db_step_;    // per-step grads, folded into dw_/db_ with +=
 };
 
@@ -130,17 +144,6 @@ class Conv2d final : public Layer {
   Tensor y_, out_;              // pre-/post-reorder forward buffers
   Tensor dys_, dcols_, dx_;     // backward buffers (dcols_, dx_: dx only)
   Tensor dw_step_, db_step_;
-};
-
-class Tanh final : public Layer {
- public:
-  const Tensor& forward(const Tensor& x) override;
-  const Tensor& backward(const Tensor& dy) override;
-  std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor cached_output_;  // doubles as the forward result
-  Tensor dx_;
 };
 
 /// y = (x < 0 ? 0 : x). backward masks on the output it kept: y <= 0

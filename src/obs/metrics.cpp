@@ -34,7 +34,136 @@ void atomic_max(std::atomic<double>& a, double x) {
 
 std::string num(double v) { return TraceArg::render_double(v); }
 
+using detail::CounterShard;
+using detail::kCounterBlockShift;
+using detail::kCounterBlockSlots;
+using detail::kCounterMaxBlocks;
+
+// Every live thread's shard and, per counter id, the base its shards'
+// slots add to: the adds of threads that have exited, minus the slot sums
+// at the counter's last reset (or at its construction, for an id reused
+// after its previous counter died). Unsigned arithmetic wraps, so
+// value = base + Σ slots is exact modulo 2^64 even when a term is
+// "negative". Leaked, so threads that exit during static destruction can
+// still fold their shards in.
+struct CounterShards {
+  Mutex mu{"obs/counter-shards", lock_rank::kCounterShards};
+  std::vector<CounterShard*> live GUARDED_BY(mu);
+  std::vector<std::uint64_t> base GUARDED_BY(mu);
+  std::vector<std::size_t> free_ids GUARDED_BY(mu);
+
+  std::uint64_t live_sum_locked(std::size_t id) const REQUIRES(mu) {
+    std::uint64_t sum = 0;
+    for (const CounterShard* shard : live) {
+      const std::atomic<std::uint64_t>* block =
+          shard->blocks[id >> kCounterBlockShift].load(
+              std::memory_order_acquire);
+      if (block != nullptr)
+        sum += block[id & (kCounterBlockSlots - 1)].load(
+            std::memory_order_relaxed);
+    }
+    return sum;
+  }
+};
+
+CounterShards& counter_shards() {
+  static CounterShards* shards = new CounterShards;
+  return *shards;
+}
+
+// Set once the calling thread's shard is gone: a later add (from another
+// thread-local destructor) goes straight to the counter's base.
+thread_local bool shard_exited = false;
+
+// Owns the calling thread's shard: registers it on construction and, at
+// thread exit, folds every slot into its counter's base and frees it.
+class ShardOwner {
+ public:
+  ShardOwner() {
+    CounterShards& cs = counter_shards();
+    MutexLock lock(cs.mu);
+    cs.live.push_back(&shard_);
+    detail::tls_counter_shard = &shard_;
+  }
+
+  ~ShardOwner() {
+    CounterShards& cs = counter_shards();
+    MutexLock lock(cs.mu);
+    std::erase(cs.live, &shard_);
+    for (std::size_t b = 0; b < kCounterMaxBlocks; ++b) {
+      std::atomic<std::uint64_t>* block =
+          shard_.blocks[b].load(std::memory_order_relaxed);
+      if (block == nullptr) continue;
+      for (std::size_t lane = 0; lane < kCounterBlockSlots; ++lane) {
+        const std::size_t id = (b << kCounterBlockShift) | lane;
+        if (id < cs.base.size())
+          cs.base[id] += block[lane].load(std::memory_order_relaxed);
+      }
+      delete[] block;
+    }
+    detail::tls_counter_shard = nullptr;
+    shard_exited = true;
+  }
+
+  ShardOwner(const ShardOwner&) = delete;
+  ShardOwner& operator=(const ShardOwner&) = delete;
+
+ private:
+  CounterShard shard_;
+};
+
 }  // namespace
+
+Counter::Counter() {
+  CounterShards& cs = counter_shards();
+  MutexLock lock(cs.mu);
+  if (!cs.free_ids.empty()) {
+    id_ = cs.free_ids.back();
+    cs.free_ids.pop_back();
+  } else {
+    STELLARIS_CHECK_MSG(cs.base.size() < kCounterMaxBlocks * kCounterBlockSlots,
+                        "more than " << kCounterMaxBlocks * kCounterBlockSlots
+                                     << " live counters");
+    id_ = cs.base.size();
+    cs.base.push_back(0);
+  }
+  // A reused id may still hold a dead counter's adds in live slots.
+  cs.base[id_] = 0 - cs.live_sum_locked(id_);
+}
+
+Counter::~Counter() {
+  CounterShards& cs = counter_shards();
+  MutexLock lock(cs.mu);
+  cs.free_ids.push_back(id_);
+}
+
+void Counter::add_slow(std::uint64_t n) {
+  if (shard_exited) {
+    CounterShards& cs = counter_shards();
+    MutexLock lock(cs.mu);
+    cs.base[id_] += n;
+    return;
+  }
+  static thread_local ShardOwner owner;
+  std::atomic<std::atomic<std::uint64_t>*>& slot =
+      detail::tls_counter_shard->blocks[id_ >> kCounterBlockShift];
+  if (slot.load(std::memory_order_relaxed) == nullptr)
+    slot.store(new std::atomic<std::uint64_t>[kCounterBlockSlots](),
+               std::memory_order_release);
+  add(n);
+}
+
+std::uint64_t Counter::value() const {
+  CounterShards& cs = counter_shards();
+  MutexLock lock(cs.mu);
+  return cs.base[id_] + cs.live_sum_locked(id_);
+}
+
+void Counter::reset() {
+  CounterShards& cs = counter_shards();
+  MutexLock lock(cs.mu);
+  cs.base[id_] = 0 - cs.live_sum_locked(id_);
+}
 
 void Gauge::add(double dx) { atomic_add(v_, dx); }
 

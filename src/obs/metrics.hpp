@@ -3,9 +3,11 @@
 //
 // Registration (name → instrument) takes the registry mutex once; the
 // returned references are stable for the life of the process, so call
-// sites look instruments up at construction time and every subsequent
-// update is a handful of relaxed atomics — cheap enough to leave on in the
-// hot paths without perturbing the virtual-time results.
+// sites look instruments up at construction time. A counter add is a
+// plain load and store on the calling thread's own shard slot (no locked
+// instruction), and a gauge or histogram update is a few relaxed atomics
+// — cheap enough to leave on in the hot paths without perturbing the
+// virtual-time results.
 //
 // Snapshots export as JSON (machine-readable, round-trips through the
 // tests' parser) or CSV (for quick spreadsheet/plot use).
@@ -24,15 +26,63 @@
 
 namespace stellaris::obs {
 
-/// Monotonic event counter.
+namespace detail {
+/// A thread's counter slots come in blocks of kCounterBlockSlots, slot
+/// `id` in block id / kCounterBlockSlots; at most kCounterMaxBlocks
+/// blocks, so at most 4096 counters are alive at once.
+inline constexpr std::size_t kCounterBlockShift = 6;
+inline constexpr std::size_t kCounterBlockSlots = std::size_t{1}
+                                                  << kCounterBlockShift;
+inline constexpr std::size_t kCounterMaxBlocks = 64;
+
+/// One thread's counter shard: slot `id` holds that thread's adds to the
+/// counter with that id. Only the owning thread writes its slots; readers
+/// on other threads load them. A block is allocated zeroed at the owner's
+/// first add to one of its counters and published with a release store.
+struct CounterShard {
+  std::atomic<std::atomic<std::uint64_t>*> blocks[kCounterMaxBlocks] = {};
+};
+
+/// The calling thread's shard; null until its first add.
+inline thread_local CounterShard* tls_counter_shard = nullptr;
+}  // namespace detail
+
+/// Monotonic event counter, sharded per thread. add() touches only the
+/// calling thread's slot; value() sums every live thread's slot plus what
+/// threads that have exited folded in, so it is exact once the adds it
+/// should see have happened-before the read. reset() zeroes the counter
+/// without writing any thread's slot; an add racing a reset may land on
+/// either side of it.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  Counter();
+  ~Counter();
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
+  void add(std::uint64_t n = 1) {
+    detail::CounterShard* shard = detail::tls_counter_shard;
+    std::atomic<std::uint64_t>* block =
+        shard == nullptr
+            ? nullptr
+            : shard->blocks[id_ >> detail::kCounterBlockShift].load(
+                  std::memory_order_relaxed);
+    if (block == nullptr) [[unlikely]] {
+      add_slow(n);
+      return;
+    }
+    std::atomic<std::uint64_t>& slot =
+        block[id_ & (detail::kCounterBlockSlots - 1)];
+    slot.store(slot.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  }
+  std::uint64_t value() const;
+  void reset();
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  void add_slow(std::uint64_t n);
+
+  std::size_t id_ = 0;  // this counter's slot in every thread's shard
 };
 
 /// Last-write-wins instantaneous value.
@@ -122,7 +172,8 @@ class MetricsRegistry {
   // Reader/writer split: registration (rare, at component construction)
   // takes the mutex exclusively; exporters take it shared, so concurrent
   // JSON/CSV snapshots never serialize against each other. Instrument
-  // *values* are relaxed atomics and not guarded at all.
+  // *values* are not guarded by it: gauges and histograms are relaxed
+  // atomics, and counters guard their shard list with a lock of their own.
   mutable SharedMutex mu_{"obs/metrics-registry", lock_rank::kMetricsRegistry};
   std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);

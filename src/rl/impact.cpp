@@ -58,7 +58,8 @@ Tensor impact_target_log_probs(nn::ActorCritic& target,
 LossStats impact_compute_gradients(nn::ActorCritic& model,
                                    const Tensor& logp_target,
                                    const SampleBatch& batch,
-                                   const ImpactConfig& cfg, double ratio_cap) {
+                                   const ImpactConfig& cfg, double ratio_cap,
+                                   double kl_stop) {
   const std::size_t n = batch.size();
   STELLARIS_CHECK_MSG(n > 0, "empty batch");
   STELLARIS_CHECK_MSG(logp_target.rank() == 1 && logp_target.dim(0) == n,
@@ -176,28 +177,9 @@ LossStats impact_compute_gradients(nn::ActorCritic& model,
   stats.min_ratio = min_ratio;
   stats.clip_fraction = static_cast<double>(clipped) * inv_n;
 
-  if (batch.action_kind == nn::ActionKind::kContinuous) {
-    auto g = nn::gaussian_log_prob_backward(pol_out, *model.log_std(),
-                                            batch.actions_cont, coeff);
-    stats.entropy = nn::gaussian_entropy(*model.log_std());
-    for (std::size_t j = 0; j < g.dlog_std.numel(); ++j) {
-      g.dlog_std[j] = static_cast<float>(
-          g.dlog_std[j] * cfg.log_std_grad_scale - cfg.entropy_coeff);
-    }
-    model.policy_backward(g.dmean);
-    *model.log_std_grad() += g.dlog_std;
-  } else {
-    Tensor dlogits =
-        nn::categorical_log_prob_backward(pol_out, batch.actions_disc, coeff);
-    const Tensor ent = nn::categorical_entropy(pol_out);
-    stats.entropy = ent.mean();
-    if (cfg.entropy_coeff != 0.0) {
-      Tensor ent_coeff =
-          Tensor::full({n}, static_cast<float>(-cfg.entropy_coeff * inv_n));
-      dlogits += nn::categorical_entropy_backward(pol_out, ent_coeff);
-    }
-    model.policy_backward(dlogits);
-  }
+  stats.entropy = batch.action_kind == nn::ActionKind::kContinuous
+                      ? nn::gaussian_entropy(*model.log_std())
+                      : nn::categorical_entropy(pol_out).mean();
 
   // Value regression toward V-trace targets.
   auto dvalues_lease = ops::ScratchPool::local().take({n});
@@ -209,8 +191,10 @@ LossStats impact_compute_gradients(nn::ActorCritic& model,
     dvalues[t] = static_cast<float>(cfg.vf_coeff * err * inv_n);
   }
   stats.value_loss = cfg.vf_coeff * vloss * inv_n;
-  model.value_backward(dvalues);
 
+  if (stats.kl > kl_stop) return stats;
+  accumulate_loss_gradients(model, batch, pol_out, coeff, dvalues,
+                            cfg.log_std_grad_scale, cfg.entropy_coeff);
   return stats;
 }
 

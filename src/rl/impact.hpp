@@ -50,10 +50,13 @@ Tensor impact_target_log_probs(nn::ActorCritic& target,
 /// Accumulate IMPACT gradients for `batch` into `model`, using the target
 /// network's log-probs `logp_target` (impact_target_log_probs) for the
 /// surrogate ratio. Value targets / advantages come from V-trace, so the
-/// batch does NOT need GAE. `ratio_cap` is the Stellaris truncation ρ.
+/// batch does NOT need GAE. `ratio_cap` is the Stellaris truncation ρ;
+/// `kl_stop` discards the epoch before its backward, as in
+/// ppo_compute_gradients.
 LossStats impact_compute_gradients(
     nn::ActorCritic& model, const Tensor& logp_target,
     const SampleBatch& batch, const ImpactConfig& cfg,
-    double ratio_cap = std::numeric_limits<double>::infinity());
+    double ratio_cap = std::numeric_limits<double>::infinity(),
+    double kl_stop = std::numeric_limits<double>::infinity());
 
 }  // namespace stellaris::rl

@@ -10,7 +10,8 @@ namespace stellaris::rl {
 
 LossStats ppo_compute_gradients(nn::ActorCritic& model,
                                 const SampleBatch& batch,
-                                const PpoConfig& cfg, double ratio_cap) {
+                                const PpoConfig& cfg, double ratio_cap,
+                                double kl_stop) {
   STELLARIS_CHECK_MSG(batch.has_advantages(),
                       "ppo_compute_gradients needs GAE-filled batch");
   const std::size_t n = batch.size();
@@ -87,32 +88,10 @@ LossStats ppo_compute_gradients(nn::ActorCritic& model,
   stats.min_ratio = min_ratio;
   stats.clip_fraction = static_cast<double>(clipped) * inv_n;
 
-  // ---- policy backward ------------------------------------------------------
-  if (batch.action_kind == nn::ActionKind::kContinuous) {
-    auto g = nn::gaussian_log_prob_backward(pol_out, *model.log_std(),
-                                            batch.actions_cont, coeff);
-    // Entropy bonus: H depends only on log_std; ∂H/∂logσ_j = 1.
-    stats.entropy = nn::gaussian_entropy(*model.log_std());
-    for (std::size_t j = 0; j < g.dlog_std.numel(); ++j) {
-      g.dlog_std[j] = static_cast<float>(
-          g.dlog_std[j] * cfg.log_std_grad_scale - cfg.entropy_coeff);
-    }
-    model.policy_backward(g.dmean);
-    *model.log_std_grad() += g.dlog_std;
-  } else {
-    Tensor dlogits =
-        nn::categorical_log_prob_backward(pol_out, batch.actions_disc, coeff);
-    const Tensor ent = nn::categorical_entropy(pol_out);
-    stats.entropy = ent.mean();
-    if (cfg.entropy_coeff != 0.0) {
-      Tensor ent_coeff =
-          Tensor::full({n}, static_cast<float>(-cfg.entropy_coeff * inv_n));
-      dlogits += nn::categorical_entropy_backward(pol_out, ent_coeff);
-    }
-    model.policy_backward(dlogits);
-  }
+  stats.entropy = batch.action_kind == nn::ActionKind::kContinuous
+                      ? nn::gaussian_entropy(*model.log_std())
+                      : nn::categorical_entropy(pol_out).mean();
 
-  // ---- value backward --------------------------------------------------------
   // VF loss = vf_coeff · (1/n) Σ ½(V_t − target_t)².
   auto dvalues_lease = ops::ScratchPool::local().take({n});
   Tensor& dvalues = *dvalues_lease;
@@ -123,9 +102,42 @@ LossStats ppo_compute_gradients(nn::ActorCritic& model,
     dvalues[t] = static_cast<float>(cfg.vf_coeff * err * inv_n);
   }
   stats.value_loss = cfg.vf_coeff * vloss * inv_n;
-  model.value_backward(dvalues);
 
+  if (stats.kl > kl_stop) return stats;
+  accumulate_loss_gradients(model, batch, pol_out, coeff, dvalues,
+                            cfg.log_std_grad_scale, cfg.entropy_coeff);
   return stats;
+}
+
+void accumulate_loss_gradients(nn::ActorCritic& model,
+                               const SampleBatch& batch,
+                               const Tensor& pol_out, const Tensor& coeff,
+                               const Tensor& dvalues,
+                               double log_std_grad_scale,
+                               double entropy_coeff) {
+  if (batch.action_kind == nn::ActionKind::kContinuous) {
+    auto g = nn::gaussian_log_prob_backward(pol_out, *model.log_std(),
+                                            batch.actions_cont, coeff);
+    // Entropy bonus: H depends only on log_std; ∂H/∂logσ_j = 1.
+    for (std::size_t j = 0; j < g.dlog_std.numel(); ++j) {
+      g.dlog_std[j] = static_cast<float>(
+          g.dlog_std[j] * log_std_grad_scale - entropy_coeff);
+    }
+    model.policy_backward(g.dmean);
+    *model.log_std_grad() += g.dlog_std;
+  } else {
+    Tensor dlogits =
+        nn::categorical_log_prob_backward(pol_out, batch.actions_disc, coeff);
+    if (entropy_coeff != 0.0) {
+      const std::size_t n = batch.size();
+      const double inv_n = 1.0 / static_cast<double>(n);
+      Tensor ent_coeff =
+          Tensor::full({n}, static_cast<float>(-entropy_coeff * inv_n));
+      dlogits += nn::categorical_entropy_backward(pol_out, ent_coeff);
+    }
+    model.policy_backward(dlogits);
+  }
+  model.value_backward(dvalues);
 }
 
 }  // namespace stellaris::rl

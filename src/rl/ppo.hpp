@@ -49,8 +49,27 @@ struct LossStats {
 /// applied per sample: ratios above the cap contribute the capped constant
 /// to the surrogate and no gradient. Pass +inf for vanilla PPO behaviour.
 /// The batch must have advantages computed (compute_gae).
+///
+/// `kl_stop` is the learner's trust-region stop: every LossStats field
+/// comes from the forward pass, and when stats.kl exceeds `kl_stop` the
+/// epoch is discarded before its backward runs, so nothing is accumulated.
+/// The default never stops.
 LossStats ppo_compute_gradients(
     nn::ActorCritic& model, const SampleBatch& batch, const PpoConfig& cfg,
-    double ratio_cap = std::numeric_limits<double>::infinity());
+    double ratio_cap = std::numeric_limits<double>::infinity(),
+    double kl_stop = std::numeric_limits<double>::infinity());
+
+/// The backward half PPO and IMPACT share: push the per-row log-prob
+/// coefficients `coeff` (dL/dlog π) and the value gradients `dvalues`
+/// back through `model`, from the policy output `pol_out` of its last
+/// forward. The continuous log-std gradient is scaled by
+/// `log_std_grad_scale`, and both action kinds take the entropy bonus
+/// `entropy_coeff`.
+void accumulate_loss_gradients(nn::ActorCritic& model,
+                               const SampleBatch& batch,
+                               const Tensor& pol_out, const Tensor& coeff,
+                               const Tensor& dvalues,
+                               double log_std_grad_scale,
+                               double entropy_coeff);
 
 }  // namespace stellaris::rl

@@ -17,8 +17,9 @@
 // therefore built with -ffp-contract=off (no FMA contraction, even under
 // -march=native or clang) and -fno-trapping-math (which lets GCC if-convert
 // the clamps and select and vectorize the loop; it changes no value).
-// tanh_forward optionally fans out over the kernel pool in contiguous
-// chunks (elementwise, so chunking can never change results).
+// tanh_forward and the fused add_bias_tanh_rows optionally fan out over
+// the kernel pool in contiguous chunks (elementwise, so chunking can never
+// change results).
 #include <algorithm>
 #include <cmath>
 
@@ -55,6 +56,25 @@ void count_eltwise(std::size_t n) {
 // ~12k elements; at 2^15 (~80 us serial) it saves ~60 us against ~22 us.
 constexpr std::size_t kTanhParallelMinElems = 1 << 15;
 
+// Run `fn(lo, hi)` over [0, units): in one contiguous chunk per kernel-pool
+// thread once the call covers kTanhParallelMinElems elements and threading
+// is on, in one call otherwise. Each unit goes to exactly one chunk, so an
+// elementwise `fn` gives the same bits either way.
+template <typename Fn>
+void split_tanh_work(std::size_t units, std::size_t elems, const Fn& fn) {
+  const std::size_t threads = kernel_threads();
+  if (threads > 1 && elems >= kTanhParallelMinElems) {
+    const std::size_t chunk = (units + threads - 1) / threads;
+    const std::size_t chunks = (units + chunk - 1) / chunk;
+    detail::kernel_pool(threads).parallel_for(chunks, [&](std::size_t c) {
+      const std::size_t lo = c * chunk;
+      fn(lo, std::min(units, lo + chunk));
+    });
+  } else {
+    fn(0, units);
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -65,6 +85,20 @@ void add_bias_rows(const KernelTable& kt, Tensor& x, const Tensor& bias) {
                       "bias shape mismatch");
   count_eltwise(x.numel());
   kt.add_bias_rows(x.data().data(), bias.data().data(), x.dim(0), x.dim(1));
+}
+
+void add_bias_tanh_rows(const KernelTable& kt, Tensor& x, const Tensor& bias) {
+  STELLARIS_CHECK_MSG(x.rank() == 2 && bias.rank() == 1 &&
+                          bias.dim(0) == x.dim(1),
+                      "bias shape mismatch");
+  // One element each for the bias add and the tanh, as the two passes.
+  count_eltwise(2 * x.numel());
+  const std::size_t n = x.dim(1);
+  float* px = x.data().data();
+  const float* pb = bias.data().data();
+  split_tanh_work(x.dim(0), x.numel(), [&](std::size_t lo, std::size_t hi) {
+    kt.add_bias_tanh_rows(px + lo * n, pb, hi - lo, n);
+  });
 }
 
 void sum_rows_into(const KernelTable& kt, Tensor& out, const Tensor& x) {
@@ -80,18 +114,9 @@ void tanh_forward_into(const KernelTable& kt, Tensor& y, const Tensor& x) {
   y.ensure_shape(x.shape());
   const float* px = x.data().data();
   float* py = y.data().data();
-  const std::size_t n = x.numel();
-  const std::size_t threads = kernel_threads();
-  if (threads > 1 && n >= kTanhParallelMinElems) {
-    const std::size_t chunk = (n + threads - 1) / threads;
-    const std::size_t chunks = (n + chunk - 1) / chunk;
-    kernel_pool(threads).parallel_for(chunks, [&](std::size_t c) {
-      const std::size_t lo = c * chunk, hi = std::min(n, lo + chunk);
-      kt.tanh_forward(px + lo, py + lo, hi - lo);
-    });
-  } else {
-    kt.tanh_forward(px, py, n);
-  }
+  split_tanh_work(x.numel(), x.numel(), [&](std::size_t lo, std::size_t hi) {
+    kt.tanh_forward(px + lo, py + lo, hi - lo);
+  });
 }
 
 void tanh_backward_into(const KernelTable& kt, Tensor& dx, const Tensor& y,
@@ -124,6 +149,10 @@ void relu_backward_into(const KernelTable& kt, Tensor& dx, const Tensor& x,
 
 void add_bias_rows(Tensor& x, const Tensor& bias) {
   detail::add_bias_rows(detail::active_kernels(), x, bias);
+}
+
+void add_bias_tanh_rows(Tensor& x, const Tensor& bias) {
+  detail::add_bias_tanh_rows(detail::active_kernels(), x, bias);
 }
 
 void transpose_each(const float* src, std::size_t count, std::size_t rows,

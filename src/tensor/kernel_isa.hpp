@@ -103,6 +103,7 @@ void matmul_tn_into(const KernelTable& kt, Tensor& c, const Tensor& a,
 void matmul_nt_into(const KernelTable& kt, Tensor& c, const Tensor& a,
                     const Tensor& b);
 void add_bias_rows(const KernelTable& kt, Tensor& x, const Tensor& bias);
+void add_bias_tanh_rows(const KernelTable& kt, Tensor& x, const Tensor& bias);
 void sum_rows_into(const KernelTable& kt, Tensor& out, const Tensor& x);
 void tanh_forward_into(const KernelTable& kt, Tensor& y, const Tensor& x);
 void tanh_backward_into(const KernelTable& kt, Tensor& dx, const Tensor& y,

@@ -69,6 +69,11 @@ struct KernelTable {
   /// x (m × n) += bias broadcast over rows.
   void (*add_bias_rows)(float* x, const float* bias, std::size_t m,
                         std::size_t n);
+  /// x (m × n) = tanh(x + bias broadcast over rows): per element the float
+  /// sum, then tanh_rational, so the bits of add_bias_rows then
+  /// tanh_forward.
+  void (*add_bias_tanh_rows)(float* x, const float* bias, std::size_t m,
+                             std::size_t n);
   /// out (n) = column sums of x (m × n), rows added in ascending order.
   void (*sum_rows)(const float* x, float* out, std::size_t m, std::size_t n);
 };

@@ -508,6 +508,13 @@ void add_bias_rows(float* x, const float* bias, std::size_t m,
     for (std::size_t j = 0; j < n; ++j) x[i * n + j] += bias[j];
 }
 
+void add_bias_tanh_rows(float* x, const float* bias, std::size_t m,
+                        std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      x[i * n + j] = tanh_rational(x[i * n + j] + bias[j]);
+}
+
 void sum_rows(const float* x, float* out, std::size_t m, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] = 0.0f;
   for (std::size_t i = 0; i < m; ++i)
@@ -518,9 +525,9 @@ void sum_rows(const float* x, float* out, std::size_t m, std::size_t n) {
 
 const KernelTable& kernels() {
   static constexpr KernelTable kTable{
-      gemm_nn_panel, rowlane_nn_panel, rowlane_tn_panel, transpose_each,
-      tanh_forward,  tanh_backward,    relu_forward,     relu_backward,
-      add_bias_rows, sum_rows,
+      gemm_nn_panel, rowlane_nn_panel,   rowlane_tn_panel, transpose_each,
+      tanh_forward,  tanh_backward,      relu_forward,     relu_backward,
+      add_bias_rows, add_bias_tanh_rows, sum_rows,
   };
   return kTable;
 }

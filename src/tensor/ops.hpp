@@ -64,6 +64,10 @@ void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b);
 // -- bias / reductions -------------------------------------------------------
 /// y = x (m×n) with row-broadcast bias (n) added, in place.
 void add_bias_rows(Tensor& x, const Tensor& bias);
+/// x (m×n) = tanh(x + row-broadcast bias), in place: the bits of
+/// add_bias_rows then tanh_forward_into in one pass. Counted as both
+/// passes' elements.
+void add_bias_tanh_rows(Tensor& x, const Tensor& bias);
 
 /// Transpose the first `cols` columns of each of `count` row-major
 /// (rows × ld) matrices stored back to back at `src` into (cols × rows) at

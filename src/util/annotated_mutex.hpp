@@ -42,6 +42,7 @@
 //   350  obs/trace-recorder        trace event buffer
 //   360  obs/ledger                run-ledger line buffer
 //   370  obs/timeseries            sampled-series buffer
+//   800  obs/counter-shards        per-thread counter shard list (leaf)
 //   900  util/logger               terminal leaf: any subsystem may log
 //                                  while holding its own lock
 #pragma once
@@ -134,6 +135,10 @@ inline constexpr int kTraceRecorder = 350;
 // the recorders never call out while holding their own.
 inline constexpr int kLedger = 360;
 inline constexpr int kTimeSeries = 370;
+// Counter shard list (obs/metrics): taken by a thread's first add to a
+// counter, at thread exit and by counter reads, so it sits above every
+// lock a counter is touched under; it acquires nothing while held.
+inline constexpr int kCounterShards = 800;
 inline constexpr int kLogger = 900;
 }  // namespace lock_rank
 

@@ -122,10 +122,47 @@ TEST(Linear, WrongInputWidthThrows) {
   EXPECT_THROW(lin.forward(Tensor({1, 4})), Error);
 }
 
-TEST(Tanh, GradientsMatchFiniteDifferences) {
+TEST(Linear, TanhGradientsMatchFiniteDifferences) {
   Rng rng(5);
-  Tanh t;
-  check_gradients(t, Tensor::randn({3, 4}, rng));
+  Linear lin(4, 3, rng, Activation::kTanh);
+  check_gradients(lin, Tensor::randn({3, 4}, rng));
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.numel() * sizeof(float)) == 0;
+}
+
+// A Linear with its own tanh against the same Linear without one, followed
+// by the separate tanh pass it replaces (ops::tanh_forward_into on the
+// biased product, ops::tanh_backward_into on that output): the same bits
+// forward, for dx and for both accumulated gradients, over two steps, at
+// one row, the packed column GEMMs and the row-lane GEMMs.
+TEST(Linear, TanhMatchesLinearThenTanh) {
+  for (const std::size_t rows : {1u, 5u, 48u}) {
+    SCOPED_TRACE(rows);
+    Rng init_fused(33), init_plain(33), rng(34);
+    Linear fused(11, 7, init_fused, Activation::kTanh);
+    Linear plain(11, 7, init_plain);
+    const Tensor bias = Tensor::randn({7}, rng);
+    fused.parameters()[1]->vec() = bias.vec();
+    plain.parameters()[1]->vec() = bias.vec();
+    for (int step = 0; step < 2; ++step) {
+      const Tensor x = Tensor::randn({rows, 11}, rng);
+      const Tensor dy = Tensor::randn({rows, 7}, rng);
+      Tensor want_y;
+      ops::tanh_forward_into(want_y, plain.forward(x));
+      EXPECT_TRUE(same_bits(fused.forward(x), want_y)) << "forward";
+      Tensor dz;
+      ops::tanh_backward_into(dz, want_y, dy);
+      const Tensor want_dx = plain.backward(dz);
+      EXPECT_TRUE(same_bits(fused.backward(dy), want_dx)) << "dx";
+      for (std::size_t g = 0; g < 2; ++g)
+        EXPECT_TRUE(same_bits(*fused.gradients()[g], *plain.gradients()[g]))
+            << "gradient " << g;
+    }
+  }
 }
 
 TEST(Relu, GradientsMatchFiniteDifferences) {
@@ -298,8 +335,7 @@ TEST(Conv2d, RejectsDegenerateSpec) {
 TEST(Sequential, ComposesAndBackpropagates) {
   Rng rng(9);
   Sequential seq;
-  seq.add(std::make_unique<Linear>(4, 8, rng));
-  seq.add(std::make_unique<Tanh>());
+  seq.add(std::make_unique<Linear>(4, 8, rng, Activation::kTanh));
   seq.add(std::make_unique<Linear>(8, 2, rng));
   check_gradients(seq, Tensor::randn({3, 4}, rng));
 }
@@ -339,8 +375,7 @@ TEST(Sequential, ZeroGradientsZeroesEverything) {
 TEST(Sequential, SteadyStateForwardBackwardDoesNotAllocate) {
   Rng rng(13);
   Sequential seq;
-  seq.add(std::make_unique<Linear>(16, 32, rng));
-  seq.add(std::make_unique<Tanh>());
+  seq.add(std::make_unique<Linear>(16, 32, rng, Activation::kTanh));
   seq.add(std::make_unique<Linear>(32, 8, rng));
   Tensor x = Tensor::randn({4, 16}, rng);
   Tensor dy = Tensor::full({4, 8}, 1.0f);
@@ -472,10 +507,8 @@ TEST(Sequential, BackwardParamsMatchesBackwardOnMlpTorso) {
   expect_backward_params_matches(
       [](Rng& r) {
         auto seq = std::make_unique<Sequential>();
-        seq->add(std::make_unique<Linear>(11, 64, r));
-        seq->add(std::make_unique<Tanh>());
-        seq->add(std::make_unique<Linear>(64, 64, r));
-        seq->add(std::make_unique<Tanh>());
+        seq->add(std::make_unique<Linear>(11, 64, r, Activation::kTanh));
+        seq->add(std::make_unique<Linear>(64, 64, r, Activation::kTanh));
         seq->add(std::make_unique<Linear>(64, 3, r));
         return seq;
       },

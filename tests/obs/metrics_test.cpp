@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -46,6 +48,80 @@ TEST(Metrics, CounterIsThreadSafe) {
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads * kAdds));
+}
+
+// Counters shard per thread: a thread's adds live in its own slot until it
+// exits, then fold into the counter. Both halves must sum exactly.
+TEST(Metrics, CounterSumsExitedAndLiveThreads) {
+  Counter c;
+  std::uint64_t want = 0;
+  std::vector<std::thread> exited;
+  for (std::uint64_t t = 1; t <= 4; ++t) {
+    exited.emplace_back([&c, t] {
+      for (std::uint64_t i = 0; i < 1000; ++i) c.add(t);
+    });
+    want += 1000 * t;
+  }
+  for (auto& t : exited) t.join();
+  EXPECT_EQ(c.value(), want);
+
+  std::atomic<int> ready{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> live;
+  for (std::uint64_t t = 5; t <= 7; ++t) {
+    live.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < 1000; ++i) c.add(t);
+      ready.fetch_add(1);
+      while (!done.load()) std::this_thread::yield();
+    });
+    want += 1000 * t;
+  }
+  c.add(11);
+  want += 11;
+  while (ready.load() < 3) std::this_thread::yield();
+  EXPECT_EQ(c.value(), want);  // three threads still alive
+  done.store(true);
+  for (auto& t : live) t.join();
+  EXPECT_EQ(c.value(), want);  // and folded in after they exit
+}
+
+TEST(Metrics, CounterResetCoversEveryShard) {
+  Counter c;
+  std::thread([&c] { c.add(5); }).join();
+  std::atomic<int> step{0};
+  std::thread live([&] {
+    c.add(7);
+    step.store(1);
+    while (step.load() != 2) std::this_thread::yield();
+    c.add(2);
+    step.store(3);
+  });
+  c.add(1);
+  while (step.load() != 1) std::this_thread::yield();
+  EXPECT_EQ(c.value(), 13u);
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
+  step.store(2);
+  while (step.load() != 3) std::this_thread::yield();
+  c.add(3);
+  std::thread([&c] { c.add(4); }).join();
+  EXPECT_EQ(c.value(), 9u);
+  live.join();
+  EXPECT_EQ(c.value(), 9u);
+}
+
+// A counter built after another died may take over its slot, which still
+// holds the dead counter's adds in this thread's shard; it starts at 0.
+TEST(Metrics, NewCounterStartsAtZeroAfterOneDies) {
+  for (int i = 0; i < 3; ++i) {
+    auto dead = std::make_unique<Counter>();
+    dead->add(5);
+    dead.reset();
+    Counter c;
+    EXPECT_EQ(c.value(), 0u);
+    c.add();
+    EXPECT_EQ(c.value(), 1u);
+  }
 }
 
 TEST(Metrics, HistogramTracksExactMoments) {
@@ -183,6 +259,33 @@ TEST(Metrics, CsvSnapshotHasOneRowPerScalar) {
   EXPECT_NE(csv.find("histogram,lat,count,1"), std::string::npos);
   EXPECT_NE(csv.find("histogram,lat,p50,"), std::string::npos);
   EXPECT_NE(csv.find("histogram,lat,p99,"), std::string::npos);
+}
+
+// The snapshots of counters added from exited and live threads read as
+// single-slot counters always did, byte for byte.
+TEST(Metrics, SnapshotsOfThreadedCountersAreExact) {
+  MetricsRegistry reg;
+  Counter& a = reg.counter("a");
+  Counter& b = reg.counter("b");
+  a.add(3);
+  std::thread([&b] { b.add(30); }).join();
+  std::atomic<bool> added{false}, done{false};
+  std::thread live([&] {
+    b.add(10);
+    added.store(true);
+    while (!done.load()) std::this_thread::yield();
+  });
+  while (!added.load()) std::this_thread::yield();
+  std::ostringstream json, csv;
+  reg.write_json(json);
+  reg.write_csv(csv);
+  done.store(true);
+  live.join();
+  EXPECT_EQ(json.str(),
+            "{\n\"counters\":{\n\"a\":3,\n\"b\":40\n},\n\"gauges\":{\n},"
+            "\n\"histograms\":{\n}\n}\n");
+  EXPECT_EQ(csv.str(),
+            "kind,name,field,value\ncounter,a,value,3\ncounter,b,value,40\n");
 }
 
 TEST(Metrics, WriteFilePicksFormatByExtension) {

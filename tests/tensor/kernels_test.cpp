@@ -603,6 +603,66 @@ TEST(ElementwiseInto, TanhParallelBitIdentical) {
       &serial, "tanh threaded");
 }
 
+// `t` with NaN, +Inf, −Inf and −0 at every fifth element from `first`, so
+// even one- and three-element tensors get some.
+Tensor sprinkle_specials(Tensor t, std::size_t first) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {default_nan(), inf, -inf, -0.0f};
+  for (std::size_t i = first; i < t.numel(); i += 5)
+    t[i] = specials[(i / 5) % 4];
+  return t;
+}
+
+// The fused bias add and tanh against its two passes, add_bias_rows then
+// tanh_forward_into, in the same tier, and every tier against the others:
+// at row counts around the row-lane and vector widths, with special values
+// in the product and the bias.
+TEST(FusedBiasTanh, BitIdenticalToBiasThenTanhInEveryTier) {
+  Rng rng(19);
+  for (const std::size_t m : {1, 3, 16, 17, 512}) {
+    for (const std::size_t n : {1, 3, 32, 33}) {
+      SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
+      const Tensor x = sprinkle_specials(Tensor::randn({m, n}, rng), 0);
+      const Tensor bias = sprinkle_specials(Tensor::randn({n}, rng), 2);
+      for (const KernelTier& tier : ops::detail::host_kernel_tiers()) {
+        SCOPED_TRACE(tier.name);
+        Tensor summed = x;
+        ops::detail::add_bias_rows(tier.kernels(), summed, bias);
+        Tensor want;
+        ops::detail::tanh_forward_into(tier.kernels(), want, summed);
+        Tensor got = x;
+        ops::detail::add_bias_tanh_rows(tier.kernels(), got, bias);
+        expect_bit_identical(got, want, "add_bias_tanh_rows");
+      }
+      expect_tiers_agree(
+          [&](const KernelTable& kt) {
+            Tensor y = x;
+            ops::detail::add_bias_tanh_rows(kt, y, bias);
+            return y;
+          },
+          nullptr, "add_bias_tanh_rows");
+    }
+  }
+}
+
+TEST(FusedBiasTanh, ThreadedBitIdenticalToSerial) {
+  Rng rng(23);
+  const Tensor x = Tensor::randn({600, 80}, rng);  // above parallel cutoff
+  const Tensor bias = Tensor::randn({80}, rng);
+  ops::set_kernel_threads(1);
+  Tensor serial = x;
+  ops::add_bias_tanh_rows(serial, bias);
+  expect_tiers_agree(
+      [&](const KernelTable& kt) {
+        ops::set_kernel_threads(3);
+        Tensor y = x;
+        ops::detail::add_bias_tanh_rows(kt, y, bias);
+        ops::set_kernel_threads(1);
+        return y;
+      },
+      &serial, "add_bias_tanh_rows threaded");
+}
+
 // -- tanh accuracy and pinned bits -------------------------------------------
 // tanh is a fixed rational formula, not libm: the reference kernel is its
 // bit oracle, double-precision std::tanh its accuracy oracle.
