@@ -323,6 +323,27 @@ std::vector<KernelResult> run_kernel_benches() {
                  measure_rate(elems, [&] { ops::sum_rows_into(y, x); }),
                  measure_rate(elems, [&] { ops::reference::sum_rows(x); })});
 
+  // The fused bias add and tanh of a tanh Linear layer (DESIGN.md §9):
+  // one row of 32, a rollout step's hidden layer, and 512 rows of 32, a
+  // hopper learner batch's. In place and repeated on its own output, so
+  // the call does nothing else; the reference is the two scalar passes.
+  for (const std::size_t m : {std::size_t{1}, std::size_t{512}}) {
+    const std::size_t n = 32;
+    const double belems = static_cast<double>(m * n);
+    Tensor h = Tensor::randn({m, n}, rng);
+    const Tensor bias = Tensor::randn({n}, rng);
+    out.push_back(
+        {"add_bias_tanh_rows", std::to_string(m) + "x" + std::to_string(n),
+         "gelems", belems,
+         measure_rate(belems, [&] { ops::add_bias_tanh_rows(h, bias); }),
+         measure_rate(belems, [&] {
+           Tensor summed = h;
+           for (std::size_t i = 0; i < m; ++i)
+             for (std::size_t j = 0; j < n; ++j) summed[i * n + j] += bias[j];
+           benchmark::DoNotOptimize(ops::reference::tanh_forward(summed));
+         })});
+  }
+
   // The first convolution's lowering and its scatter over the same eighth
   // of an arcade learner batch: 96 3×20×20 frames, kernel 5, stride 2, the
   // (6144, 75) operand of the 6144x75x8 product. Rates count lowered

@@ -473,16 +473,12 @@ void StellarisTrainer::maybe_launch_learner() {
       return engine_.driver().submit([this, snapshot, target, out,
                                       payloads = std::move(payloads)] {
         auto ctx = ctx_pool_->lease();
-        if (ctx->parts.size() < payloads.size())
-          ctx->parts.resize(payloads.size());
-        for (std::size_t i = 0; i < payloads.size(); ++i)
-          rl::SampleBatch::deserialize_into(payloads[i].bytes(),
-                                            ctx->parts[i]);
-        if (payloads.size() > 1)
-          ctx->concat = rl::SampleBatch::concat(
-              std::span(ctx->parts.data(), payloads.size()));
-        rl::SampleBatch& batch =
-            payloads.size() == 1 ? ctx->parts.front() : ctx->concat;
+        ctx->payload_bytes.clear();
+        for (const cache::CacheValue& payload : payloads)
+          ctx->payload_bytes.push_back(payload.bytes());
+        rl::SampleBatch& batch = ctx->batch;
+        rl::SampleBatch::deserialize_concat_into(ctx->payload_bytes, batch);
+        ctx->payload_bytes.clear();  // the views die with this body
         if (cfg_.algorithm == Algorithm::kImpact)
           ctx->target.set_flat_params(*target);
         out->update = compute_learner_update(cfg_, ctx->model, ctx->target,

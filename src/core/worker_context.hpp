@@ -7,8 +7,8 @@
 // actor-critic models and batch-ingest buffers — and the pool leases one
 // per body execution, creating contexts on demand up to the observed
 // concurrency. Contexts are scratch by construction: every field is fully
-// overwritten (set_flat_params / deserialize_into) before it is read, so
-// WHICH context a body draws never affects results — only how many
+// overwritten (set_flat_params / deserialize_concat_into) before it is
+// read, so WHICH context a body draws never affects results — only how many
 // allocations warm-up performs (why allocation-count diagnostics are
 // excluded from the cross-driver identity check; DESIGN.md §14).
 #pragma once
@@ -35,8 +35,9 @@ struct WorkerContext {
 
   nn::ActorCritic model;   ///< actor policy / learner local model
   nn::ActorCritic target;  ///< IMPACT target network
-  std::vector<rl::SampleBatch> parts;  ///< deserialize_into scratch
-  rl::SampleBatch concat;              ///< multi-trajectory concat scratch
+  /// A learner's trajectory payloads, viewed for the merged decode.
+  std::vector<ByteSpan> payload_bytes;
+  rl::SampleBatch batch;  ///< deserialize_concat_into's merged batch
   rl::VecActorScratch vec_scratch;     ///< VecActor::sample batch scratch
 };
 

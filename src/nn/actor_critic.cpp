@@ -106,32 +106,13 @@ ActorCritic::Heads ActorCritic::forward(const Tensor& obs) {
     return {policy, value_forward(obs)};
   }
   check_obs(obs);
-  // Both torsos share the first conv's spec, so one lowering serves both,
-  // and one product against both weights: every element of it is the
-  // k-ascending chain of its own torso's product, so its bits too.
-  const std::size_t batch = obs.dim(0);
-  ops::im2col_into(obs_cols_, obs, policy_conv_->spec());
-  const std::size_t patch = policy_conv_->weight().dim(0),
-                    oc = policy_conv_->weight().dim(1);
-  const float* wp = policy_conv_->weight().data().data();
-  const float* wv = value_conv_->weight().data().data();
-  joint_w_.ensure_shape({patch, 2 * oc});
-  joint_b_.ensure_shape({2 * oc});
-  float* jw = joint_w_.data().data();
-  for (std::size_t r = 0; r < patch; ++r) {
-    std::copy_n(wp + r * oc, oc, jw + 2 * r * oc);
-    std::copy_n(wv + r * oc, oc, jw + (2 * r + 1) * oc);
-  }
-  float* jb = joint_b_.data().data();
-  std::copy_n(policy_conv_->bias().data().data(), oc, jb);
-  std::copy_n(value_conv_->bias().data().data(), oc, jb + oc);
-  ops::matmul_into(joint_y_, obs_cols_, joint_w_);
-  ops::add_bias_rows(joint_y_, joint_b_);
-  const Tensor& policy = policy_net_.forward_from(
-      1, policy_conv_->forward_product(obs_cols_, batch, joint_y_, 0));
-  value_out_ = value_net_.forward_from(
-      1, value_conv_->forward_product(obs_cols_, batch, joint_y_, oc));
-  value_out_.reshape({batch});
+  // Both torsos share the first conv's spec: one lowering per frame tile
+  // and one product against both weights serve both.
+  const auto [policy_conv_out, value_conv_out] =
+      Conv2d::forward_joint(*policy_conv_, *value_conv_, obs);
+  const Tensor& policy = policy_net_.forward_from(1, policy_conv_out);
+  value_out_ = value_net_.forward_from(1, value_conv_out);
+  value_out_.reshape({obs.dim(0)});
   return {policy, value_out_};
 }
 

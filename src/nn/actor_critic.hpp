@@ -10,14 +10,15 @@
 // paper.
 //
 // forward(obs) runs both heads on one batch. On a CNN torso both first
-// convolutions read the same im2col lowering of obs, so forward builds it
-// once, into a buffer the model owns, and multiplies it once by both
-// convs' weights side by side, [W_policy | W_value]: at 8 channels each
-// that is one 16-wide product that reads the lowering once, where two
-// 8-wide ones read it twice. Each conv reorders its columns of the product
-// (Conv2d::forward_product) and backprops against the shared lowering;
-// policy_forward and value_forward each lower their own input, for
-// callers that need one head.
+// convolutions read the same input, so forward runs them together
+// (Conv2d::forward_joint): each frame tile of obs is lowered once and
+// multiplied once by both convs' weights side by side, [W_policy |
+// W_value]; at 8 channels each that is one 16-wide product that reads the
+// tile's lowering once, where two 8-wide ones read it twice. Each conv
+// records obs as its input and backprops alone, re-lowering it tile by
+// tile; policy_forward and value_forward run one torso each, for callers
+// that need one head. Either way the caller keeps obs alive and unchanged
+// until the backward calls.
 #pragma once
 
 #include <cstdint>
@@ -148,14 +149,9 @@ class ActorCritic {
   Tensor dlog_std_;
   Tensor value_out_;     // value_forward result, reshaped to (batch)
   Tensor dvalues_2d_;    // value_backward input, reshaped to (batch, 1)
-  // CNN torsos: the first conv of each net, and forward()'s shared
-  // lowering of its obs, which both convs read again in backward; the
-  // joint weights [W_policy | W_value] and bias, refreshed every forward,
-  // and the joint bias-added product.
+  // CNN torsos: the first conv of each net, run together by forward().
   Conv2d* policy_conv_ = nullptr;
   Conv2d* value_conv_ = nullptr;
-  Tensor obs_cols_;
-  Tensor joint_w_, joint_b_, joint_y_;
 
   // Built once in the constructor (parameter shapes never change).
   std::vector<Tensor*> params_;

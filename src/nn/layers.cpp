@@ -1,7 +1,10 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "tensor/scratch.hpp"
 #include "util/rng.hpp"
 
 namespace stellaris::nn {
@@ -62,64 +65,133 @@ Conv2d::Conv2d(ops::Conv2dSpec spec, Rng& rng) : spec_(spec) {
   db_ = Tensor({spec_.out_channels});
 }
 
+std::size_t Conv2d::tile_frames() const {
+  const std::size_t frame_floats = spec_.out_h() * spec_.out_w() * w_.dim(0);
+  return std::max<std::size_t>(1, kConvTileFloats / frame_floats);
+}
+
 const Tensor& Conv2d::forward(const Tensor& x) {
-  ops::im2col_into(own_cols_, x, spec_);
-  return forward_lowered(own_cols_, x.dim(0));
-}
-
-const Tensor& Conv2d::forward_lowered(const Tensor& cols, std::size_t batch) {
-  // (N·oh·ow, patch) x (patch, oc) -> (N·oh·ow, oc); matmul_into checks
-  // the inner dimension, forward_product the rest.
-  ops::matmul_into(y_, cols, w_);
-  ops::add_bias_rows(y_, b_);
-  return forward_product(cols, batch, y_, 0);
-}
-
-const Tensor& Conv2d::forward_product(const Tensor& cols, std::size_t batch,
-                                      const Tensor& y, std::size_t col) {
-  const std::size_t oh = spec_.out_h(), ow = spec_.out_w(),
-                    oc = spec_.out_channels;
-  STELLARIS_CHECK_MSG(cols.rank() == 2 && cols.dim(0) == batch * oh * ow &&
-                          cols.dim(1) == w_.dim(0),
-                      "Conv2d lowering " << shape_str(cols.shape())
-                                         << " for batch " << batch);
-  STELLARIS_CHECK_MSG(y.rank() == 2 && y.dim(0) == cols.dim(0) &&
-                          col + oc <= y.dim(1),
-                      "Conv2d product " << shape_str(y.shape())
-                                        << " at column " << col);
-  cols_ = &cols;
-  cached_batch_ = batch;
-  // Reorder to channel-major rows (N, oc·oh·ow) so downstream layers see the
-  // conventional CHW flattening: each frame's (oh·ow, oc) block transposed.
-  out_.ensure_shape({batch, oc * oh * ow});
-  ops::transpose_each(y.data().data() + col, batch, oh * ow, oc, y.dim(1),
-                      out_.data().data());
+  Conv2d* const self = this;
+  forward_tiles(x, &self, 1, w_, b_);
   return out_;
 }
 
-void Conv2d::backward_params(const Tensor& dy) {
-  STELLARIS_CHECK_MSG(cols_ != nullptr, "backward before forward");
-  const std::size_t oh = spec_.out_h(), ow = spec_.out_w(),
-                    oc = spec_.out_channels;
-  STELLARIS_CHECK_MSG(dy.rank() == 2 && dy.dim(0) == cached_batch_ &&
-                          dy.dim(1) == oc * oh * ow,
-                      "Conv2d backward shape " << shape_str(dy.shape()));
-  // Undo the channel-major reorder: each frame's (oc, oh·ow) block
-  // transposed back.
-  dys_.ensure_shape({cached_batch_ * oh * ow, oc});
-  ops::transpose_each(dy.data().data(), cached_batch_, oc, oh * ow, oh * ow,
-                      dys_.data().data());
+std::pair<const Tensor&, const Tensor&> Conv2d::forward_joint(
+    Conv2d& a, Conv2d& b, const Tensor& x) {
+  const ops::Conv2dSpec &sa = a.spec_, &sb = b.spec_;
+  STELLARIS_CHECK_MSG(
+      sa.in_channels == sb.in_channels && sa.out_channels == sb.out_channels &&
+          sa.in_h == sb.in_h && sa.in_w == sb.in_w &&
+          sa.kernel == sb.kernel && sa.stride == sb.stride &&
+          sa.padding == sb.padding,
+      "Conv2d::forward_joint needs two convs of one spec");
+  // [W_a | W_b] row by row and [b_a | b_b], refreshed every call.
+  const std::size_t patch = a.w_.dim(0), oc = a.w_.dim(1);
+  auto& pool = ops::ScratchPool::local();
+  auto w = pool.take({patch, 2 * oc});
+  auto bias = pool.take({2 * oc});
+  const float* wa = a.w_.data().data();
+  const float* wb = b.w_.data().data();
+  float* jw = w->data().data();
+  for (std::size_t r = 0; r < patch; ++r) {
+    std::copy_n(wa + r * oc, oc, jw + 2 * r * oc);
+    std::copy_n(wb + r * oc, oc, jw + (2 * r + 1) * oc);
+  }
+  std::copy_n(a.b_.data().data(), oc, bias->data().data());
+  std::copy_n(b.b_.data().data(), oc, bias->data().data() + oc);
+  Conv2d* const convs[] = {&a, &b};
+  forward_tiles(x, convs, 2, *w, *bias);
+  return {a.out_, b.out_};
+}
 
-  ops::matmul_tn_into(dw_step_, *cols_, dys_);
+void Conv2d::forward_tiles(const Tensor& x, Conv2d* const* convs,
+                           std::size_t count, const Tensor& w,
+                           const Tensor& b) {
+  const Conv2d& first = *convs[0];
+  const ops::Conv2dSpec& spec = first.spec_;
+  const std::size_t chw = spec.in_channels * spec.in_h * spec.in_w;
+  STELLARIS_CHECK_MSG(x.rank() == 2 && x.dim(1) == chw,
+                      "Conv2d input " << shape_str(x.shape())
+                                      << " vs C*H*W=" << chw);
+  const std::size_t batch = x.dim(0), p = spec.out_h() * spec.out_w(),
+                    oc = spec.out_channels, patch = first.w_.dim(0);
+  const std::size_t tile = std::min(batch, first.tile_frames());
+  auto& pool = ops::ScratchPool::local();
+  auto cols = pool.take({tile * p, patch});
+  auto y = pool.take({tile * p, count * oc});
+  for (std::size_t c = 0; c < count; ++c) {
+    convs[c]->input_ = &x;
+    convs[c]->out_.ensure_shape({batch, oc * p});
+  }
+  for (std::size_t f0 = 0; f0 < batch; f0 += tile) {
+    const std::size_t f1 = std::min(batch, f0 + tile);
+    ops::im2col_frames_into(*cols, x, spec, f0, f1);
+    // (T·oh·ow, patch) x (patch, count·oc); matmul_into checks the inner
+    // dimension.
+    ops::matmul_into(*y, *cols, w);
+    ops::add_bias_rows(*y, b);
+    // Reorder each conv's columns to channel-major rows (N, oc·oh·ow), so
+    // downstream layers see the conventional CHW flattening: each frame's
+    // (oh·ow, oc) block transposed.
+    for (std::size_t c = 0; c < count; ++c)
+      ops::transpose_each(y->data().data() + c * oc, f1 - f0, p, oc,
+                          count * oc,
+                          convs[c]->out_.data().data() + f0 * oc * p);
+  }
+}
+
+void Conv2d::backward_tiles(const Tensor& dy, Tensor* dx) {
+  STELLARIS_CHECK_MSG(input_ != nullptr, "backward before forward");
+  const Tensor& x = *input_;
+  const std::size_t chw = spec_.in_channels * spec_.in_h * spec_.in_w;
+  const std::size_t p = spec_.out_h() * spec_.out_w(),
+                    oc = spec_.out_channels, patch = w_.dim(0);
+  STELLARIS_CHECK_MSG(x.rank() == 2 && x.dim(1) == chw,
+                      "Conv2d input changed shape to "
+                          << shape_str(x.shape()) << " before backward");
+  const std::size_t batch = x.dim(0);
+  STELLARIS_CHECK_MSG(dy.rank() == 2 && dy.dim(0) == batch &&
+                          dy.dim(1) == oc * p,
+                      "Conv2d backward shape " << shape_str(dy.shape()));
+  const std::size_t tile = std::min(batch, tile_frames());
+  auto& pool = ops::ScratchPool::local();
+  auto cols = pool.take({tile * p, patch});
+  auto dys = pool.take({tile * p, oc});
+  std::optional<ops::ScratchPool::Lease> dcols;
+  if (dx != nullptr) {
+    dcols.emplace(pool.take({tile * p, patch}));
+    dx->ensure_shape({batch, chw});
+  }
+  // Each element's chain starts from 0.0f here and runs on through every
+  // tile; the step is then folded in with +=, as Linear does: accumulating
+  // inside the GEMM would reorder the additions against dw_'s value.
+  dw_step_.ensure_shape({patch, oc});
+  dw_step_.zero();
+  db_step_.ensure_shape({oc});
+  db_step_.zero();
+  for (std::size_t f0 = 0; f0 < batch; f0 += tile) {
+    const std::size_t f1 = std::min(batch, f0 + tile);
+    ops::im2col_frames_into(*cols, x, spec_, f0, f1);
+    // Undo the channel-major reorder: each frame's (oc, oh·ow) block of dy
+    // transposed back to (oh·ow, oc) rows.
+    dys->ensure_shape({(f1 - f0) * p, oc});
+    ops::transpose_each(dy.data().data() + f0 * oc * p, f1 - f0, oc, p, p,
+                        dys->data().data());
+    ops::matmul_tn_carry_into(dw_step_, *cols, *dys);
+    ops::sum_rows_carry_into(db_step_, *dys);
+    if (dx != nullptr) {
+      ops::matmul_nt_into(**dcols, *dys, w_);
+      ops::col2im_frames_into(*dx, **dcols, spec_, f0, f1);
+    }
+  }
   dw_ += dw_step_;
-  ops::sum_rows_into(db_step_, dys_);
   db_ += db_step_;
 }
 
+void Conv2d::backward_params(const Tensor& dy) { backward_tiles(dy, nullptr); }
+
 const Tensor& Conv2d::backward(const Tensor& dy) {
-  backward_params(dy);  // leaves dy reordered in dys_
-  ops::matmul_nt_into(dcols_, dys_, w_);
-  ops::col2im_into(dx_, dcols_, spec_, cached_batch_);
+  backward_tiles(dy, &dx_);
   return dx_;
 }
 

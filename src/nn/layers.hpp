@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/ops.hpp"
@@ -66,9 +67,9 @@ enum class Activation { kNone, kTanh };
 ///
 /// forward borrows its input instead of copying it: backward reads the
 /// input of the last forward for the weight gradient, so that input must
-/// stay alive and unchanged until the matching backward (the contract of
-/// Conv2d::forward_lowered). Inside a Sequential the input is the previous
-/// layer's output buffer, which lives until that layer's next call.
+/// stay alive and unchanged until the matching backward (Conv2d's contract
+/// too). Inside a Sequential the input is the previous layer's output
+/// buffer, which lives until that layer's next call.
 class Linear final : public Layer {
  public:
   Linear(std::size_t in, std::size_t out, Rng& rng,
@@ -95,34 +96,46 @@ class Linear final : public Layer {
   Tensor dw_step_, db_step_;    // per-step grads, folded into dw_/db_ with +=
 };
 
+/// Float budget of one Conv2d tile's im2col lowering (512 KB, within one
+/// core's L2). A tile holds max(1, kConvTileFloats / (out_h·out_w·C·k·k))
+/// frames, so the budget sets the frames per tile for each spec, the way
+/// kValueChunkFloats sets the rows of a chunked value forward: 27 frames
+/// for NetworkSpec::atari()'s first conv on 3×20×20 frames, 202 for its
+/// second. See DESIGN.md §9.
+inline constexpr std::size_t kConvTileFloats = std::size_t{1} << 17;
+
 /// 2-D convolution via im2col lowering; input rows are flattened (C,H,W).
 ///
-/// forward(x) lowers x into the layer's own buffer and calls
-/// forward_lowered on it, which runs the GEMM and bias add and hands the
-/// product to forward_product for the channel-major reorder. A caller that
-/// feeds one input to several convs of the same spec (ActorCritic::forward,
-/// for its two torsos) lowers it once, runs one GEMM against the convs'
-/// weights side by side, and calls forward_product on each with its
-/// columns. backward uses the lowering the last forward consumed, so a
-/// forward_lowered or forward_product caller must keep `cols` alive and
-/// unchanged until the matching backward.
+/// Every pass runs over tiles of tile_frames() frames, with the tile's
+/// buffers leased from the thread's ScratchPool, so no buffer but the
+/// output and dx grows with the batch:
+///   * forward lowers a tile, multiplies it by W, adds the bias and
+///     reorders the product into the tile's rows of the channel-major
+///     output. Rows are independent, so the bits are the whole batch's.
+///   * backward_params lowers each tile again from the input the last
+///     forward recorded, reorders the tile's rows of dy back, and carries
+///     dW's and db's chains from tile to tile through C
+///     (ops::matmul_tn_carry_into, ops::sum_rows_carry_into): each element
+///     is still one k-ascending chain over the whole batch.
+///   * backward also multiplies each tile's reordered dy by Wᵀ and
+///     scatters it into the tile's rows of dx (frames do not overlap).
+///
+/// forward borrows its input, as Linear does: backward reads the input of
+/// the last forward, so it must stay alive and unchanged until the
+/// matching backward. forward_joint runs two convs of one spec on one
+/// input (ActorCritic::forward's two torsos) as one product per tile.
 class Conv2d final : public Layer {
  public:
   Conv2d(ops::Conv2dSpec spec, Rng& rng);
 
-  // Non-copyable: cols_ may point at this layer's own lowering.
-  Conv2d(const Conv2d&) = delete;
-  Conv2d& operator=(const Conv2d&) = delete;
-
   const Tensor& forward(const Tensor& x) override;
-  /// forward() from `cols`, the ops::im2col_into lowering of a `batch`-row
-  /// input under spec(): GEMM, bias add and channel-major reorder.
-  const Tensor& forward_lowered(const Tensor& cols, std::size_t batch);
-  /// forward_lowered() from its bias-added GEMM product: columns
-  /// [col, col + out_channels) of `y` hold cols·W + b (y has cols.dim(0)
-  /// rows). Only reorders them into this layer's output.
-  const Tensor& forward_product(const Tensor& cols, std::size_t batch,
-                                const Tensor& y, std::size_t col);
+  /// a.forward(x) and b.forward(x), bit for bit, for two convs of one
+  /// spec: each tile is lowered once and multiplied once by both convs'
+  /// weights side by side, [W_a | W_b]. Every element of that product is
+  /// the k-ascending chain of its own conv's product. Both convs record x
+  /// as their input; the references are their outputs.
+  static std::pair<const Tensor&, const Tensor&> forward_joint(
+      Conv2d& a, Conv2d& b, const Tensor& x);
   const Tensor& backward(const Tensor& dy) override;
   void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
@@ -130,19 +143,25 @@ class Conv2d final : public Layer {
   std::string name() const override { return "Conv2d"; }
 
   const ops::Conv2dSpec& spec() const { return spec_; }
-  const Tensor& weight() const { return w_; }
-  const Tensor& bias() const { return b_; }
+  /// Frames per tile: max(1, kConvTileFloats / (out_h·out_w·C·k·k)).
+  std::size_t tile_frames() const;
 
  private:
+  /// The forward of `count` convs of one spec (this one, or
+  /// forward_joint's two) whose weights and biases sit side by side in
+  /// `w` and `b`.
+  static void forward_tiles(const Tensor& x, Conv2d* const* convs,
+                            std::size_t count, const Tensor& w,
+                            const Tensor& b);
+  /// backward_params, and with `dx` backward's input gradient into it.
+  void backward_tiles(const Tensor& dy, Tensor* dx);
+
   ops::Conv2dSpec spec_;
   Tensor w_;   // (C·k·k, out_channels)
   Tensor b_;   // (out_channels)
   Tensor dw_, db_;
-  Tensor own_cols_;                // forward()'s lowering of its input
-  const Tensor* cols_ = nullptr;   // the lowering the last forward consumed
-  std::size_t cached_batch_ = 0;
-  Tensor y_, out_;              // pre-/post-reorder forward buffers
-  Tensor dys_, dcols_, dx_;     // backward buffers (dcols_, dx_: dx only)
+  const Tensor* input_ = nullptr;  // the last forward's input, borrowed
+  Tensor out_, dx_;                // persistent forward/backward outputs
   Tensor dw_step_, db_step_;
 };
 

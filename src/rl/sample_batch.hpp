@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/actor_critic.hpp"
@@ -79,6 +80,16 @@ struct SampleBatch {
   /// Decode into an existing batch, reusing its tensor buffers (zero
   /// allocations once `out` has seen the incoming shapes).
   static void deserialize_into(ByteSpan bytes, SampleBatch& out);
+
+  /// Decode several serialized batches straight into one: `out` ends
+  /// bit-identical to deserialize_into for one payload, and to concat of
+  /// each payload's deserialize_into for more (seams, last bootstrap, first
+  /// policy version, advantages only when every part has them), but each
+  /// payload's rows land at their offset in `out`'s buffers, with no
+  /// per-part batch in between. Reuses `out`'s capacity. A learner merges
+  /// its trajectories with it.
+  static void deserialize_concat_into(std::span<const ByteSpan> payloads,
+                                      SampleBatch& out);
 
   /// Concatenate batches (all must share layout and policy version rules
   /// don't apply — used by learners that merge several actor submissions).

@@ -101,12 +101,19 @@ void add_bias_tanh_rows(const KernelTable& kt, Tensor& x, const Tensor& bias) {
   });
 }
 
-void sum_rows_into(const KernelTable& kt, Tensor& out, const Tensor& x) {
+void sum_rows_into(const KernelTable& kt, Tensor& out, const Tensor& x,
+                   bool carry) {
   STELLARIS_CHECK_MSG(x.rank() == 2, "sum_rows needs a 2-D tensor");
   STELLARIS_CHECK_MSG(&out != &x, "sum_rows_into: output aliases input");
+  if (carry)
+    STELLARIS_CHECK_MSG(out.rank() == 1 && out.dim(0) == x.dim(1),
+                        "sum_rows_carry_into: out is "
+                            << shape_str(out.shape()) << " for "
+                            << shape_str(x.shape()));
+  else
+    out.ensure_shape({x.dim(1)});
   count_eltwise(x.numel());
-  out.ensure_shape({x.dim(1)});
-  kt.sum_rows(x.data().data(), out.data().data(), x.dim(0), x.dim(1));
+  kt.sum_rows(x.data().data(), out.data().data(), x.dim(0), x.dim(1), carry);
 }
 
 void tanh_forward_into(const KernelTable& kt, Tensor& y, const Tensor& x) {
@@ -161,7 +168,11 @@ void transpose_each(const float* src, std::size_t count, std::size_t rows,
 }
 
 void sum_rows_into(Tensor& out, const Tensor& x) {
-  detail::sum_rows_into(detail::active_kernels(), out, x);
+  detail::sum_rows_into(detail::active_kernels(), out, x, false);
+}
+
+void sum_rows_carry_into(Tensor& out, const Tensor& x) {
+  detail::sum_rows_into(detail::active_kernels(), out, x, true);
 }
 
 Tensor sum_rows(const Tensor& x) {

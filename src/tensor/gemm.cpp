@@ -23,7 +23,9 @@
 //     conv1 dW (75, 49 152, 8) streams its 14.7 MB lowering from DRAM
 //     once per 16-row tile; in blocks it reads them from L2 (3.47 → 2.15
 //     ms in the AVX-512 tier; DESIGN.md §9 has the tables). Hopper's learner products
-//     have k ≤ 512 and never reach a second block.
+//     have k ≤ 512 and never reach a second block. matmul_tn_carry_into
+//     starts the first block from C as well, so a caller can run one
+//     chain over several calls (Conv2d's frame tiles).
 //   * Threading splits i into panels of kMC rows (ThreadPool::parallel_for).
 //     Panels write disjoint C rows and each element is still accumulated by
 //     exactly one task in the same order, so any thread count produces the
@@ -170,19 +172,34 @@ void matmul_into(const KernelTable& kt, Tensor& c, const Tensor& a,
 // -- matmul_tn ---------------------------------------------------------------
 
 void matmul_tn_into(const KernelTable& kt, Tensor& c, const Tensor& a,
-                    const Tensor& b) {
+                    const Tensor& b, bool carry) {
   STELLARIS_CHECK_MSG(a.rank() == 2 && b.rank() == 2,
                       "matmul_tn needs 2-D operands");
   check_not_aliased(c, a, b, "matmul_tn_into");
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   STELLARIS_CHECK_MSG(b.dim(0) == k, "matmul_tn inner-dim mismatch");
-  c.ensure_shape({m, n});
+  if (carry)
+    STELLARIS_CHECK_MSG(c.rank() == 2 && c.dim(0) == m && c.dim(1) == n,
+                        "matmul_tn_carry_into: C is "
+                            << shape_str(c.shape()) << ", the product ("
+                            << m << ", " << n << ")");
+  else
+    c.ensure_shape({m, n});
   const std::uint64_t flops = 2ull * m * n * k;
   gemm_calls().add(1);
   gemm_flop_counter().add(flops);
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
+  if (m < kRL && carry) {
+    // Too few rows for a tile, and the column tiles start from 0.0f: the
+    // reference loop, each element's k terms in ascending order from C.
+    for (std::size_t kk = 0; kk < k; ++kk)
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          pc[i * n + j] += pa[kk * m + i] * pb[kk * n + j];
+    return;
+  }
   if (m < kRL) {
     // Too few rows for a tile: pack Aᵀ into a contiguous (m, k) scratch —
     // pure data movement — and run the column tiles on it (m < kMC, so
@@ -196,7 +213,7 @@ void matmul_tn_into(const KernelTable& kt, Tensor& c, const Tensor& a,
   }
   // Aᵀ is A's own layout: the tiles read it in place.
   dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-    kt.rowlane_tn_panel(i0, i1, m, n, k, pa, pb, pc);
+    kt.rowlane_tn_panel(i0, i1, m, n, k, pa, pb, pc, carry);
   });
 }
 
@@ -245,7 +262,11 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 }
 
 void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b) {
-  detail::matmul_tn_into(detail::active_kernels(), c, a, b);
+  detail::matmul_tn_into(detail::active_kernels(), c, a, b, false);
+}
+
+void matmul_tn_carry_into(Tensor& c, const Tensor& a, const Tensor& b) {
+  detail::matmul_tn_into(detail::active_kernels(), c, a, b, true);
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {

@@ -98,13 +98,18 @@ const KernelTable& active_kernels();
 // every tier the host supports.
 void matmul_into(const KernelTable& kt, Tensor& c, const Tensor& a,
                  const Tensor& b);
+/// With `carry`, C must already be (m, n) and each element's chain
+/// continues from its value (ops::matmul_tn_carry_into).
 void matmul_tn_into(const KernelTable& kt, Tensor& c, const Tensor& a,
-                    const Tensor& b);
+                    const Tensor& b, bool carry = false);
 void matmul_nt_into(const KernelTable& kt, Tensor& c, const Tensor& a,
                     const Tensor& b);
 void add_bias_rows(const KernelTable& kt, Tensor& x, const Tensor& bias);
 void add_bias_tanh_rows(const KernelTable& kt, Tensor& x, const Tensor& bias);
-void sum_rows_into(const KernelTable& kt, Tensor& out, const Tensor& x);
+/// With `carry`, out must already be (n) and each column sum continues
+/// from its value (ops::sum_rows_carry_into).
+void sum_rows_into(const KernelTable& kt, Tensor& out, const Tensor& x,
+                   bool carry = false);
 void tanh_forward_into(const KernelTable& kt, Tensor& y, const Tensor& x);
 void tanh_backward_into(const KernelTable& kt, Tensor& dx, const Tensor& y,
                         const Tensor& dy);

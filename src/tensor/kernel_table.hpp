@@ -45,10 +45,12 @@ struct KernelTable {
                            std::size_t k, const float* a, const float* b,
                            float* c, float* pack);
   /// C = Aᵀ·B through the row-lane tiles, reading A (k, m) in place;
-  /// i1 >= kRowLaneRows.
+  /// i1 >= kRowLaneRows. With `carry` each element's chain starts from the
+  /// float already in C (the chain over earlier rows of A and B) instead
+  /// of 0.0f.
   void (*rowlane_tn_panel)(std::size_t i0, std::size_t i1, std::size_t m,
                            std::size_t n, std::size_t k, const float* a,
-                           const float* b, float* c);
+                           const float* b, float* c, bool carry);
 
   /// The first `cols` columns of each of `count` row-major (rows × ld)
   /// matrices stored back to back at `src`, transposed to (cols × rows)
@@ -74,8 +76,10 @@ struct KernelTable {
   /// tanh_forward.
   void (*add_bias_tanh_rows)(float* x, const float* bias, std::size_t m,
                              std::size_t n);
-  /// out (n) = column sums of x (m × n), rows added in ascending order.
-  void (*sum_rows)(const float* x, float* out, std::size_t m, std::size_t n);
+  /// out (n) = column sums of x (m × n), rows added in ascending order,
+  /// each from 0.0f, or with `carry` from the float already in out.
+  void (*sum_rows)(const float* x, float* out, std::size_t m, std::size_t n,
+                   bool carry);
 };
 
 // Each tier's one entry point. Only the tiers the build compiled exist;

@@ -424,16 +424,20 @@ void rowlane_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
 // the panel runs block b before any tile moves to block b + 1, so the
 // panel's tiles share each block's B rows and the A cache lines they
 // straddle from L2. The first block starts every chain from 0.0f (and
-// zeroes C when k = 0); later blocks carry it on from the float stored in
-// C, so each element is still one k-ascending chain. In one sweep, k =
-// 49 152 (the arcade learner's conv1 dW) would stream 14.7 MB of A and
-// 1.5 MB of B from DRAM once per tile.
+// zeroes C when k = 0), or with `carry` from the float already in C (a
+// caller continuing the chain over further rows); later blocks carry it
+// on from the float stored in C, so each element is still one k-ascending
+// chain. In one sweep, k = 49 152 (a 768-frame conv1 dW) would stream
+// 14.7 MB of A and 1.5 MB of B from DRAM once per tile.
 void rowlane_tn_panel(std::size_t i0, std::size_t i1, std::size_t m,
                       std::size_t n, std::size_t k, const float* pa,
-                      const float* pb, float* pc) {
+                      const float* pb, float* pc, bool carry) {
   const std::size_t kc0 = min_size(k, kKC);
   for_rowlane_tiles(i0, i1, [&](std::size_t s, std::size_t r0) {
-    rowlane_tile<false>(n, kc0, pa + s, m, pb, n, pc + s * n, n, r0, kRL);
+    if (carry)
+      rowlane_tile<true>(n, kc0, pa + s, m, pb, n, pc + s * n, n, r0, kRL);
+    else
+      rowlane_tile<false>(n, kc0, pa + s, m, pb, n, pc + s * n, n, r0, kRL);
   });
   for (std::size_t k0 = kc0; k0 < k; k0 += kKC) {
     const std::size_t kc = min_size(kKC, k - k0);
@@ -515,8 +519,10 @@ void add_bias_tanh_rows(float* x, const float* bias, std::size_t m,
       x[i * n + j] = tanh_rational(x[i * n + j] + bias[j]);
 }
 
-void sum_rows(const float* x, float* out, std::size_t m, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) out[j] = 0.0f;
+void sum_rows(const float* x, float* out, std::size_t m, std::size_t n,
+              bool carry) {
+  if (!carry)
+    for (std::size_t j = 0; j < n; ++j) out[j] = 0.0f;
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < n; ++j) out[j] += x[i * n + j];
 }

@@ -132,17 +132,22 @@ void col2im_runs(float* pout, const float* src, const Conv2dSpec& spec,
 
 }  // namespace
 
-void im2col_into(Tensor& cols, const Tensor& input, const Conv2dSpec& spec) {
+void im2col_frames_into(Tensor& cols, const Tensor& input,
+                        const Conv2dSpec& spec, std::size_t f0,
+                        std::size_t f1) {
   check_conv_spec(spec);
   const std::size_t chw = spec.in_channels * spec.in_h * spec.in_w;
   STELLARIS_CHECK_MSG(input.rank() == 2 && input.dim(1) == chw,
                       "im2col input must be (N, C*H*W); got "
                           << shape_str(input.shape()) << " vs C*H*W=" << chw);
+  STELLARIS_CHECK_MSG(f0 <= f1 && f1 <= input.dim(0),
+                      "im2col frames [" << f0 << ", " << f1 << ") of "
+                                        << input.dim(0));
   STELLARIS_CHECK_MSG(&cols != &input, "im2col_into: output aliases input");
-  const std::size_t batch = input.dim(0);
+  const std::size_t batch = f1 - f0;
   const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
   cols.ensure_shape({batch * spec.out_h() * spec.out_w(), patch});
-  const float* pin = input.data().data();
+  const float* pin = input.data().data() + f0 * chw;
   float* pc = cols.data().data();
   switch (spec.kernel) {
     case 3: im2col_runs<3>(pc, pin, spec, batch); break;
@@ -151,31 +156,50 @@ void im2col_into(Tensor& cols, const Tensor& input, const Conv2dSpec& spec) {
   }
 }
 
+void im2col_into(Tensor& cols, const Tensor& input, const Conv2dSpec& spec) {
+  STELLARIS_CHECK_MSG(input.rank() == 2,
+                      "im2col input must be (N, C*H*W); got "
+                          << shape_str(input.shape()));
+  im2col_frames_into(cols, input, spec, 0, input.dim(0));
+}
+
 Tensor im2col(const Tensor& input, const Conv2dSpec& spec) {
   Tensor cols;
   im2col_into(cols, input, spec);
   return cols;
 }
 
-void col2im_into(Tensor& out, const Tensor& cols, const Conv2dSpec& spec,
-                 std::size_t batch) {
+void col2im_frames_into(Tensor& out, const Tensor& cols,
+                        const Conv2dSpec& spec, std::size_t f0,
+                        std::size_t f1) {
   check_conv_spec(spec);
   const std::size_t oh = spec.out_h(), ow = spec.out_w();
   const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
+  const std::size_t chw = spec.in_channels * spec.in_h * spec.in_w;
+  STELLARIS_CHECK_MSG(f0 <= f1 && out.rank() == 2 && out.dim(0) >= f1 &&
+                          out.dim(1) == chw,
+                      "col2im frames [" << f0 << ", " << f1 << ") of "
+                                        << shape_str(out.shape()));
+  const std::size_t batch = f1 - f0;
   STELLARIS_CHECK_MSG(cols.rank() == 2 && cols.dim(0) == batch * oh * ow &&
                           cols.dim(1) == patch,
                       "col2im shape mismatch: " << shape_str(cols.shape()));
   STELLARIS_CHECK_MSG(&out != &cols, "col2im_into: output aliases input");
-  const std::size_t chw = spec.in_channels * spec.in_h * spec.in_w;
-  out.ensure_shape({batch, chw});
   const float* pc = cols.data().data();
-  float* pout = out.data().data();
+  float* pout = out.data().data() + f0 * chw;
   std::fill(pout, pout + batch * chw, 0.0f);  // the scatter accumulates
   switch (spec.kernel) {
     case 3: col2im_runs<3>(pout, pc, spec, batch); break;
     case 5: col2im_runs<5>(pout, pc, spec, batch); break;
     default: col2im_runs<0>(pout, pc, spec, batch); break;
   }
+}
+
+void col2im_into(Tensor& out, const Tensor& cols, const Conv2dSpec& spec,
+                 std::size_t batch) {
+  check_conv_spec(spec);
+  out.ensure_shape({batch, spec.in_channels * spec.in_h * spec.in_w});
+  col2im_frames_into(out, cols, spec, 0, batch);
 }
 
 // -- reference lowering -------------------------------------------------------

@@ -56,6 +56,11 @@ void matmul_into(Tensor& c, const Tensor& a, const Tensor& b);
 /// materializing transposes.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b);
+/// matmul_tn_into continuing C's chains: C must already be (m, n), and
+/// each element adds its k terms, in ascending order, to the float it
+/// holds. So matmul_tn over rows [0, k) of A and B equals matmul_tn over
+/// rows [0, k₁) followed by this over [k₁, k), bit for bit.
+void matmul_tn_carry_into(Tensor& c, const Tensor& a, const Tensor& b);
 
 /// C = A * Bᵀ.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
@@ -81,6 +86,9 @@ void transpose_each(const float* src, std::size_t count, std::size_t rows,
 /// Column-sum of a 2-D tensor -> 1-D (n); the bias gradient.
 Tensor sum_rows(const Tensor& x);
 void sum_rows_into(Tensor& out, const Tensor& x);
+/// sum_rows_into continuing out's sums: out must already be (n), and each
+/// column adds x's rows, in ascending order, to the float it holds.
+void sum_rows_carry_into(Tensor& out, const Tensor& x);
 
 // -- activations (out-of-place forward, gradient helpers) -------------------
 // For the `_into` forms the output may alias the primary input.
@@ -131,12 +139,25 @@ void check_conv_spec(const Conv2dSpec& spec);
 /// run lengths for k = 3 and 5; padding is zero-filled per run.
 Tensor im2col(const Tensor& input, const Conv2dSpec& spec);
 void im2col_into(Tensor& cols, const Tensor& input, const Conv2dSpec& spec);
+/// im2col_into of frames [f0, f1) of `input` only: rows
+/// [f0·out_h·out_w, f1·out_h·out_w) of the whole batch's lowering, for a
+/// caller that lowers a batch one tile of frames at a time (nn::Conv2d).
+void im2col_frames_into(Tensor& cols, const Tensor& input,
+                        const Conv2dSpec& spec, std::size_t f0,
+                        std::size_t f1);
 
 /// Inverse scatter of im2col — accumulates column gradients back into the
 /// input-gradient layout (N, C·H·W), run by run in im2col's order, so each
 /// input element's additions happen in the reference order.
 void col2im_into(Tensor& out, const Tensor& cols, const Conv2dSpec& spec,
                  std::size_t batch);
+/// col2im_into for frames [f0, f1): `cols` is their lowering gradient, and
+/// `out`, already (N, C·H·W) with N >= f1, gets rows [f0, f1) overwritten
+/// and no other row touched. Frames do not overlap, so scattering a batch
+/// tile by tile gives col2im_into's bits.
+void col2im_frames_into(Tensor& out, const Tensor& cols,
+                        const Conv2dSpec& spec, std::size_t f0,
+                        std::size_t f1);
 
 // -- reference kernels --------------------------------------------------------
 // Naive scalar loops, kept as the semantic oracle for the bit-exactness

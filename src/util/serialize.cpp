@@ -99,6 +99,21 @@ std::size_t ByteReader::get_f32_vector_into(std::vector<float>& out) {
   return n;
 }
 
+void ByteReader::get_f32_into(std::span<float> out) {
+  const auto n = vec_header(wire::kF32Vec, "f32vec", sizeof(float));
+  if (n != out.size())
+    throw Error("f32vec of " + std::to_string(n) + " elements where " +
+                std::to_string(out.size()) + " were expected");
+  if (n != 0) std::memcpy(out.data(), data_ + pos_, n * sizeof(float));
+  pos_ += n * sizeof(float);
+}
+
+std::size_t ByteReader::skip_f32_vector() {
+  const auto n = vec_header(wire::kF32Vec, "f32vec", sizeof(float));
+  pos_ += n * sizeof(float);
+  return n;
+}
+
 std::size_t ByteReader::get_f64_vector_into(std::vector<double>& out) {
   const auto n = vec_header(wire::kF64Vec, "f64vec", sizeof(double));
   out.resize(n);

@@ -151,6 +151,11 @@ class ByteReader {
   std::size_t get_f64_vector_into(std::vector<double>& out);
   std::size_t get_u64_vector_into(std::vector<std::uint64_t>& out);
   std::size_t get_bytes_into(std::vector<std::uint8_t>& out);
+  /// Decode an f32 vector straight into `out` (one memcpy, no allocation);
+  /// throws unless its element count is out.size().
+  void get_f32_into(std::span<float> out);
+  /// Step over an f32 vector without copying it; returns its element count.
+  std::size_t skip_f32_vector();
 
  private:
   void need(std::size_t n) const {

@@ -6,6 +6,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "specials.hpp"
 #include "util/rng.hpp"
 
 namespace stellaris::nn {
@@ -188,38 +189,60 @@ Tensor random_obs(bool atari, std::size_t rows, Rng& rng) {
   return Tensor::rand_uniform({rows, dim}, rng, -1.0f, 1.0f);
 }
 
-// Batches of 1, 6 and 100 frames: on the CNN torso forward runs one
-// 16-wide product for both first convs where the single heads run 8-wide
-// ones, and at 100 frames (6400 im2col rows) each conv1 dW spans several
-// of matmul_tn's k blocks.
+using testing_specials::sprinkle_specials;
+
+/// Batch sizes around the first conv's frame tile (Conv2d::tile_frames,
+/// 27 frames of 3×20×20) and the arcade learner's 768 frames.
+std::vector<std::size_t> tile_batch_sizes() {
+  Rng rng(1);
+  const std::size_t tile =
+      Conv2d(ops::Conv2dSpec{3, 8, 20, 20, 5, 2, 0}, rng).tile_frames();
+  return {1, 6, tile - 1, tile, tile + 1, 100, 768, 769};
+}
+
+// On the CNN torso forward runs one 16-wide product per frame tile for
+// both first convs (Conv2d::forward_joint) where the single heads run
+// 8-wide ones, and at 100 frames and more each conv1 dW spans several of
+// matmul_tn's k blocks as well as several tiles. Conv2dTiles (layers_test)
+// pins each tiled conv to the whole batch's bits; this pins the joint
+// forward and the separate backwards to the single heads, with NaN, ±Inf
+// and −0 in the observations and the output gradients.
 TEST(ActorCritic, ForwardMatchesSeparateHeadsAndGradients) {
   for (bool atari : {false, true}) {
-    for (const std::size_t rows : {1u, 6u, 100u}) {
-      SCOPED_TRACE(testing::Message() << (atari ? "atari " : "mujoco ")
-                                      << rows << " rows");
-      auto both = atari ? make_atari_model(21) : make_mujoco_model(21);
-      auto separate = atari ? make_atari_model(21) : make_mujoco_model(21);
-      Rng rng(22);
-      const Tensor obs = random_obs(atari, rows, rng);
-      const Tensor dpolicy = Tensor::randn({rows, both.act_dim()}, rng);
-      const Tensor dvalues = Tensor::randn({rows}, rng);
+    for (const std::size_t rows : tile_batch_sizes()) {
+      for (const bool specials : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << (atari ? "atari " : "mujoco ") << rows << " rows"
+                     << (specials ? ", with NaN/Inf/-0" : ""));
+        auto both = atari ? make_atari_model(21) : make_mujoco_model(21);
+        auto separate = atari ? make_atari_model(21) : make_mujoco_model(21);
+        Rng rng(22);
+        Tensor obs = random_obs(atari, rows, rng);
+        Tensor dpolicy = Tensor::randn({rows, both.act_dim()}, rng);
+        Tensor dvalues = Tensor::randn({rows}, rng);
+        if (specials) {
+          obs = sprinkle_specials(obs, 5, 2003);
+          dpolicy = sprinkle_specials(dpolicy, 1, 7);
+          dvalues = sprinkle_specials(dvalues, 2, 5);
+        }
 
-      const auto [policy, values] = both.forward(obs);
-      expect_same_bits(policy, separate.policy_forward(obs));
-      expect_same_bits(values, separate.value_forward(obs));
+        const auto [policy, values] = both.forward(obs);
+        expect_same_bits(policy, separate.policy_forward(obs));
+        expect_same_bits(values, separate.value_forward(obs));
 
-      both.policy_backward(dpolicy);
-      both.value_backward(dvalues);
-      separate.policy_backward(dpolicy);
-      separate.value_backward(dvalues);
-      expect_same_grads(both, separate);
+        both.policy_backward(dpolicy);
+        both.value_backward(dvalues);
+        separate.policy_backward(dpolicy);
+        separate.value_backward(dvalues);
+        expect_same_grads(both, separate);
+      }
     }
   }
 }
 
-// A single-head forward between forward(a) and the backward calls runs on
-// its own lowering: the other net still backprops against a's.
-TEST(ActorCritic, SingleHeadForwardAfterForwardKeepsTheOtherHeadsLowering) {
+// A single-head forward between forward(a) and the backward calls records
+// its own input: the other net still backprops against a.
+TEST(ActorCritic, SingleHeadForwardAfterForwardKeepsTheOtherHeadsInput) {
   for (bool atari : {false, true}) {
     for (const std::size_t rows : {1u, 6u, 100u}) {
       SCOPED_TRACE(testing::Message() << (atari ? "atari " : "mujoco ")

@@ -6,7 +6,11 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <thread>
+#include <vector>
 
+#include "specials.hpp"
+#include "tensor/kernel_isa.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -555,24 +559,6 @@ TEST(Relu, BackwardMatchesInputMaskOnSpecialValues) {
   }
 }
 
-// forward_lowered on the im2col lowering of x is forward(x), and backward
-// uses the lowering of the LAST forward, whichever entry point ran it.
-TEST(Conv2d, ForwardLoweredMatchesForward) {
-  Rng rng(19);
-  const ops::Conv2dSpec spec = conv_spec(3, 9, 8, 3, 2);
-  Rng ra(7), rb(7);
-  Conv2d own(spec, ra), lowered(spec, rb);
-  const Tensor x = Tensor::randn({4, 3 * 9 * 9}, rng);
-  const Tensor cols = ops::im2col(x, spec);
-  const Tensor y_own = own.forward(x);
-  const Tensor y_low = lowered.forward_lowered(cols, 4);
-  ASSERT_EQ(y_own.shape(), y_low.shape());
-  EXPECT_EQ(std::memcmp(y_own.data().data(), y_low.data().data(),
-                        y_own.numel() * sizeof(float)),
-            0);
-  EXPECT_THROW((void)lowered.forward_lowered(cols, 3), Error);
-}
-
 void expect_same_grads(Layer& a, Layer& b) {
   const auto ga = a.gradients(), gb = b.gradients();
   ASSERT_EQ(ga.size(), gb.size());
@@ -583,13 +569,40 @@ void expect_same_grads(Layer& a, Layer& b) {
         << "gradient " << i;
 }
 
-TEST(Conv2d, BackwardUsesTheLastForwardsLowering) {
+// forward_joint on two convs is forward on each, and each then backprops
+// alone against its own recorded input, bit for bit.
+TEST(Conv2d, ForwardJointMatchesForward) {
+  Rng rng(19);
+  const ops::Conv2dSpec spec = conv_spec(3, 9, 8, 3, 2);
+  Rng ra(7), rb(8), rc(7), rd(8);
+  Conv2d a(spec, ra), b(spec, rb), a_ref(spec, rc), b_ref(spec, rd);
+  *a.parameters()[1] = *a_ref.parameters()[1] = Tensor::randn({8}, rng);
+  *b.parameters()[1] = *b_ref.parameters()[1] = Tensor::randn({8}, rng);
+  const Tensor x = Tensor::randn({4, 3 * 9 * 9}, rng);
+  const auto [ya, yb] = Conv2d::forward_joint(a, b, x);
+  expect_same_bits(ya, a_ref.forward(x), "policy conv");
+  expect_same_bits(yb, b_ref.forward(x), "value conv");
+
+  const Tensor dy_a = Tensor::randn(ya.shape(), rng);
+  const Tensor dy_b = Tensor::randn(yb.shape(), rng);
+  a.backward_params(dy_a);
+  a_ref.backward_params(dy_a);
+  expect_same_grads(a, a_ref);
+  expect_same_bits(b.backward(dy_b), b_ref.backward(dy_b), "dx");
+  expect_same_grads(b, b_ref);
+
+  Rng re(9);
+  Conv2d other(conv_spec(3, 9, 8, 3, 1), re);
+  EXPECT_THROW((void)Conv2d::forward_joint(a, other, x), Error);
+}
+
+// backward re-lowers the input of the LAST forward, whichever entry point
+// ran it.
+TEST(Conv2d, BackwardUsesTheLastForwardsInput) {
   Rng rng(20);
   const ops::Conv2dSpec spec = conv_spec(3, 9, 8, 3, 2);
   const Tensor a = Tensor::randn({4, 3 * 9 * 9}, rng);
   const Tensor b = Tensor::randn({4, 3 * 9 * 9}, rng);
-  const Tensor cols_a = ops::im2col(a, spec);
-  const Tensor cols_b = ops::im2col(b, spec);
   auto build = [&] {
     Rng r(8);
     return std::make_unique<Conv2d>(spec, r);
@@ -598,19 +611,187 @@ TEST(Conv2d, BackwardUsesTheLastForwardsLowering) {
   const Tensor dy = Tensor::randn(ref->forward(a).shape(), rng);
   ref->backward_params(dy);
 
-  // forward(b), then forward_lowered(a): backward must read cols_a.
-  auto mixed = build();
-  (void)mixed->forward(b);
-  (void)mixed->forward_lowered(cols_a, 4);
+  // forward_joint(b), then forward(a): backward must read a.
+  auto mixed = build(), partner = build();
+  (void)Conv2d::forward_joint(*mixed, *partner, b);
+  (void)mixed->forward(a);
   mixed->backward_params(dy);
   expect_same_grads(*ref, *mixed);
 
-  // forward_lowered(b), then forward(a): backward must read its own.
-  auto mixed2 = build();
-  (void)mixed2->forward_lowered(cols_b, 4);
-  (void)mixed2->forward(a);
+  // forward(b), then forward_joint(a): backward must read a too.
+  auto mixed2 = build(), partner2 = build();
+  (void)mixed2->forward(b);
+  (void)Conv2d::forward_joint(*mixed2, *partner2, a);
   mixed2->backward_params(dy);
   expect_same_grads(*ref, *mixed2);
+
+  // A forward on a batch of another size, then backward with the old dy.
+  const Tensor c = Tensor::randn({3, 3 * 9 * 9}, rng);
+  (void)mixed2->forward(c);
+  EXPECT_THROW(mixed2->backward_params(dy), Error);
+}
+
+// -- frame tiles -----------------------------------------------------------
+// Conv2d runs every pass over tiles of tile_frames() frames. The oracle is
+// the whole batch in one piece: the reference lowering, then each host
+// tier's products over all N·oh·ow rows at once (one dW and one db chain
+// from 0.0f each), folded into zero gradients as the layer folds its step.
+// Every tier must give the tiled layer's bits; the tiers' carried chains
+// are pinned on their own in kernels_test.
+
+using testing_specials::sprinkle_specials;
+
+struct WholeBatch {
+  Tensor y, dw, db, dx;
+};
+
+WholeBatch whole_batch(const ops::detail::KernelTable& kt,
+                       const ops::Conv2dSpec& spec, const Tensor& w,
+                       const Tensor& b, const Tensor& x, const Tensor& dy) {
+  const std::size_t batch = x.dim(0), p = spec.out_h() * spec.out_w(),
+                    oc = spec.out_channels;
+  const Tensor cols = ops::reference::im2col(x, spec);
+  Tensor y;
+  ops::detail::matmul_into(kt, y, cols, w);
+  ops::detail::add_bias_rows(kt, y, b);
+  const Tensor dys = scalar_from_channel_major(dy, batch, p, oc);
+  WholeBatch out{scalar_to_channel_major(y, batch, p, oc),
+                 Tensor(w.shape()), Tensor({oc}), Tensor()};
+  Tensor dw_step, db_step, dcols;
+  ops::detail::matmul_tn_into(kt, dw_step, cols, dys);
+  out.dw += dw_step;
+  ops::detail::sum_rows_into(kt, db_step, dys);
+  out.db += db_step;
+  ops::detail::matmul_nt_into(kt, dcols, dys, w);
+  out.dx = ops::reference::col2im(dcols, spec, batch);
+  return out;
+}
+
+ops::Conv2dSpec atari_conv1() { return conv_spec(3, 20, 8, 5, 2); }
+ops::Conv2dSpec atari_conv2() { return conv_spec(8, 8, 16, 3, 2); }
+
+// NetworkSpec::atari()'s two convs at 1, tile − 1, tile, tile + 1, 768 and
+// 769 frames, with NaN, ±Inf and −0 in x and dy.
+TEST(Conv2dTiles, EveryPassMatchesTheWholeBatchInEveryTier) {
+  for (const ops::Conv2dSpec& spec : {atari_conv1(), atari_conv2()}) {
+    Rng init(spec.out_channels);
+    const std::size_t tile = Conv2d(spec, init).tile_frames();
+    ASSERT_EQ(tile, std::max<std::size_t>(
+                        1, kConvTileFloats /
+                               (spec.out_h() * spec.out_w() *
+                                spec.in_channels * spec.kernel * spec.kernel)));
+    ASSERT_GT(tile, 1u);
+    for (const std::size_t frames :
+         {std::size_t{1}, tile - 1, tile, tile + 1, std::size_t{768},
+          std::size_t{769}}) {
+      SCOPED_TRACE(testing::Message() << "out_channels " << spec.out_channels
+                                      << ", " << frames << " frames");
+      Rng rng(frames);
+      Rng ra(3), rb(3);
+      Conv2d full(spec, ra), params_only(spec, rb);
+      const Tensor bias = Tensor::randn({spec.out_channels}, rng);
+      *full.parameters()[1] = *params_only.parameters()[1] = bias;
+      const std::size_t chw = spec.in_channels * spec.in_h * spec.in_w;
+      const std::size_t out_w =
+          spec.out_channels * spec.out_h() * spec.out_w();
+      const Tensor x =
+          sprinkle_specials(Tensor::randn({frames, chw}, rng), 7, 997);
+      const Tensor dy =
+          sprinkle_specials(Tensor::randn({frames, out_w}, rng), 3, 1009);
+
+      const Tensor y = full.forward(x);
+      const Tensor dx = full.backward(dy);
+      (void)params_only.forward(x);
+      params_only.backward_params(dy);
+      for (const ops::detail::KernelTier& tier :
+           ops::detail::host_kernel_tiers()) {
+        SCOPED_TRACE(tier.name);
+        const WholeBatch want = whole_batch(
+            tier.kernels(), spec, *full.parameters()[0], bias, x, dy);
+        expect_same_bits(y, want.y, "forward");
+        expect_same_bits(dx, want.dx, "dx");
+        expect_same_bits(*full.gradients()[0], want.dw, "dW");
+        expect_same_bits(*full.gradients()[1], want.db, "db");
+        expect_same_bits(*params_only.gradients()[0], want.dw,
+                         "backward_params dW");
+        expect_same_bits(*params_only.gradients()[1], want.db,
+                         "backward_params db");
+      }
+    }
+  }
+}
+
+// forward_joint over tiles: both convs' outputs and their separate
+// backwards equal the whole batch's, at the same frame counts.
+TEST(Conv2dTiles, ForwardJointMatchesTheWholeBatch) {
+  const ops::Conv2dSpec spec = atari_conv1();
+  Rng init(1);
+  const std::size_t tile = Conv2d(spec, init).tile_frames();
+  const auto& kt = ops::detail::active_kernels();
+  for (const std::size_t frames :
+       {std::size_t{1}, tile - 1, tile, tile + 1, std::size_t{768},
+        std::size_t{769}}) {
+    SCOPED_TRACE(testing::Message() << frames << " frames");
+    Rng rng(frames + 1);
+    Rng ra(4), rb(5);
+    Conv2d a(spec, ra), b(spec, rb);
+    *a.parameters()[1] = Tensor::randn({spec.out_channels}, rng);
+    *b.parameters()[1] = Tensor::randn({spec.out_channels}, rng);
+    const Tensor x = sprinkle_specials(
+        Tensor::randn({frames, 3 * 20 * 20}, rng), 11, 1013);
+    const Tensor dy_a = sprinkle_specials(
+        Tensor::randn({frames, 8 * 8 * 8}, rng), 5, 1019);
+    const Tensor dy_b = Tensor::randn({frames, 8 * 8 * 8}, rng);
+    const auto [ya, yb] = Conv2d::forward_joint(a, b, x);
+    const WholeBatch want_a = whole_batch(kt, spec, *a.parameters()[0],
+                                          *a.parameters()[1], x, dy_a);
+    const WholeBatch want_b = whole_batch(kt, spec, *b.parameters()[0],
+                                          *b.parameters()[1], x, dy_b);
+    expect_same_bits(ya, want_a.y, "policy conv");
+    expect_same_bits(yb, want_b.y, "value conv");
+    a.backward_params(dy_a);
+    b.backward_params(dy_b);
+    expect_same_bits(*a.gradients()[0], want_a.dw, "policy dW");
+    expect_same_bits(*a.gradients()[1], want_a.db, "policy db");
+    expect_same_bits(*b.gradients()[0], want_b.dw, "value dW");
+    expect_same_bits(*b.gradients()[1], want_b.db, "value db");
+  }
+}
+
+// A tile's buffers are leases from the calling thread's ScratchPool, so
+// layers running on several threads at once (a learner body per driver
+// worker) share no scratch: each thread's results equal a serial run's.
+TEST(Conv2dTiles, LayersOnSeveralThreadsMatchASerialRun) {
+  const ops::Conv2dSpec spec = atari_conv1();
+  constexpr std::size_t kThreads = 3;
+  Rng rng(31);
+  std::vector<Tensor> xs, dys;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    xs.push_back(Tensor::randn({60 + t, 3 * 20 * 20}, rng));
+    dys.push_back(Tensor::randn({60 + t, 8 * 8 * 8}, rng));
+  }
+  auto run = [&](std::size_t t, std::vector<Tensor>& out) {
+    Rng r(40 + t);
+    Conv2d conv(spec, r);
+    out.push_back(conv.forward(xs[t]));
+    out.push_back(conv.backward(dys[t]));
+    out.push_back(*conv.gradients()[0]);
+    out.push_back(*conv.gradients()[1]);
+  };
+  std::vector<std::vector<Tensor>> serial(kThreads), threaded(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) run(t, serial[t]);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 2; ++rep) {
+        threaded[t].clear();
+        run(t, threaded[t]);
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < serial[t].size(); ++i)
+      expect_same_bits(threaded[t][i], serial[t][i], "threaded");
 }
 
 }  // namespace

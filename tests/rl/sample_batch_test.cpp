@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace stellaris::rl {
@@ -168,6 +171,130 @@ TEST(SampleBatch, SerializeIsSingleAllocationSized) {
   a.episode_returns = {1.0};
   const auto bytes = a.serialize();
   EXPECT_EQ(bytes.capacity(), bytes.size());
+}
+
+// -- deserialize_concat_into ---------------------------------------------
+
+void expect_same_tensor(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  if (a.numel() == 0) return;  // memcmp must not see an empty tensor's null
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        a.numel() * sizeof(float)),
+            0)
+      << what;
+}
+
+// Every field of two batches, bit for bit.
+void expect_same_batch(const SampleBatch& a, const SampleBatch& b) {
+  EXPECT_EQ(a.action_kind, b.action_kind);
+  expect_same_tensor(a.obs, b.obs, "obs");
+  expect_same_tensor(a.actions_cont, b.actions_cont, "actions_cont");
+  EXPECT_EQ(a.actions_disc, b.actions_disc);
+  expect_same_tensor(a.rewards, b.rewards, "rewards");
+  expect_same_tensor(a.dones, b.dones, "dones");
+  expect_same_tensor(a.behaviour_log_probs, b.behaviour_log_probs,
+                     "behaviour_log_probs");
+  expect_same_tensor(a.values, b.values, "values");
+  EXPECT_EQ(std::memcmp(&a.bootstrap_value, &b.bootstrap_value,
+                        sizeof(float)),
+            0);
+  ASSERT_EQ(a.segments.size(), b.segments.size());
+  for (std::size_t i = 0; i < a.segments.size(); ++i) {
+    EXPECT_EQ(a.segments[i].start, b.segments[i].start) << "segment " << i;
+    EXPECT_EQ(std::memcmp(&a.segments[i].bootstrap, &b.segments[i].bootstrap,
+                          sizeof(float)),
+              0)
+        << "segment " << i;
+  }
+  EXPECT_EQ(a.policy_version, b.policy_version);
+  expect_same_tensor(a.advantages, b.advantages, "advantages");
+  expect_same_tensor(a.value_targets, b.value_targets, "value_targets");
+  EXPECT_EQ(a.episode_returns, b.episode_returns);
+}
+
+// An actor-shaped batch of n rows: 3-float observations, two continuous
+// action dims or discrete actions, random floats everywhere, and (when
+// `seams`) two stored segments of its own.
+SampleBatch random_batch(bool discrete, std::size_t n, bool advantages,
+                         bool seams, std::uint64_t seed) {
+  Rng rng(seed);
+  SampleBatch b;
+  b.action_kind =
+      discrete ? nn::ActionKind::kDiscrete : nn::ActionKind::kContinuous;
+  b.obs = Tensor::randn({n, 3}, rng);
+  if (discrete)
+    for (std::size_t i = 0; i < n; ++i) b.actions_disc.push_back(i % 4);
+  else
+    b.actions_cont = Tensor::randn({n, 2}, rng);
+  b.rewards = Tensor::randn({n}, rng);
+  b.dones = Tensor({n});
+  b.dones[n - 1] = 1.0f;
+  b.behaviour_log_probs = Tensor::randn({n}, rng);
+  b.values = Tensor::randn({n}, rng);
+  b.bootstrap_value = static_cast<float>(seed) + 0.5f;
+  if (seams) b.segments = {{0, 1.5f}, {n / 2, -2.5f}};
+  b.policy_version = seed;
+  if (advantages) {
+    b.advantages = Tensor::randn({n}, rng);
+    b.value_targets = Tensor::randn({n}, rng);
+  }
+  b.episode_returns = {static_cast<double>(seed), -1.0};
+  return b;
+}
+
+// One merged decode equals deserialize_into on each payload and then
+// concat (deserialize_into alone for one payload), for 1, 2 and 4 parts,
+// continuous and discrete, with every part, some parts or no part carrying
+// advantages, into a stale batch and again into the warm one, which then
+// allocates no tensor buffer.
+TEST(SampleBatch, DeserializeConcatIntoMatchesDeserializeThenConcat) {
+  enum class Adv { kNone, kAll, kSome };
+  for (const bool discrete : {false, true}) {
+    for (const Adv adv : {Adv::kNone, Adv::kAll, Adv::kSome}) {
+      for (const std::size_t parts : {1u, 2u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << (discrete ? "discrete" : "continuous") << ", "
+                     << parts << " parts, advantages "
+                     << static_cast<int>(adv));
+        std::vector<std::vector<std::uint8_t>> bytes;
+        std::vector<SampleBatch> decoded(parts);
+        for (std::size_t i = 0; i < parts; ++i) {
+          const bool with_adv =
+              adv == Adv::kAll || (adv == Adv::kSome && i % 2 == 0);
+          bytes.push_back(random_batch(discrete, 4 + i, with_adv, i == 1,
+                                       10 * parts + i)
+                              .serialize());
+          SampleBatch::deserialize_into(bytes.back(), decoded[i]);
+        }
+        const SampleBatch want =
+            parts == 1 ? decoded.front() : SampleBatch::concat(decoded);
+        std::vector<ByteSpan> spans(bytes.begin(), bytes.end());
+
+        SampleBatch got = random_batch(!discrete, 9, true, true, 99);
+        SampleBatch::deserialize_concat_into(spans, got);
+        expect_same_batch(got, want);
+        const std::uint64_t allocs = tensor_buffer_allocs();
+        SampleBatch::deserialize_concat_into(spans, got);
+        EXPECT_EQ(tensor_buffer_allocs(), allocs);
+        expect_same_batch(got, want);
+      }
+    }
+  }
+}
+
+TEST(SampleBatch, DeserializeConcatIntoRejectsBadInput) {
+  const auto cont = random_batch(false, 3, false, false, 1).serialize();
+  const auto disc = random_batch(true, 3, false, false, 2).serialize();
+  SampleBatch out;
+  EXPECT_THROW(SampleBatch::deserialize_concat_into({}, out), Error);
+  const std::vector<ByteSpan> mixed = {cont, disc};
+  EXPECT_THROW(SampleBatch::deserialize_concat_into(mixed, out), Error);
+  // Every truncation of the second payload is a typed error.
+  for (std::size_t len = 0; len < disc.size(); len += 7) {
+    const std::vector<ByteSpan> cut = {disc, ByteSpan(disc.data(), len)};
+    EXPECT_THROW(SampleBatch::deserialize_concat_into(cut, out), Error)
+        << len << " bytes";
+  }
 }
 
 }  // namespace

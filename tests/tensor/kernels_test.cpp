@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "specials.hpp"
 #include "tensor/kernel_config.hpp"
 #include "tensor/kernel_isa.hpp"
 #include "tensor/ops.hpp"
@@ -48,13 +49,8 @@ using ops::detail::KernelTable;
 using ops::detail::KernelTier;
 
 
-// The NaN that invalid operations produce on this target (0·∞). Using it
-// as the input NaN too keeps every NaN in a result the same bit pattern,
-// whichever operand a tier's instruction happens to propagate.
-float default_nan() {
-  volatile float zero = 0.0f;
-  return zero * std::numeric_limits<float>::infinity();
-}
+using testing_specials::default_nan;
+using testing_specials::sprinkle_specials;
 
 // `t` with NaN, +Inf, −Inf and −0 spread over its elements.
 Tensor with_specials(Tensor t) {
@@ -358,6 +354,70 @@ TEST(BlockedGemm, KBlockedTnBitIdenticalInEveryTier) {
   }
 }
 
+// Rows [r0, r1) of a 2-D tensor, copied.
+Tensor row_slice(const Tensor& t, std::size_t r0, std::size_t r1) {
+  const std::size_t w = t.dim(1);
+  return Tensor({r1 - r0, w},
+                std::vector<float>(t.data().begin() + r0 * w,
+                                   t.data().begin() + r1 * w));
+}
+
+// matmul_tn_carry_into and sum_rows_carry_into continue C's chains, so a
+// k range cut anywhere (inside a k block, at one, across one), run piece
+// by piece from zeros, gives the one-shot product's bits: Conv2d's frame
+// tiles rely on it. Fewer rows than a tile (the reference loop), one tile,
+// and conv1's 75 rows; every tier, serial and on two kernel threads, with
+// NaN/Inf/-0 spread over the pieces.
+TEST(CarriedChains, PiecewiseMatchesOneShotInEveryTier) {
+  constexpr std::size_t kB = ops::detail::kTnKBlockRows;
+  const std::size_t k = 2 * kB + 37;
+  const std::vector<std::vector<std::size_t>> cuts = {
+      {0, k}, {0, 1, k}, {0, 100, kB, kB + 1, k}, {0, 1728, 3456, k}};
+  for (const std::size_t m : {5u, 16u, 75u}) {
+    for (const std::size_t n : {1u, 8u, 16u}) {
+      SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+      Rng rng(m * 31 + n);
+      const Tensor a = with_specials(Tensor::randn({k, m}, rng));
+      const Tensor b = with_specials(Tensor::randn({k, n}, rng));
+      const Tensor ref_tn = ops::reference::matmul_tn(a, b);
+      const Tensor ref_sum = ops::reference::sum_rows(b);
+      for (const auto& cut : cuts) {
+        for (const std::size_t threads : {1u, 2u}) {
+          ops::set_kernel_threads(threads);
+          const std::uint64_t saved_min = ops::kernel_parallel_min_flops();
+          if (threads > 1) ops::set_kernel_parallel_min_flops(0);
+          expect_tiers_agree(
+              [&](const KernelTable& kt) {
+                Tensor c({m, n});
+                for (std::size_t i = 0; i + 1 < cut.size(); ++i)
+                  ops::detail::matmul_tn_into(
+                      kt, c, row_slice(a, cut[i], cut[i + 1]),
+                      row_slice(b, cut[i], cut[i + 1]), true);
+                return c;
+              },
+              &ref_tn, "matmul_tn carried");
+          ops::set_kernel_parallel_min_flops(saved_min);
+          ops::set_kernel_threads(1);
+        }
+        expect_tiers_agree(
+            [&](const KernelTable& kt) {
+              Tensor out({n});
+              for (std::size_t i = 0; i + 1 < cut.size(); ++i)
+                ops::detail::sum_rows_into(
+                    kt, out, row_slice(b, cut[i], cut[i + 1]), true);
+              return out;
+            },
+            &ref_sum, "sum_rows carried");
+      }
+    }
+  }
+  // The carried forms need the output already shaped.
+  Tensor wrong({3, 3});
+  EXPECT_THROW(ops::matmul_tn_carry_into(wrong, Tensor({4, 2}), Tensor({4, 3})),
+               Error);
+  EXPECT_THROW(ops::sum_rows_carry_into(wrong, Tensor({4, 3})), Error);
+}
+
 TEST(TransposeEach, BitIdenticalToScalarInEveryTier) {
   // Whole 4 × 4 blocks, a rows tail (conv2's 9 positions), a columns
   // tail, both, and degenerate sizes; NaN, ±Inf and −0 move unchanged.
@@ -603,16 +663,6 @@ TEST(ElementwiseInto, TanhParallelBitIdentical) {
       &serial, "tanh threaded");
 }
 
-// `t` with NaN, +Inf, −Inf and −0 at every fifth element from `first`, so
-// even one- and three-element tensors get some.
-Tensor sprinkle_specials(Tensor t, std::size_t first) {
-  const float inf = std::numeric_limits<float>::infinity();
-  const float specials[] = {default_nan(), inf, -inf, -0.0f};
-  for (std::size_t i = first; i < t.numel(); i += 5)
-    t[i] = specials[(i / 5) % 4];
-  return t;
-}
-
 // The fused bias add and tanh against its two passes, add_bias_rows then
 // tanh_forward_into, in the same tier, and every tier against the others:
 // at row counts around the row-lane and vector widths, with special values
@@ -622,8 +672,8 @@ TEST(FusedBiasTanh, BitIdenticalToBiasThenTanhInEveryTier) {
   for (const std::size_t m : {1, 3, 16, 17, 512}) {
     for (const std::size_t n : {1, 3, 32, 33}) {
       SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
-      const Tensor x = sprinkle_specials(Tensor::randn({m, n}, rng), 0);
-      const Tensor bias = sprinkle_specials(Tensor::randn({n}, rng), 2);
+      const Tensor x = sprinkle_specials(Tensor::randn({m, n}, rng), 0, 5);
+      const Tensor bias = sprinkle_specials(Tensor::randn({n}, rng), 2, 5);
       for (const KernelTier& tier : ops::detail::host_kernel_tiers()) {
         SCOPED_TRACE(tier.name);
         Tensor summed = x;
